@@ -243,6 +243,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "prestore-bench: -checkpoints is local-only; the daemon manages its own checkpoint store (-checkpoint-dir on prestored)")
 			os.Exit(2)
 		}
+		if rec != nil {
+			// The global observer cannot fork a recorder's state, so a
+			// forked run would record no warm-phase events.
+			fmt.Fprintln(os.Stderr, "prestore-bench: -timeline/-linereport cannot be combined with -checkpoints; forked runs skip the warm phase the recorder must see")
+			os.Exit(2)
+		}
 		store, err := checkpoint.NewStore(0, *checkpointDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "prestore-bench: %v\n", err)

@@ -1,13 +1,15 @@
 // Package autotune is the closed-loop DirtBuster: an iterative policy
 // search that finds the best pre-store plan for a workload. Given a
 // single-point scenario spec it first measures the all-none baseline
-// and runs a cold telemetry probe, seeds a uniform plan from the
+// and runs a telemetry probe of it, seeds a uniform plan from the
 // paper's decision rules (demote on far rewrites, clean on far
 // re-reads, skip otherwise), then hill-climbs deterministically over
 // the per-site op table and candidate placement windows, with seeded
-// random restarts out of local optima. Every candidate evaluation forks
-// from the shared warm checkpoint when the runner has one, so the
-// search costs one load phase plus cheap measured phases.
+// random restarts out of local optima. Every candidate evaluation, and
+// the probe, forks from the shared warm checkpoint when the runner has
+// one, so a search costs at most one load phase plus cheap measured
+// phases — and none when an earlier search with the same warm state
+// (say, another seed) already paid it.
 //
 // The search is deterministic end to end: the same (spec, params)
 // reproduces the same NDJSON progress stream and the same trajectory
@@ -81,11 +83,11 @@ func Run(ctx context.Context, base scenario.Spec, par Params, ev Evaluator, prog
 	}
 	cur := e.cache[baseline.key()]
 
-	// Cold telemetry probe of the baseline plan; its line report drives
-	// the decision-rule seeding. ColdStart keeps the recorded events
-	// independent of whatever the checkpoint cache holds.
+	// Telemetry probe of the baseline plan; its line report drives the
+	// decision-rule seeding. It forks from the warm checkpoint like every
+	// candidate, its recorder state with it, so the report is the cold
+	// run's whatever the checkpoint cache holds.
 	probeSpec := e.specFor(baseline)
-	probeSpec.Run.ColdStart = true
 	probeSpec.Telemetry = &scenario.TelemetrySpec{LineReport: true}
 	rep, err := e.ev.Probe(ctx, probeSpec, par.Quick)
 	if err != nil {

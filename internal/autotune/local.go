@@ -20,15 +20,15 @@ const ProbeMaxLines = 256
 type Evaluator interface {
 	// Eval runs a single-point spec and returns its metrics.
 	Eval(ctx context.Context, sp scenario.Spec, quick bool) (scenario.Metrics, error)
-	// Probe runs a single-point spec (the search's baseline plan, with
-	// run.cold_start set) under line-report telemetry and returns the
-	// report the seeding rules consume.
+	// Probe runs a single-point spec (the search's baseline plan) under
+	// line-report telemetry and returns the report the seeding rules
+	// consume. The report must not depend on the checkpoint cache.
 	Probe(ctx context.Context, sp scenario.Spec, quick bool) (*telemetry.LineReport, error)
 }
 
 // Local evaluates candidates in process via scenario.EvalPoint. A
-// checkpoint view on the context makes every candidate fork from the
-// shared warm state; without one each candidate loads from scratch.
+// checkpoint view on the context makes every candidate and the probe
+// fork from the shared warm state; without one each loads from scratch.
 type Local struct{}
 
 func (Local) Eval(ctx context.Context, sp scenario.Spec, quick bool) (scenario.Metrics, error) {
@@ -37,7 +37,7 @@ func (Local) Eval(ctx context.Context, sp scenario.Spec, quick bool) (scenario.M
 
 func (Local) Probe(ctx context.Context, sp scenario.Spec, quick bool) (*telemetry.LineReport, error) {
 	rec := telemetry.New(telemetry.Config{LineReport: true})
-	ctx = scenario.WithObserver(ctx, rec.Attach)
+	ctx = scenario.WithRecorder(ctx, rec)
 	if _, err := sp.EvalPoint(ctx, quick); err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ type Iteration struct {
 	Accepted bool `json:"accepted,omitempty"`
 }
 
-// Probe summarizes the cold telemetry probe and the decision rule it
+// Probe summarizes the telemetry probe and the decision rule it
 // triggered.
 type Probe struct {
 	Totals   telemetry.LineTotals `json:"totals"`

@@ -7,7 +7,7 @@ import (
 	"fmt"
 
 	"prestores/internal/checkpoint"
-	"prestores/internal/obs"
+	"prestores/internal/scenario"
 	"prestores/internal/sim"
 	"prestores/internal/workloads/kv"
 	"prestores/internal/workloads/ycsb"
@@ -33,63 +33,15 @@ func kvWarmKey(m *sim.Machine, store kv.Store, heap *kv.ValueHeap, cfg ycsb.Conf
 // bench call site. Without a checkpoint view on the context it is
 // exactly the cold load; with one, the first grid point's post-load
 // snapshot is memoized under its warm-prefix key and every sibling
-// grid point forks from it instead of re-simulating the load.
+// grid point forks from it instead of re-simulating the load, through
+// the scenario runner's checkpoint-fork path.
 //
 // Snapshot restore is proven lossless and canonical (see
 // internal/sim/snapshot_test.go), so warm-forked sweeps stay
 // byte-identical to cold ones — the golden guard runs both ways.
 func kvLoad(ctx context.Context, m *sim.Machine, store kv.Store, heap *kv.ValueHeap, cfg ycsb.Config) {
-	view := checkpoint.FromContext(ctx)
-	if view == nil {
-		ycsb.Load(m, store, heap, cfg)
-		return
-	}
 	key := kvWarmKey(m, store, heap, cfg)
-	pc := &sim.PhaseControl{
-		Restore: func(m *sim.Machine) ([]byte, bool) {
-			// The lookup and restore are separate spans: a miss shows a
-			// lookup followed by the full cold load, a hit shows the
-			// restore replacing it — the timing difference checkpointing
-			// exists to create, visible per job.
-			lctx, lookup := obs.Start(ctx, "checkpoint.lookup", obs.KV("key", key[:12]))
-			data, ok := view.Get(key)
-			var ck *sim.Checkpoint
-			if ok {
-				var err error
-				ck, err = sim.DecodeCheckpoint(data)
-				if err != nil || ck.Build != checkpoint.Build() || ck.ConfigHash != m.ConfigHash() {
-					// Stale or corrupt store entry: treat as a miss. The
-					// machine is untouched, so the cold load is still safe.
-					ok = false
-				}
-			}
-			lookup.SetAttr("hit", fmt.Sprint(ok))
-			lookup.End()
-			if !ok {
-				return nil, false
-			}
-			_, restore := obs.Start(lctx, "checkpoint.restore", obs.KV("key", key[:12]))
-			defer restore.End()
-			if err := ck.Restore(m); err != nil {
-				// The header matched but the payload did not apply: the
-				// machine may be partially mutated, so falling back to a
-				// cold load would corrupt the run. Fail loudly instead —
-				// the runner contains the panic into Result.Err.
-				panic(fmt.Sprintf("checkpoint %s: restore failed: %v", key[:12], err))
-			}
-			return ck.Annex, true
-		},
-		Save: func(m *sim.Machine, annex []byte) {
-			_, save := obs.Start(ctx, "checkpoint.save", obs.KV("key", key[:12]))
-			defer save.End()
-			ck, err := m.NewCheckpoint(checkpoint.Build(), annex)
-			if err != nil {
-				return // machine not snapshottable: siblings load cold
-			}
-			view.Put(key, ck.Encode())
-		},
-	}
-	if err := ycsb.WarmLoad(m, store, heap, cfg, pc); err != nil {
+	if err := ycsb.WarmLoad(m, store, heap, cfg, scenario.PhaseControl(ctx, key, nil)); err != nil {
 		panic(fmt.Sprintf("checkpoint %s: %v", key[:12], err))
 	}
 }

@@ -3,8 +3,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-
-	"prestores/internal/checkpoint"
 )
 
 // CheckSinglePoint reports whether the spec evaluates exactly one grid
@@ -23,11 +21,12 @@ func (s *Spec) CheckSinglePoint() error {
 
 // EvalPoint runs a single-point spec and returns its raw metrics
 // instead of a rendered table. This is the autotuner's measurement
-// primitive: candidate plans differ only in policy.window/policy.table,
-// so with a checkpoint view on the context every candidate forks from
-// the same memoized post-warmup state (unless run.cold_start opts out).
-// Metrics are deterministic for a fixed spec, warm or cold — the
-// phased-run byte-identity guarantee covers them.
+// primitive: with a checkpoint view on the context every candidate plan
+// — and every spec sharing the warm state, whatever its seed or
+// measured-phase parameters — forks from the same memoized post-warmup
+// state (unless run.cold_start opts out). Metrics are deterministic for
+// a fixed spec, warm or cold — the phased-run byte-identity guarantee
+// covers them.
 func (s *Spec) EvalPoint(ctx context.Context, quick bool) (Metrics, error) {
 	if err := s.CheckSinglePoint(); err != nil {
 		return nil, err
@@ -36,33 +35,15 @@ func (s *Spec) EvalPoint(ctx context.Context, quick bool) (Metrics, error) {
 	if !ok {
 		return nil, fmt.Errorf("workload.name: unknown workload %q (one of %v)", s.Workload.Name, WorkloadNames())
 	}
-	base := s.baseParams(quick)
+	prefixKey, err := s.forkKey(ctx, wl)
+	if err != nil {
+		return nil, err
+	}
 	m, err := s.buildMachine(s.Machine.Preset)
 	if err != nil {
 		return nil, err
 	}
-	m.AttachOps(ctx)
-	if obs := observerFrom(ctx); obs != nil {
-		obs(m)
-	}
-	op := s.Policy.Ops[0]
-	if view := checkpoint.FromContext(ctx); view != nil && wl.RunPhased != nil && !s.Run.ColdStart {
-		prefixKey, err := s.WarmPrefixKey(checkpoint.Build(), 0)
-		if err != nil {
-			return nil, err
-		}
-		key := warmRunKey(prefixKey, m.ConfigHash(), wl.WarmParams, base)
-		metrics, err := wl.RunPhased(m, op, base, phaseControl(view, key))
-		if err != nil {
-			return nil, fmt.Errorf("workload %s, op %s: %w", wl.Name, op, err)
-		}
-		return metrics, nil
-	}
-	metrics, err := wl.Run(m, op, base)
-	if err != nil {
-		return nil, fmt.Errorf("workload %s, op %s: %w", wl.Name, op, err)
-	}
-	return metrics, nil
+	return runOp(ctx, wl, m, s.Policy.Ops[0], s.baseParams(quick), prefixKey)
 }
 
 // WithPlan returns a copy of the spec carrying a different pre-store

@@ -7,19 +7,25 @@ import (
 
 	"prestores/internal/checkpoint"
 	"prestores/internal/memdev"
+	"prestores/internal/obs"
 	"prestores/internal/sim"
+	"prestores/internal/telemetry"
 	"prestores/internal/units"
 )
 
 // observerKey carries a machine observer through a context (see
-// WithObserver).
-type observerKey struct{}
+// WithObserver); recorderKey carries a telemetry recorder (see
+// WithRecorder).
+type (
+	observerKey struct{}
+	recorderKey struct{}
+)
 
-// WithObserver returns a context that makes Exec call obs with every
-// machine the spec run builds, before the workload runs on it. This is
-// the scoped counterpart to sim.ObserveMachines: a daemon running
-// concurrent jobs attaches each job's telemetry recorder to that job's
-// machines only, via that job's context.
+// WithObserver returns a context that makes Exec and EvalPoint call obs
+// with every machine the spec run builds, before the workload runs on
+// it. This is the scoped counterpart to sim.ObserveMachines. An
+// observer must not record the machine's events: a warm-forked run
+// skips its warm phase, so use WithRecorder for telemetry.
 func WithObserver(ctx context.Context, obs func(*sim.Machine)) context.Context {
 	return context.WithValue(ctx, observerKey{}, obs)
 }
@@ -27,6 +33,22 @@ func WithObserver(ctx context.Context, obs func(*sim.Machine)) context.Context {
 func observerFrom(ctx context.Context) func(*sim.Machine) {
 	obs, _ := ctx.Value(observerKey{}).(func(*sim.Machine))
 	return obs
+}
+
+// WithRecorder returns a context that makes Exec and EvalPoint attach
+// rec to every machine the spec run builds. A daemon running concurrent
+// jobs attaches each job's recorder to that job's machines only, via
+// that job's context. The recorded artifacts never depend on the
+// checkpoint cache: a line-report recorder forks its state with the
+// machine's warm checkpoint (telemetry.Fork), and a run with a timeline
+// recorder loads cold.
+func WithRecorder(ctx context.Context, rec *telemetry.Recorder) context.Context {
+	return context.WithValue(ctx, recorderKey{}, rec)
+}
+
+func recorderFrom(ctx context.Context) *telemetry.Recorder {
+	rec, _ := ctx.Value(recorderKey{}).(*telemetry.Recorder)
+	return rec
 }
 
 // Exec runs a validated spec, writing its table to w. quick mode
@@ -57,27 +79,18 @@ func (s *Spec) Exec(ctx context.Context, w io.Writer, quick bool) error {
 	}
 	header(w, titles...)
 
-	// Warm-state forking: with a checkpoint view on the context and a
-	// workload that declares a phase boundary, every grid point runs
-	// through the phased path keyed by the spec's warm-prefix key.
-	// run.cold_start opts the whole spec out.
-	var prefixKey string
-	if view := checkpoint.FromContext(ctx); view != nil && wl.RunPhased != nil && !s.Run.ColdStart {
-		k, err := s.WarmPrefixKey(checkpoint.Build(), 0)
-		if err != nil {
-			return err
-		}
-		prefixKey = k
+	prefixKey, err := s.forkKey(ctx, wl)
+	if err != nil {
+		return err
 	}
 
 	// Odometer over the axes; the first axis varies slowest.
-	obs := observerFrom(ctx)
 	idx := make([]int, len(axes))
 	for {
 		if ctx.Err() != nil {
 			return nil
 		}
-		if err := s.runRow(ctx, w, wl, axes, idx, base, obs, prefixKey); err != nil {
+		if err := s.runRow(ctx, w, wl, axes, idx, base, prefixKey); err != nil {
 			return err
 		}
 		// Advance.
@@ -125,10 +138,19 @@ func (s *Spec) baseParams(quick bool) Params {
 	return base
 }
 
+// forkKey returns the spec's warm-prefix key when its runs may fork
+// from the context's checkpoint view: the view is there, the workload
+// declares a warm phase, and run.cold_start does not opt the spec out.
+// Otherwise it returns "" and every run loads cold.
+func (s *Spec) forkKey(ctx context.Context, wl Workload) (string, error) {
+	if checkpoint.FromContext(ctx) == nil || wl.RunPhased == nil || s.Run.ColdStart {
+		return "", nil
+	}
+	return s.WarmPrefixKey(checkpoint.Build(), 0)
+}
+
 // runRow executes one grid point (all its ops) and renders the row.
-// With a non-empty prefixKey each op's run goes through the workload's
-// phased path, forking from (or seeding) the context's checkpoint view.
-func (s *Spec) runRow(ctx context.Context, w io.Writer, wl Workload, axes []Axis, idx []int, base Params, obs func(*sim.Machine), prefixKey string) error {
+func (s *Spec) runRow(ctx context.Context, w io.Writer, wl Workload, axes []Axis, idx []int, base Params, prefixKey string) error {
 	params := base.clone()
 	machinePreset := s.Machine.Preset
 	ops := s.Policy.Ops
@@ -150,20 +172,9 @@ func (s *Spec) runRow(ctx context.Context, w io.Writer, wl Workload, axes []Axis
 		if err != nil {
 			return err
 		}
-		m.AttachOps(ctx)
-		if obs != nil {
-			obs(m)
-		}
-		var metrics Metrics
-		if prefixKey != "" {
-			key := warmRunKey(prefixKey, m.ConfigHash(), wl.WarmParams, params)
-			pc := phaseControl(checkpoint.FromContext(ctx), key)
-			metrics, err = wl.RunPhased(m, op, params, pc)
-		} else {
-			metrics, err = wl.Run(m, op, params)
-		}
+		metrics, err := runOp(ctx, wl, m, op, params, prefixKey)
 		if err != nil {
-			return fmt.Errorf("workload %s, op %s: %w", wl.Name, op, err)
+			return err
 		}
 		results[op] = metrics
 	}
@@ -204,36 +215,122 @@ func (s *Spec) renderCell(c Column, axes []Axis, idx []int, ops []string, result
 	return formatCell(c.Format, num)
 }
 
-// phaseControl wires a checkpoint view into a sim.PhaseControl for one
-// grid point: restore forks the machine from the memoized post-warmup
-// state under key; save encodes and stores it. Stale entries (build or
-// config skew) count as misses; a restore that fails after the header
-// matched panics rather than silently re-running the warmup on a
-// half-mutated machine.
-func phaseControl(view *checkpoint.View, key string) *sim.PhaseControl {
+// runOp runs one op of wl on a freshly built machine. It is the one run
+// path behind EvalPoint and Exec: it attaches the context's op sink,
+// observer and recorder, and with a non-empty prefixKey it routes the
+// workload's warm phase through the context's checkpoint view.
+func runOp(ctx context.Context, wl Workload, m *sim.Machine, op string, p Params, prefixKey string) (Metrics, error) {
+	m.AttachOps(ctx)
+	if observe := observerFrom(ctx); observe != nil {
+		observe(m)
+	}
+	var fork *telemetry.Fork
+	if rec := recorderFrom(ctx); rec != nil {
+		if fork = rec.AttachFork(m); fork == nil {
+			prefixKey = "" // a timeline records every event: load cold
+		}
+	}
+	var metrics Metrics
+	var err error
+	if prefixKey != "" {
+		key := warmRunKey(prefixKey, m.ConfigHash(), wl.WarmParams, p)
+		metrics, err = wl.RunPhased(m, op, p, PhaseControl(ctx, key, fork))
+	} else {
+		metrics, err = wl.Run(m, op, p)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("workload %s, op %s: %w", wl.Name, op, err)
+	}
+	return metrics, nil
+}
+
+// PhaseControl wires the context's checkpoint view into a
+// sim.PhaseControl for one run whose warm state is stored under key
+// (nil without a view: the run loads cold). Restore forks the machine
+// from the stored post-warmup state; Save encodes and stores it. It is
+// the one checkpoint-fork path of both the scenario runner and
+// internal/bench's KV experiments.
+//
+// A non-nil fork is the run's recorder share: its state is stored
+// beside the machine's under its own key and must hit too, or the run
+// loads cold so the recorder sees the warm phase. Save then stores only
+// the recorder state, never re-encoding a machine checkpoint the store
+// already holds.
+//
+// Stale or corrupt entries (build or config skew, a bad recorder
+// state) count as misses and leave the machine untouched. A restore
+// that fails after the header matched panics rather than silently
+// re-running the warmup on a half-mutated machine; the bench runner
+// contains the panic into Result.Err.
+func PhaseControl(ctx context.Context, key string, fork *telemetry.Fork) *sim.PhaseControl {
+	view := checkpoint.FromContext(ctx)
+	if view == nil {
+		return nil
+	}
+	var forkKey string
+	if fork != nil {
+		forkKey = siblingKey(key, fork.Key())
+	}
+	machineStored := false
+	short := obs.KV("key", key[:12])
 	return &sim.PhaseControl{
 		Restore: func(m *sim.Machine) ([]byte, bool) {
-			data, ok := view.Get(key)
+			// The lookup and restore are separate spans: a miss shows a
+			// lookup followed by the full cold load, a hit shows the
+			// restore replacing it.
+			lctx, lookup := obs.Start(ctx, "checkpoint.lookup", short)
+			ck, ok := lookupCheckpoint(view, key, m)
+			if ok && fork != nil {
+				machineStored = true
+				var data []byte
+				data, ok = view.Get(forkKey)
+				ok = ok && fork.Restore(data) == nil
+			}
+			lookup.SetAttr("hit", fmt.Sprint(ok))
+			lookup.End()
 			if !ok {
 				return nil, false
 			}
-			ck, err := sim.DecodeCheckpoint(data)
-			if err != nil || ck.Build != checkpoint.Build() || ck.ConfigHash != m.ConfigHash() {
-				return nil, false
-			}
+			_, restore := obs.Start(lctx, "checkpoint.restore", short)
+			defer restore.End()
 			if err := ck.Restore(m); err != nil {
 				panic(fmt.Sprintf("checkpoint %s: restore failed: %v", key[:12], err))
 			}
 			return ck.Annex, true
 		},
 		Save: func(m *sim.Machine, annex []byte) {
+			_, save := obs.Start(ctx, "checkpoint.save", short)
+			defer save.End()
+			if fork != nil {
+				if data, ok := fork.Save(); ok {
+					view.Put(forkKey, data)
+				}
+			}
+			if machineStored {
+				return
+			}
 			ck, err := m.NewCheckpoint(checkpoint.Build(), annex)
 			if err != nil {
-				return // machine not snapshottable: later points load cold
+				return // machine not snapshottable: later runs load cold
 			}
 			view.Put(key, ck.Encode())
 		},
 	}
+}
+
+// lookupCheckpoint fetches and decodes the machine checkpoint under
+// key, reporting a miss for an absent, corrupt or stale (other build,
+// other machine config) entry.
+func lookupCheckpoint(view *checkpoint.View, key string, m *sim.Machine) (*sim.Checkpoint, bool) {
+	data, ok := view.Get(key)
+	if !ok {
+		return nil, false
+	}
+	ck, err := sim.DecodeCheckpoint(data)
+	if err != nil || ck.Build != checkpoint.Build() || ck.ConfigHash != m.ConfigHash() {
+		return nil, false
+	}
+	return ck, true
 }
 
 // buildMachine constructs a fresh machine for one run: preset or

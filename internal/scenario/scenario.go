@@ -102,8 +102,8 @@ type RunSpec struct {
 	MaxPoints int `json:"max_points,omitempty"`
 	// ColdStart disables warm-state checkpoint forking for this spec
 	// even when the runner has a checkpoint view: every point loads from
-	// scratch. The autotuner's telemetry probe sets this so the recorded
-	// events never depend on what happens to be in the checkpoint cache.
+	// scratch. Telemetry never needs it: recorded artifacts do not depend
+	// on the checkpoint cache (see WithRecorder).
 	ColdStart bool `json:"cold_start,omitempty"`
 }
 

@@ -3,10 +3,14 @@ package scenario_test
 import (
 	"bytes"
 	"context"
+	"io"
+	"reflect"
 	"testing"
 
 	"prestores/internal/checkpoint"
 	"prestores/internal/scenario"
+	"prestores/internal/sim"
+	"prestores/internal/telemetry"
 
 	_ "prestores/internal/workloads/ycsb" // registers the phased ycsb workload
 )
@@ -66,5 +70,191 @@ func TestExecWarmForkByteIdentity(t *testing.T) {
 	// Three ops share one load: the first misses, the rest fork.
 	if view.Misses() != 1 || view.Hits() != 2 {
 		t.Errorf("checkpoint traffic = %d hits, %d misses; want 2 hits, 1 miss", view.Hits(), view.Misses())
+	}
+}
+
+// ycsbSpec is a small single-op ycsb spec: a real load phase to fork,
+// cheap enough to run many times.
+func ycsbSpec(params map[string]any) scenario.Spec {
+	p := map[string]any{"records": 2000, "ops": 300, "threads": 2, "value_size": 256}
+	for k, v := range params {
+		p[k] = v
+	}
+	return scenario.Spec{
+		Version:  1,
+		Name:     "warm-telemetry",
+		Machine:  scenario.MachineSpec{Preset: "machine-a"},
+		Workload: scenario.WorkloadSpec{Name: "ycsb", Params: p},
+		Policy: scenario.PolicySpec{
+			Ops:     []string{"none"},
+			Columns: []scenario.Column{{Title: "ops/s", Op: "none", Metric: "ops_per_sec", Format: "mops"}},
+		},
+	}
+}
+
+// TestTelemetryIndependentOfCheckpoints is the regression test for
+// recorded artifacts depending on the checkpoint cache: an op sweep's
+// line report and timeline must have the same bytes whether the run
+// loads cold, misses the store, hits it, or finds a machine checkpoint
+// saved by a run without a recorder.
+func TestTelemetryIndependentOfCheckpoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a KV sweep a dozen times; skipped with -short")
+	}
+	spec := ycsbSpec(nil)
+	spec.Policy.Ops = nil
+	spec.Policy.Axes = []scenario.Axis{{Param: "op", Values: []any{"none", "demote"}}}
+	spec.Policy.Columns = []scenario.Column{{Title: "mode", Axis: "op"}, {Title: "amp", Metric: "write_amp", Format: "f2"}}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	type artifacts struct{ table, lines, timeline []byte }
+	run := func(ctx context.Context, cfg telemetry.Config) artifacts {
+		t.Helper()
+		rec := telemetry.New(cfg)
+		var table bytes.Buffer
+		if err := spec.Exec(scenario.WithRecorder(ctx, rec), &table, false); err != nil {
+			t.Fatal(err)
+		}
+		a := artifacts{table: table.Bytes()}
+		if cfg.LineReport {
+			var b bytes.Buffer
+			rec.LineReport(256).WriteJSON(&b)
+			a.lines = b.Bytes()
+		}
+		if cfg.Timeline {
+			var b bytes.Buffer
+			rec.WriteTimeline(&b)
+			a.timeline = b.Bytes()
+		}
+		return a
+	}
+	newStore := func() *checkpoint.Store {
+		store, err := checkpoint.NewStore(0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	withView := func(v *checkpoint.View) context.Context {
+		return checkpoint.NewContext(context.Background(), v)
+	}
+
+	for name, cfg := range map[string]telemetry.Config{
+		"linereport":      {LineReport: true, BucketBytes: 16 << 10},
+		"timeline":        {Timeline: true, MaxEvents: 4096},
+		"timeline+report": {Timeline: true, LineReport: true, MaxEvents: 4096},
+	} {
+		cold := run(context.Background(), cfg)
+		if len(cold.table) == 0 || (cfg.LineReport && len(cold.lines) == 0) || (cfg.Timeline && len(cold.timeline) == 0) {
+			t.Fatalf("%s: cold run recorded nothing", name)
+		}
+
+		shared := newStore()
+		miss := run(withView(shared.View()), cfg)
+		hitView := shared.View()
+		hit := run(withView(hitView), cfg)
+
+		// A machine checkpoint saved by a run without a recorder: the
+		// recorder state misses, so the recorded run loads cold.
+		bare := newStore()
+		if err := spec.Exec(withView(bare.View()), io.Discard, false); err != nil {
+			t.Fatal(err)
+		}
+		recMiss := run(withView(bare.View()), cfg)
+
+		for run, got := range map[string]artifacts{"miss": miss, "hit": hit, "recorder miss": recMiss} {
+			if !bytes.Equal(got.table, cold.table) {
+				t.Errorf("%s, %s: table differs from the cold run's", name, run)
+			}
+			if !bytes.Equal(got.lines, cold.lines) {
+				t.Errorf("%s, %s: line report differs from the cold run's (%d vs %d bytes)", name, run, len(got.lines), len(cold.lines))
+			}
+			if !bytes.Equal(got.timeline, cold.timeline) {
+				t.Errorf("%s, %s: timeline differs from the cold run's (%d vs %d bytes)", name, run, len(got.timeline), len(cold.timeline))
+			}
+		}
+		// A line report forks: the second run finds both entries.
+		if !cfg.Timeline && (hitView.Misses() != 0 || hitView.Hits() == 0) {
+			t.Errorf("%s: hit run saw %d hits, %d misses; want only hits", name, hitView.Hits(), hitView.Misses())
+		}
+	}
+}
+
+// machineCounts is every simulated counter a run leaves on its machine.
+type machineCounts struct {
+	Instr   []uint64
+	Cores   []sim.CoreStats
+	LLC     any
+	Dir     any
+	Devices []any
+}
+
+func countsOf(m *sim.Machine) machineCounts {
+	var c machineCounts
+	for i := 0; i < m.Cores(); i++ {
+		c.Instr = append(c.Instr, m.Core(i).Instructions())
+		c.Cores = append(c.Cores, m.Core(i).Stats())
+	}
+	c.LLC = m.LLC().Stats()
+	c.Dir = m.Directory().Stats()
+	for _, w := range m.Config().Windows {
+		c.Devices = append(c.Devices, m.Device(w.Name).Stats())
+	}
+	return c
+}
+
+// TestEvalPointForksAcrossMeasuredParams is the property behind the
+// warm-key contract: specs that differ from a stored one only in
+// parameters outside ycsb's WarmParams (mix, ops, threads, theta, seed)
+// fork from its checkpoint, and the forked run equals a cold one in
+// metrics and in every simulated counter.
+func TestEvalPointForksAcrossMeasuredParams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a dozen KV evaluations; skipped with -short")
+	}
+	store, err := checkpoint.NewStore(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := ycsbSpec(map[string]any{"seed": 1})
+	if _, err := base.EvalPoint(checkpoint.NewContext(context.Background(), store.View()), false); err != nil {
+		t.Fatal(err)
+	}
+
+	eval := func(ctx context.Context, sp scenario.Spec) (scenario.Metrics, machineCounts) {
+		t.Helper()
+		var m *sim.Machine
+		got, err := sp.EvalPoint(scenario.WithObserver(ctx, func(x *sim.Machine) { m = x }), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, countsOf(m)
+	}
+	seeded := base
+	seeded.Run.Seed = 77
+	for name, sp := range map[string]scenario.Spec{
+		"mix":      ycsbSpec(map[string]any{"seed": 1, "mix": "B"}),
+		"ops":      ycsbSpec(map[string]any{"seed": 1, "ops": 500}),
+		"threads":  ycsbSpec(map[string]any{"seed": 1, "threads": 4}),
+		"theta":    ycsbSpec(map[string]any{"seed": 1, "theta": 0.6}),
+		"seed":     ycsbSpec(map[string]any{"seed": 2}),
+		"run.seed": seeded,
+	} {
+		if err := sp.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		view := store.View()
+		warm, warmCounts := eval(checkpoint.NewContext(context.Background(), view), sp)
+		if view.Hits() != 1 || view.Misses() != 0 {
+			t.Errorf("%s: %d hits, %d misses; want the stored warm state to be forked", name, view.Hits(), view.Misses())
+		}
+		cold, coldCounts := eval(context.Background(), sp)
+		if !reflect.DeepEqual(warm, cold) {
+			t.Errorf("%s: forked metrics %v, cold %v", name, warm, cold)
+		}
+		if !reflect.DeepEqual(warmCounts, coldCounts) {
+			t.Errorf("%s: forked sim counts %+v, cold %+v", name, warmCounts, coldCounts)
+		}
 	}
 }

@@ -41,7 +41,7 @@ func (e clusterEvaluator) Eval(ctx context.Context, sp scenario.Spec, quick bool
 	return m, nil
 }
 
-// Probe runs the cold telemetry probe as a regular scenario job (the
+// Probe runs the telemetry probe as a regular scenario job (the
 // probe spec carries its telemetry block) and decodes the shard's
 // linereport artifact. The shard caps the artifact at the same line
 // count Local.Probe uses, so both backends seed identically.

@@ -57,8 +57,8 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 
 // scenarioRun builds the run function for a scenario job: the guarded
 // analysis harness around the declarative grid runner. A spec with a
-// telemetry block gets a per-job recorder attached (via the context
-// observer, so concurrent jobs never see each other's machines); the
+// telemetry block gets a per-job recorder attached (via the context,
+// so concurrent jobs never see each other's machines); the
 // recorded timeline and line report become job artifacts served from
 // GET /v1/jobs/{id}/timeline and .../linereport.
 func (s *Server) scenarioRun(sp scenario.Spec, quick bool) func(context.Context, *job) bench.Result {
@@ -82,7 +82,7 @@ func (s *Server) scenarioRun(sp scenario.Spec, quick bool) func(context.Context,
 				MaxEvents:   t.MaxEvents,
 				BucketBytes: t.BucketBytes,
 			})
-			err := bench.RunSpec(scenario.WithObserver(ctx, rec.Attach), out, sp, quick)
+			err := bench.RunSpec(scenario.WithRecorder(ctx, rec), out, sp, quick)
 			if t.Timeline {
 				var b bytes.Buffer
 				if werr := rec.WriteTimeline(&b); werr == nil {

@@ -79,57 +79,36 @@ func (r *Recorder) LineReport(maxLines int) *LineReport {
 	defer r.mu.Unlock()
 	rep := &LineReport{
 		BucketBytes:  r.cfg.BucketBytes,
-		LinesTracked: uint64(len(r.lines)),
-		DroppedLines: r.droppedLines,
+		LinesTracked: uint64(r.nlines),
 	}
+	top := topLines{n: maxLines}
 	for _, ms := range r.machines {
 		rep.Machines = append(rep.Machines, ms.name)
 		if ms.lineSize > rep.LineSize {
 			rep.LineSize = ms.lineSize
 		}
-	}
-	for k, li := range r.lines {
-		rep.Lines = append(rep.Lines, LineStat{
-			Machine:        int(k.mach),
-			Addr:           k.line,
-			Writes:         li.writes,
-			Rewrites:       li.rewrites,
-			RewriteDistSum: li.rewriteSum,
-			NearRewrites:   li.nearRewrites,
-			Rereads:        li.rereads,
-			RereadDistSum:  li.rereadSum,
-			NearRereads:    li.nearRereads,
-		})
-	}
-	sort.Slice(rep.Lines, func(i, j int) bool {
-		a, b := rep.Lines[i], rep.Lines[j]
-		if a.Writes != b.Writes {
-			return a.Writes > b.Writes
+		rep.DroppedLines += ms.droppedLines
+		for addr, li := range ms.lines {
+			top.offer(lineRef{mach: ms.idx, addr: addr, li: li})
 		}
-		if a.Machine != b.Machine {
-			return a.Machine < b.Machine
+		for base, b := range ms.buckets {
+			bs := BucketStat{
+				Machine:          int(ms.idx),
+				Base:             base,
+				AppWriteBytes:    b.appWriteBytes,
+				DeviceWriteBytes: b.deviceWriteBytes,
+				DeviceReadBytes:  b.deviceReadBytes,
+			}
+			if bs.AppWriteBytes > 0 {
+				bs.WriteAmp = float64(bs.DeviceWriteBytes) / float64(bs.AppWriteBytes)
+			}
+			rep.TotalAppWriteBytes += bs.AppWriteBytes
+			rep.TotalDeviceWriteBytes += bs.DeviceWriteBytes
+			rep.TotalDeviceReadBytes += bs.DeviceReadBytes
+			rep.Buckets = append(rep.Buckets, bs)
 		}
-		return a.Addr < b.Addr
-	})
-	if maxLines > 0 && len(rep.Lines) > maxLines {
-		rep.Lines = rep.Lines[:maxLines]
 	}
-	for k, b := range r.buckets {
-		bs := BucketStat{
-			Machine:          int(k.mach),
-			Base:             k.base,
-			AppWriteBytes:    b.appWriteBytes,
-			DeviceWriteBytes: b.deviceWriteBytes,
-			DeviceReadBytes:  b.deviceReadBytes,
-		}
-		if bs.AppWriteBytes > 0 {
-			bs.WriteAmp = float64(bs.DeviceWriteBytes) / float64(bs.AppWriteBytes)
-		}
-		rep.TotalAppWriteBytes += bs.AppWriteBytes
-		rep.TotalDeviceWriteBytes += bs.DeviceWriteBytes
-		rep.TotalDeviceReadBytes += bs.DeviceReadBytes
-		rep.Buckets = append(rep.Buckets, bs)
-	}
+	rep.Lines = top.stats()
 	sort.Slice(rep.Buckets, func(i, j int) bool {
 		a, b := rep.Buckets[i], rep.Buckets[j]
 		if a.Machine != b.Machine {
@@ -141,6 +120,98 @@ func (r *Recorder) LineReport(maxLines int) *LineReport {
 		rep.WriteAmp = float64(rep.TotalDeviceWriteBytes) / float64(rep.TotalAppWriteBytes)
 	}
 	return rep
+}
+
+// lineRef is one tracked line offered for a report's line list.
+type lineRef struct {
+	mach uint16
+	addr uint64
+	li   *lineRec
+}
+
+// ahead reports whether a ranks before b in a report: most writes
+// first, then machine, then address. The order is total, so the kept
+// set and its order never depend on map iteration.
+func (a lineRef) ahead(b lineRef) bool {
+	if a.li.writes != b.li.writes {
+		return a.li.writes > b.li.writes
+	}
+	if a.mach != b.mach {
+		return a.mach < b.mach
+	}
+	return a.addr < b.addr
+}
+
+// topLines keeps the n lines that rank first (every line when n <= 0)
+// in a bounded heap whose root is the worst line kept, so a report
+// costs O(lines · log n) rather than a sort of every tracked line.
+type topLines struct {
+	n    int
+	heap []lineRef
+}
+
+func (t *topLines) offer(x lineRef) {
+	if t.n <= 0 || len(t.heap) < t.n {
+		t.heap = append(t.heap, x)
+		if t.n > 0 {
+			t.up(len(t.heap) - 1)
+		}
+		return
+	}
+	if x.ahead(t.heap[0]) {
+		t.heap[0] = x
+		t.down(0)
+	}
+}
+
+func (t *topLines) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.heap[p].ahead(t.heap[i]) {
+			return
+		}
+		t.heap[p], t.heap[i] = t.heap[i], t.heap[p]
+		i = p
+	}
+}
+
+func (t *topLines) down(i int) {
+	for {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(t.heap) && t.heap[worst].ahead(t.heap[c]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		t.heap[i], t.heap[worst] = t.heap[worst], t.heap[i]
+		i = worst
+	}
+}
+
+// stats returns the kept lines in report order.
+func (t *topLines) stats() []LineStat {
+	sort.Slice(t.heap, func(i, j int) bool { return t.heap[i].ahead(t.heap[j]) })
+	var out []LineStat
+	if len(t.heap) > 0 {
+		out = make([]LineStat, 0, len(t.heap))
+	}
+	for _, x := range t.heap {
+		out = append(out, LineStat{
+			Machine:        int(x.mach),
+			Addr:           x.addr,
+			Writes:         x.li.writes,
+			Rewrites:       x.li.rewrites,
+			RewriteDistSum: x.li.rewriteSum,
+			NearRewrites:   x.li.nearRewrites,
+			Rereads:        x.li.rereads,
+			RereadDistSum:  x.li.rereadSum,
+			NearRereads:    x.li.nearRereads,
+		})
+	}
+	return out
 }
 
 // WriteJSON renders the report as indented JSON. The encoding is

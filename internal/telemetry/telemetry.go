@@ -81,17 +81,18 @@ type entry struct {
 
 const memKindBase = 100
 
-// machineState is the recorder's view of one attached machine.
+// machineState is the recorder's view of one attached machine. The
+// line-report tables are per machine, so one machine's share of the
+// recorder's state can be saved and restored on its own (see Fork).
 type machineState struct {
 	idx      uint16
 	name     string
 	lineSize uint64
 	cores    int
-}
 
-type lineKey struct {
-	mach uint16
-	line uint64
+	lines        map[uint64]*lineRec   // line address → record
+	buckets      map[uint64]*bucketRec // bucket base → traffic
+	droppedLines uint64
 }
 
 // lineRec mirrors DirtBuster's per-line record (its lineInfo), minus
@@ -108,11 +109,6 @@ type lineRec struct {
 	nearRereads  uint64
 	lastWrite    uint64
 	written      bool
-}
-
-type bucketKey struct {
-	mach uint16
-	base uint64
 }
 
 type bucketRec struct {
@@ -140,9 +136,8 @@ type Recorder struct {
 	fnIDs map[string]uint32
 	fns   []string
 
-	lines        map[lineKey]*lineRec
-	droppedLines uint64
-	buckets      map[bucketKey]*bucketRec
+	// nlines counts tracked lines across machines; MaxLines caps it.
+	nlines int
 }
 
 // New builds a recorder. At least one of cfg.Timeline / cfg.LineReport
@@ -153,17 +148,15 @@ func New(cfg Config) *Recorder {
 	if cfg.Timeline {
 		r.ring = make([]entry, 0, cfg.MaxEvents)
 	}
-	if cfg.LineReport {
-		r.lines = make(map[lineKey]*lineRec)
-		r.buckets = make(map[bucketKey]*bucketRec)
-	}
 	return r
 }
 
 // Attach subscribes the recorder to m's op and memory-system streams,
 // replacing any previously installed hooks. Call before running the
 // workload.
-func (r *Recorder) Attach(m *sim.Machine) {
+func (r *Recorder) Attach(m *sim.Machine) { r.attach(m) }
+
+func (r *Recorder) attach(m *sim.Machine) *machineState {
 	r.mu.Lock()
 	ms := &machineState{
 		idx:      uint16(len(r.machines)),
@@ -171,13 +164,18 @@ func (r *Recorder) Attach(m *sim.Machine) {
 		lineSize: m.LineSize(),
 		cores:    m.Cores(),
 	}
+	if r.cfg.LineReport {
+		ms.lines = make(map[uint64]*lineRec)
+		ms.buckets = make(map[uint64]*bucketRec)
+	}
 	r.machines = append(r.machines, ms)
 	r.mu.Unlock()
 	if !r.cfg.Timeline && !r.cfg.LineReport {
-		return
+		return ms
 	}
 	m.SetHook(func(ev sim.Event, c *sim.Core) { r.onOp(ms, ev, c) })
 	m.SetMemHook(func(ev sim.MemEvent) { r.onMem(ms, ev) })
+	return ms
 }
 
 // Dropped returns how many timeline events were overwritten because the
@@ -321,7 +319,7 @@ func (r *Recorder) noteWrite(ms *machineState, ev sim.Event) {
 func (r *Recorder) noteRead(ms *machineState, ev sim.Event) {
 	end := ev.Addr + ev.Size
 	for line := ev.Addr &^ (ms.lineSize - 1); line < end; line += ms.lineSize {
-		li, ok := r.lines[lineKey{ms.idx, line}]
+		li, ok := ms.lines[line]
 		if !ok {
 			continue
 		}
@@ -337,25 +335,25 @@ func (r *Recorder) noteRead(ms *machineState, ev sim.Event) {
 }
 
 func (r *Recorder) lineFor(ms *machineState, line uint64) *lineRec {
-	k := lineKey{ms.idx, line}
-	if li, ok := r.lines[k]; ok {
+	if li, ok := ms.lines[line]; ok {
 		return li
 	}
-	if len(r.lines) >= r.cfg.MaxLines {
-		r.droppedLines++
+	if r.nlines >= r.cfg.MaxLines {
+		ms.droppedLines++
 		return nil
 	}
 	li := &lineRec{}
-	r.lines[k] = li
+	ms.lines[line] = li
+	r.nlines++
 	return li
 }
 
 func (r *Recorder) bucketFor(ms *machineState, addr uint64) *bucketRec {
-	k := bucketKey{ms.idx, addr - addr%r.cfg.BucketBytes}
-	if b, ok := r.buckets[k]; ok {
+	k := addr - addr%r.cfg.BucketBytes
+	if b, ok := ms.buckets[k]; ok {
 		return b
 	}
 	b := &bucketRec{}
-	r.buckets[k] = b
+	ms.buckets[k] = b
 	return b
 }
