@@ -55,78 +55,93 @@ type Family struct {
 // first-appearance order. Histogram/summary child series (_bucket,
 // _sum, _count) are folded into their parent family.
 func ParseMetrics(r io.Reader) ([]*Family, error) {
-	var (
-		order []string
-		fams  = map[string]*Family{}
-	)
+	var out []*Family
+	fams := map[string]*Family{}
 	fam := func(name string) *Family {
 		f := fams[name]
 		if f == nil {
 			f = &Family{Name: name, Type: "untyped"}
 			fams[name] = f
-			order = append(order, name)
+			out = append(out, f)
 		}
 		return f
 	}
+	var lines []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineno := 0
 	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			rest := strings.TrimSpace(line[1:])
-			switch {
-			case strings.HasPrefix(rest, "HELP "):
-				parts := strings.SplitN(rest[len("HELP "):], " ", 2)
-				f := fam(parts[0])
-				if len(parts) == 2 {
-					f.Help = parts[1]
-				}
-			case strings.HasPrefix(rest, "TYPE "):
-				parts := strings.Fields(rest[len("TYPE "):])
-				if len(parts) != 2 {
-					return nil, fmt.Errorf("metrics line %d: malformed TYPE comment %q", lineno, line)
-				}
-				switch parts[1] {
-				case "counter", "gauge", "histogram", "summary", "untyped":
-				default:
-					return nil, fmt.Errorf("metrics line %d: unknown metric type %q", lineno, parts[1])
-				}
-				fam(parts[0]).Type = parts[1]
-			}
-			continue
-		}
-		s, err := parseSampleLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("metrics line %d: %v", lineno, err)
-		}
-		f := fam(familyName(s.Name, fams))
-		f.Samples = append(f.Samples, s)
+		lines = append(lines, strings.TrimSpace(sc.Text()))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	out := make([]*Family, 0, len(order))
-	for _, name := range order {
-		out = append(out, fams[name])
+	// TYPE comments are read first, so a histogram's child series fold
+	// into it wherever the declaration sits relative to them.
+	types := map[string]string{}
+	for i, line := range lines {
+		name, typ, err := parseTypeComment(line)
+		if err != nil {
+			return nil, fmt.Errorf("metrics line %d: %v", i+1, err)
+		}
+		types[name] = typ
+	}
+	for i, line := range lines {
+		switch {
+		case line == "":
+		case strings.HasPrefix(line, "#"):
+			if name, typ, _ := parseTypeComment(line); name != "" {
+				fam(name).Type = typ
+			} else if help, ok := strings.CutPrefix(strings.TrimSpace(line[1:]), "HELP "); ok {
+				name, text, _ := strings.Cut(help, " ")
+				if !validName(name, true) {
+					return nil, fmt.Errorf("metrics line %d: invalid metric name %q", i+1, name)
+				}
+				fam(name).Help = text
+			}
+		default:
+			s, err := parseSampleLine(line)
+			if err != nil {
+				return nil, fmt.Errorf("metrics line %d: %v", i+1, err)
+			}
+			f := fam(familyName(s.Name, types))
+			f.Samples = append(f.Samples, s)
+		}
 	}
 	return out, nil
 }
 
+// parseTypeComment recognises a "# TYPE name type" line; name is ""
+// for any other line.
+func parseTypeComment(line string) (name, typ string, err error) {
+	rest, isComment := strings.CutPrefix(line, "#")
+	decl, isType := strings.CutPrefix(strings.TrimSpace(rest), "TYPE ")
+	if !isComment || !isType {
+		return "", "", nil
+	}
+	parts := strings.Fields(decl)
+	if len(parts) != 2 {
+		return "", "", fmt.Errorf("malformed TYPE comment %q", line)
+	}
+	if !validName(parts[0], true) {
+		return "", "", fmt.Errorf("invalid metric name %q", parts[0])
+	}
+	switch parts[1] {
+	case "counter", "gauge", "histogram", "summary", "untyped":
+		return parts[0], parts[1], nil
+	}
+	return "", "", fmt.Errorf("unknown metric type %q", parts[1])
+}
+
 // familyName maps a sample name onto its family: histogram/summary
-// children (_bucket/_sum/_count) belong to the family declared by
-// their TYPE comment when one exists.
-func familyName(sample string, fams map[string]*Family) string {
+// children (_bucket/_sum/_count) belong to the family a TYPE comment
+// declares as a histogram or summary.
+func familyName(sample string, types map[string]string) string {
 	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
 		base := strings.TrimSuffix(sample, suffix)
 		if base == sample {
 			continue
 		}
-		if f := fams[base]; f != nil && (f.Type == "histogram" || f.Type == "summary") {
+		if t := types[base]; t == "histogram" || t == "summary" {
 			return base
 		}
 	}
@@ -140,12 +155,12 @@ func parseSampleLine(line string) (Sample, error) {
 		return s, fmt.Errorf("malformed sample %q", line)
 	}
 	s.Name = line[:i]
-	if !validMetricName(s.Name) {
+	if !validName(s.Name, true) {
 		return s, fmt.Errorf("invalid metric name %q", s.Name)
 	}
 	rest := line[i:]
 	if rest[0] == '{' {
-		end := strings.IndexByte(rest, '}')
+		end := labelSetEnd(rest)
 		if end < 0 {
 			return s, fmt.Errorf("unterminated label set in %q", line)
 		}
@@ -167,6 +182,24 @@ func parseSampleLine(line string) (Sample, error) {
 	return s, nil
 }
 
+// labelSetEnd returns the index of the '}' closing the label set that
+// opens s, skipping braces inside quoted (backslash-escaped) values;
+// -1 when there is none.
+func labelSetEnd(s string) int {
+	quoted := false
+	for i := 1; i < len(s); i++ {
+		switch c := s[i]; {
+		case quoted && c == '\\':
+			i++
+		case c == '"':
+			quoted = !quoted
+		case !quoted && c == '}':
+			return i
+		}
+	}
+	return -1
+}
+
 func parseLabels(s string) ([]Label, error) {
 	var out []Label
 	for s != "" {
@@ -175,7 +208,7 @@ func parseLabels(s string) ([]Label, error) {
 			return nil, fmt.Errorf("malformed label in %q", s)
 		}
 		name := strings.TrimSpace(s[:eq])
-		if !validLabelName(name) {
+		if !validName(name, false) {
 			return nil, fmt.Errorf("invalid label name %q", name)
 		}
 		// Find the closing quote, honouring backslash escapes.
@@ -213,22 +246,11 @@ func parseLabels(s string) ([]Label, error) {
 	return out, nil
 }
 
-func validMetricName(s string) bool {
+// validName checks a metric name (colon allowed) or a label name.
+func validName(s string, colon bool) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		ok := c == '_' || c == ':' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' ||
-			i > 0 && '0' <= c && c <= '9'
-		if !ok {
-			return false
-		}
-	}
-	return len(s) > 0
-}
-
-func validLabelName(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		ok := c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' ||
+		ok := c == '_' || colon && c == ':' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' ||
 			i > 0 && '0' <= c && c <= '9'
 		if !ok {
 			return false

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -128,4 +129,47 @@ func TestSampleWithLabel(t *testing.T) {
 	if b.String() != "m 2\n" {
 		t.Fatalf("unlabeled WriteSample = %q", b.String())
 	}
+}
+
+func TestParseLabelValueWithBrace(t *testing.T) {
+	var b strings.Builder
+	WriteSample(&b, Sample{Name: "x", Labels: []Label{{Name: "v", Value: "a}b"}}, Value: "1"})
+	fams, err := ParseMetrics(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("parsing %q: %v", b.String(), err)
+	}
+	if got := fams[0].Samples[0].Label("v"); got != "a}b" {
+		t.Fatalf("label v = %q, want %q", got, "a}b")
+	}
+}
+
+// FuzzParseMetrics feeds arbitrary bytes to the parser the coordinator
+// runs on every shard's /metrics page: it must never panic, and
+// whatever it accepts must survive parse -> WriteFamilies -> parse
+// unchanged.
+func FuzzParseMetrics(f *testing.F) {
+	f.Add(sampleExposition)
+	f.Add(`x{v="a}b"} 1` + "\n")
+	f.Add(`m{path="a\"b\\c\nd"} 1` + "\n")
+	f.Add("x_sum 1\n# TYPE x histogram\nx_count 2\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		fams, err := ParseMetrics(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var once strings.Builder
+		WriteFamilies(&once, fams)
+		again, err := ParseMetrics(strings.NewReader(once.String()))
+		if err != nil {
+			t.Fatalf("re-parsing our own output failed: %v\n%s", err, once.String())
+		}
+		if !reflect.DeepEqual(fams, again) {
+			t.Fatalf("parse is not a fixed point\nfirst:  %+v\nsecond: %+v", fams, again)
+		}
+		var twice strings.Builder
+		WriteFamilies(&twice, again)
+		if once.String() != twice.String() {
+			t.Fatalf("re-emission differs\n%q\n%q", once.String(), twice.String())
+		}
+	})
 }

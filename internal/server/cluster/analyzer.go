@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -17,15 +16,15 @@ import (
 
 // clusterAnalyzer is the chunk-analysis backend the coordinator injects
 // into its embedded host: each per-chunk map step of a trace analysis
-// becomes a POST /v1/analyses/chunks against a worker shard, picked by
-// consistent hashing of the chunk's content-address. Identical chunks
-// always land on the same shard, a shard answering 429 is retried with
-// the shared backoff schedule, and a shard that dies mid-analysis is
-// demoted while its chunk moves to the next ring position. Both phases
-// are pure functions of the chunk (plus the plan), and the embedded
-// host still reduces partials in chunk order — so the sharded report
-// stays byte-identical to the monolithic one no matter which shards
-// did the work or in what order they answered.
+// becomes a POST /v1/analyses/chunks against a worker shard, placed by
+// the coordinator's dispatch rule on the chunk's content-address.
+// Identical chunks always land on the same shard, a shard answering 429
+// is retried with the shared backoff schedule, and a shard that dies
+// mid-analysis is demoted while its chunk moves to the next ring
+// position. Both phases are pure functions of the chunk (plus the
+// plan), and the embedded host still reduces partials in chunk order —
+// so the sharded report stays byte-identical to the monolithic one no
+// matter which shards did the work or in what order they answered.
 type clusterAnalyzer struct {
 	c *Coordinator
 }
@@ -83,77 +82,36 @@ func (a clusterAnalyzer) Partial(ctx context.Context, plan *dirtbuster.Plan, ch 
 	return pt, nil
 }
 
-// dispatch walks the chunk's ring preference order over healthy shards
-// until one answers the framed request. Transport failures demote the
-// shard and move the chunk to the next ring position; 429s are
-// absorbed with backoff; any other application-level rejection is
-// final (a shard that calls the request malformed will not change its
-// mind elsewhere).
+// dispatch sends one framed chunk request through the coordinator's
+// dispatch rule, placed by the chunk's content-address. Every shard the
+// chunk moved off counts as a chunk retry; a shard's 200 is the answer,
+// any other final answer fails the chunk (a shard that calls the
+// request malformed will not change its mind elsewhere).
 func (a clusterAnalyzer) dispatch(ctx context.Context, ch *trace.Chunk, body []byte) ([]byte, error) {
 	c := a.c
 	addr, err := chunkAddress(ch)
 	if err != nil {
 		return nil, err
 	}
-	tried := 0
-	var lastErr error
-	for _, shard := range c.ring.Sequence(addr) {
-		if !c.prober.healthy(shard) {
-			continue
+	var visited []int
+	shard, sr, err := c.dispatch(ctx, "chunk", addr, -1, func(ctx context.Context, shard int) (*shardResponse, error) {
+		if len(visited) == 0 || visited[len(visited)-1] != shard {
+			visited = append(visited, shard)
 		}
-		tried++
-		data, err := a.tryShard(ctx, shard, body)
-		if err == nil {
-			c.m.chunks.inc(c.cfg.Shards[shard])
-			return data, nil
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		var fe *chunkFinalError
-		if errors.As(err, &fe) {
-			return nil, err
-		}
-		c.m.chunkRetries.inc(c.cfg.Shards[shard])
-		lastErr = err
-	}
-	if tried == 0 {
-		return nil, fmt.Errorf("chunk %d: %w (of %d)", ch.Index, errNoHealthyShard, len(c.cfg.Shards))
-	}
-	return nil, fmt.Errorf("chunk %d: every healthy shard failed: %v", ch.Index, lastErr)
-}
-
-// chunkFinalError marks a shard answer that retrying elsewhere cannot
-// improve.
-type chunkFinalError struct{ msg string }
-
-func (e *chunkFinalError) Error() string { return e.msg }
-
-// tryShard runs the request against one shard, absorbing its 429s.
-func (a clusterAnalyzer) tryShard(ctx context.Context, shard int, body []byte) ([]byte, error) {
-	c := a.c
-	for attempt := 0; ; attempt++ {
-		data, code, err := c.sc.postChunk(ctx, c.cfg.Shards[shard], body)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			c.shardFailed(shard, "chunk", err)
-			return nil, err
-		}
-		switch code {
-		case http.StatusOK:
-			return data, nil
-		case http.StatusTooManyRequests:
-			if attempt >= 8 {
-				return nil, fmt.Errorf("shard %s stayed busy through %d retries", c.cfg.Shards[shard], attempt)
-			}
-			if err := c.sc.bo.Sleep(ctx, attempt); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, &chunkFinalError{msg: fmt.Sprintf("shard %s rejected chunk: %d %s",
-				c.cfg.Shards[shard], code, bytes.TrimSpace(data))}
+		return c.sc.do(ctx, "POST", c.cfg.Shards[shard]+"/v1/analyses/chunks", chunkType, body, chunkCap)
+	})
+	for _, s := range visited {
+		if s != shard {
+			c.m.chunkRetries.Inc(c.cfg.Shards[s])
 		}
 	}
+	if err != nil {
+		return nil, fmt.Errorf("chunk %d: %w", ch.Index, err)
+	}
+	if sr.code != http.StatusOK {
+		return nil, fmt.Errorf("shard %s rejected chunk %d: %d %s",
+			c.cfg.Shards[shard], ch.Index, sr.code, bytes.TrimSpace(sr.body))
+	}
+	c.m.chunks.Inc(c.cfg.Shards[shard])
+	return sr.body, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"prestores/internal/obs"
 	"prestores/internal/server"
 )
 
@@ -144,6 +145,52 @@ func TestClusterAutotuneMatchesLocalByteForByte(t *testing.T) {
 	for _, want := range []string{"prestored_coordinator_routed_total", `prestored_autotune_searches_total{shard="self"} 1`} {
 		if !strings.Contains(string(m), want) {
 			t.Errorf("coordinator /metrics missing %q", want)
+		}
+	}
+}
+
+// TestClusterSearchTraceCoversRoutedEvals: every eval and probe job a
+// cluster search routes continues the search's trace, so the search's
+// trace ID carries a coordinator route span for each of them.
+func TestClusterSearchTraceCoversRoutedEvals(t *testing.T) {
+	coord, cts, _ := newCluster(t, 2)
+	code, data := postRaw(t, cts.URL+"/v1/autotune", sitesAutotune)
+	if code != http.StatusAccepted {
+		t.Fatalf("cluster submit: status %d: %s", code, data)
+	}
+	st := waitFinal(t, cts.URL, decodeStatus(t, data).ID)
+	if st.State != "done" {
+		t.Fatalf("cluster autotune failed: %+v", st)
+	}
+	trace, err := obs.ParseTraceID(st.Trace)
+	if err != nil {
+		t.Fatalf("search trace_id %q: %v", st.Trace, err)
+	}
+	spans, _ := coord.spans.Spans(trace)
+	routes := map[obs.SpanID]int{}
+	for _, sp := range spans {
+		if sp.Name == "route" {
+			routes[sp.Parent]++
+		}
+	}
+	coord.mu.Lock()
+	jobs := make([]*cjob, 0, len(coord.jobs))
+	for _, j := range coord.jobs {
+		jobs = append(jobs, j)
+	}
+	coord.mu.Unlock()
+	if len(jobs) == 0 {
+		t.Fatal("the search routed no jobs")
+	}
+	for _, j := range jobs {
+		if j.kind != "eval" && j.kind != "scenario" {
+			t.Errorf("search routed a %s job", j.kind)
+		}
+		if j.sc.Trace != trace {
+			t.Errorf("%s job %s is on trace %s, want the search's %s", j.kind, j.id, j.sc.Trace, trace)
+		}
+		if routes[j.sc.Span] == 0 {
+			t.Errorf("no route span for %s job %s in the search's trace", j.kind, j.id)
 		}
 	}
 }

@@ -15,10 +15,10 @@ import (
 )
 
 // shardClient is the coordinator's HTTP client for worker daemons: a
-// timed client for unary calls (submit, status, cancel, listings — a
-// hung shard must not hang the coordinator), an untimed one for
-// long-lived NDJSON streams, and the shared backoff schedule for
-// absorbing a shard's 429s during a requeue.
+// timed client for unary calls (submit, status, cancel, listings, chunk
+// analyses — a hung shard must not hang the coordinator), an untimed
+// one for long-lived NDJSON streams, and the shared backoff schedule
+// for absorbing a shard's 429s.
 type shardClient struct {
 	api    *http.Client
 	stream *http.Client
@@ -36,21 +36,43 @@ func newShardClient(requestTimeout time.Duration, bo Backoff, transport http.Rou
 	}
 }
 
-// shardResponse is a worker's answer to a proxied unary call: the
-// status code and raw body (passed through to the client verbatim on
-// application-level errors), plus the decoded job status when the
-// call produced one (200/202).
+const (
+	jsonType  = "application/json"
+	chunkType = "application/octet-stream"
+	// unaryCap bounds a JSON answer; chunkCap is sized for a pass-2
+	// partial of a dense chunk.
+	unaryCap = 1 << 24
+	chunkCap = 1 << 26
+)
+
+// shardResponse is a worker's answer to a unary call: the status code
+// and raw body, passed through to the client verbatim on
+// application-level errors.
 type shardResponse struct {
-	code   int
-	body   []byte
-	status *server.JobStatus
+	code    int
+	body    []byte
+	status  *server.JobStatus
+	decoded bool
 }
 
-// do performs one unary call against a shard. A returned error means
-// the shard did not answer at all (connect failure, timeout) — the
-// signal the coordinator treats as "shard down". Any HTTP response,
-// including 4xx/5xx, is returned as a shardResponse.
-func (sc *shardClient) do(ctx context.Context, method, url string, body []byte) (*shardResponse, error) {
+// job decodes the answer as a job status; nil unless the call produced
+// one (200/202).
+func (sr *shardResponse) job() *server.JobStatus {
+	if !sr.decoded {
+		sr.decoded = true
+		if sr.code == http.StatusOK || sr.code == http.StatusAccepted {
+			var st server.JobStatus
+			if json.Unmarshal(sr.body, &st) == nil {
+				sr.status = &st
+			}
+		}
+	}
+	return sr.status
+}
+
+// send issues one request to a shard, carrying the context's span so
+// the shard's work joins the same trace.
+func send(ctx context.Context, client *http.Client, method, url, contentType string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -59,120 +81,58 @@ func (sc *shardClient) do(ctx context.Context, method, url string, body []byte) 
 	if err != nil {
 		return nil, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
-	// Propagate the coordinator's span context so the shard's job joins
-	// the same trace.
 	obs.InjectContext(ctx, req.Header)
-	resp, err := sc.api.Do(req)
+	return client.Do(req)
+}
+
+// do performs one unary call against a shard, reading at most limit
+// bytes of the answer. A returned error means the shard did not answer
+// at all (connect failure, timeout) — the signal the coordinator treats
+// as "shard down". Any HTTP response, including 4xx/5xx, is returned
+// as a shardResponse.
+func (sc *shardClient) do(ctx context.Context, method, url, contentType string, body []byte, limit int64) (*shardResponse, error) {
+	resp, err := send(ctx, sc.api, method, url, contentType, body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
 	if err != nil {
 		return nil, err
 	}
-	sr := &shardResponse{code: resp.StatusCode, body: data}
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
-		var st server.JobStatus
-		if jerr := json.Unmarshal(data, &st); jerr == nil {
-			sr.status = &st
-		}
-	}
-	return sr, nil
-}
-
-// submit posts a job body to a shard's submit endpoint.
-func (sc *shardClient) submit(ctx context.Context, shardURL, path string, body []byte) (*shardResponse, error) {
-	return sc.do(ctx, "POST", shardURL+path, body)
-}
-
-// jobStatus fetches a job's status from its owning shard.
-func (sc *shardClient) jobStatus(ctx context.Context, shardURL, remoteID string) (*shardResponse, error) {
-	return sc.do(ctx, "GET", shardURL+"/v1/jobs/"+remoteID, nil)
-}
-
-// cancel DELETEs a job on its owning shard.
-func (sc *shardClient) cancel(ctx context.Context, shardURL, remoteID string) (*shardResponse, error) {
-	return sc.do(ctx, "DELETE", shardURL+"/v1/jobs/"+remoteID, nil)
+	return &shardResponse{code: resp.StatusCode, body: data}, nil
 }
 
 // openStream attaches to a job's NDJSON stream on its shard, replaying
 // from the given byte offset. The response body is the live stream;
-// the caller owns closing it. A non-200 answer is returned as an
-// error carrying the status code so the caller can distinguish "job
-// unknown on this shard" (a restarted worker lost its jobs — requeue)
-// from transport loss.
-func (sc *shardClient) openStream(ctx context.Context, shardURL, remoteID string, offset int) (io.ReadCloser, error) {
+// the caller owns closing it. A non-200 answer comes back as an error
+// plus its status code, so the caller can tell "job unknown on this
+// shard" (a restarted worker lost its jobs — requeue) from transport
+// loss (code 0).
+func (sc *shardClient) openStream(ctx context.Context, shardURL, remoteID string, offset int) (io.ReadCloser, int, error) {
 	url := shardURL + "/v1/jobs/" + remoteID + "/stream"
 	if offset > 0 {
 		url += "?offset=" + strconv.Itoa(offset)
 	}
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
+	resp, err := send(ctx, sc.stream, "GET", url, "", nil)
 	if err != nil {
-		return nil, err
-	}
-	obs.InjectContext(ctx, req.Header)
-	resp, err := sc.stream.Do(req)
-	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
-		return nil, &streamStatusError{code: resp.StatusCode, body: string(data)}
+		return nil, resp.StatusCode, fmt.Errorf("shard returned %d to stream attach: %s", resp.StatusCode, data)
 	}
-	return resp.Body, nil
-}
-
-// streamStatusError is a non-200 answer to a stream attach.
-type streamStatusError struct {
-	code int
-	body string
-}
-
-func (e *streamStatusError) Error() string {
-	return fmt.Sprintf("shard returned %d to stream attach: %s", e.code, e.body)
-}
-
-// postChunk sends one framed chunk-analysis request to a shard. Like
-// do, a returned error means the shard did not answer at all; any HTTP
-// response comes back as (body, code). The response limit is sized for
-// a pass-2 partial of a dense chunk, not the unary JSON cap.
-func (sc *shardClient) postChunk(ctx context.Context, shardURL string, body []byte) ([]byte, int, error) {
-	req, err := http.NewRequestWithContext(ctx, "POST", shardURL+"/v1/analyses/chunks", bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	obs.InjectContext(ctx, req.Header)
-	resp, err := sc.api.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<26))
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, resp.StatusCode, nil
+	return resp.Body, resp.StatusCode, nil
 }
 
 // healthy probes a shard's /healthz with its own short deadline.
 func (sc *shardClient) healthy(ctx context.Context, shardURL string, timeout time.Duration) bool {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", shardURL+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := sc.api.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	sr, err := sc.do(ctx, "GET", shardURL+"/healthz", "", nil, 4096)
+	return err == nil && sr.code == http.StatusOK
 }

@@ -50,6 +50,13 @@ func (f *shardFixture) die() {
 // coordinator over them, all torn down via t.Cleanup.
 func newCluster(t *testing.T, n int, exps ...bench.Experiment) (*Coordinator, *httptest.Server, []*shardFixture) {
 	t.Helper()
+	return newClusterWith(t, n, nil, exps...)
+}
+
+// newClusterWith is newCluster with a hook to adjust the coordinator's
+// Config before it starts.
+func newClusterWith(t *testing.T, n int, tune func(*Config), exps ...bench.Experiment) (*Coordinator, *httptest.Server, []*shardFixture) {
+	t.Helper()
 	byID := map[string]bench.Experiment{}
 	for _, e := range exps {
 		byID[e.ID] = e
@@ -83,13 +90,17 @@ func newCluster(t *testing.T, n int, exps ...bench.Experiment) (*Coordinator, *h
 			f.ts.Close()
 		})
 	}
-	coord, err := New(Config{
+	cfg := Config{
 		Shards:         urls,
 		ProbeInterval:  50 * time.Millisecond,
 		ProbeTimeout:   time.Second,
 		RequestTimeout: 5 * time.Second,
 		Backoff:        Backoff{Base: 2 * time.Millisecond, Cap: 20 * time.Millisecond},
-	})
+	}
+	if tune != nil {
+		tune(&cfg)
+	}
+	coord, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,8 @@ type Config struct {
 	// the number of concurrent autotuning searches (each search fans its
 	// candidate evaluations out across the shards); <= 0 means 2.
 	AutotuneWorkers int
-	// Backoff paces retries against a shard answering 429 during a
-	// requeue. The zero value is the shared default schedule.
+	// Backoff paces retries against a shard answering 429. The zero
+	// value is the shared default schedule.
 	Backoff Backoff
 	// Logger receives structured logs; nil discards them.
 	Logger *slog.Logger
@@ -101,6 +101,7 @@ type Coordinator struct {
 	spans  *obs.Store
 	flight *obs.FlightRecorder
 
+	reg   obs.Registry
 	m     cmetrics
 	start time.Time
 }
@@ -111,13 +112,13 @@ type Coordinator struct {
 type cjob struct {
 	id   string
 	kind string
-	path string // submit path, e.g. /v1/experiments
 	key  string // routing key
 	body []byte // original submit body, forwarded verbatim
 
 	// sc is the job's root span context on the coordinator (trace
-	// continued from the client's traceparent header when present);
-	// parentSpan is the client span it nests under. submitted is the
+	// continued from the submitter's span when there is one: a client's
+	// traceparent, or the autotune search evaluating a candidate);
+	// parentSpan is the span it nests under. submitted is the
 	// root span's start; the span closes at the first terminal status.
 	sc         obs.SpanContext
 	parentSpan obs.SpanID
@@ -138,7 +139,11 @@ func (j *cjob) placement() (shard int, remoteID string, result *server.JobStatus
 	return j.shard, j.remoteID, j.result
 }
 
-var errNoHealthyShard = errors.New("no healthy worker shard")
+var (
+	errNoHealthyShard = errors.New("no healthy worker shard")
+	errClosed         = errors.New("shutting down")
+	errBadBody        = errors.New("bad request body")
+)
 
 // New builds a Coordinator over the given shards and starts its
 // health prober. Serve Handler(), stop with Shutdown.
@@ -172,16 +177,11 @@ func New(cfg Config) (*Coordinator, error) {
 		start:  time.Now(),
 	}
 	c.tracer = &obs.Tracer{Service: "coordinator", Instance: cfg.Instance, Store: c.spans}
-	// Pre-seed every per-shard counter family with the configured
-	// shards: the series exist (at 0) from the very first scrape and
-	// never appear, vanish or reset as shards bounce in and out of the
-	// ring — counter monotonicity holds per series for the life of the
-	// coordinator process.
-	c.m.seed(cfg.Shards)
+	c.initMetrics()
 	c.prober = newProber(cfg.Shards, c.sc, cfg.ProbeInterval, cfg.ProbeTimeout, c.log,
 		func(shard int, healthy bool) {
 			if !healthy {
-				c.m.probeDowns.inc(cfg.Shards[shard])
+				c.m.probeDowns.Inc(cfg.Shards[shard])
 				c.flight.Record("shard.down", "", "", cfg.Shards[shard])
 			} else {
 				c.flight.Record("shard.up", "", "", cfg.Shards[shard])
@@ -213,6 +213,13 @@ func trimSlash(s string) string {
 
 // Handler returns the coordinator's HTTP surface.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
+
+// isClosed reports whether Shutdown has begun.
+func (c *Coordinator) isClosed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
+}
 
 // Shutdown stops the prober, refuses new submits and drains the
 // embedded autotune host. The coordinator runs no routed jobs of its
@@ -257,11 +264,9 @@ func routeKey(kind string, body []byte) (string, error) {
 
 func (c *Coordinator) routes() {
 	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("POST /v1/experiments", c.submitHandler("experiment"))
-	c.mux.HandleFunc("POST /v1/dirtbuster", c.submitHandler("dirtbuster"))
-	c.mux.HandleFunc("POST /v1/trace", c.submitHandler("trace"))
-	c.mux.HandleFunc("POST /v1/scenarios", c.submitHandler("scenario"))
-	c.mux.HandleFunc("POST /v1/eval", c.submitHandler("eval"))
+	for kind, path := range submitPaths {
+		c.mux.HandleFunc("POST "+path, c.submitHandler(kind))
+	}
 	c.mux.HandleFunc("POST /v1/autotune", c.embedded)
 	c.mux.HandleFunc("POST /v1/traces", c.embedded)
 	c.mux.HandleFunc("GET /v1/traces", c.embedded)
@@ -274,17 +279,25 @@ func (c *Coordinator) routes() {
 	c.mux.HandleFunc("GET /v1/experiments", c.passthrough("/v1/experiments"))
 	c.mux.HandleFunc("GET /v1/registry", c.passthrough("/v1/registry"))
 	c.mux.HandleFunc("GET /v1/workloads", c.passthrough("/v1/workloads"))
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleGetJob)
-	c.mux.HandleFunc("GET /v1/jobs/{id}/stream", c.handleStreamJob)
-	c.mux.HandleFunc("GET /v1/jobs/{id}/timeline", c.artifactHandler("timeline"))
-	c.mux.HandleFunc("GET /v1/jobs/{id}/linereport", c.artifactHandler("linereport"))
-	c.mux.HandleFunc("GET /v1/jobs/{id}/trajectory", c.artifactHandler("trajectory"))
-	c.mux.HandleFunc("GET /v1/jobs/{id}/winner", c.artifactHandler("winner"))
-	c.mux.HandleFunc("GET /v1/jobs/{id}/spans", c.handleJobSpans)
-	c.mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleCancelJob)
+	c.mux.HandleFunc("GET /v1/jobs/{id}", c.jobHandler(c.handleGetJob))
+	c.mux.HandleFunc("GET /v1/jobs/{id}/stream", c.jobHandler(c.handleStreamJob))
+	for _, name := range []string{"timeline", "linereport", "trajectory", "winner"} {
+		c.mux.HandleFunc("GET /v1/jobs/{id}/"+name, c.jobHandler(c.artifactHandler(name)))
+	}
+	c.mux.HandleFunc("GET /v1/jobs/{id}/spans", c.jobHandler(c.handleJobSpans))
+	c.mux.HandleFunc("DELETE /v1/jobs/{id}", c.jobHandler(c.handleCancelJob))
 	c.mux.HandleFunc("GET /v1/debug/flightrecorder", c.handleFlightRecorder)
 	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
+}
+
+// submitPaths maps each routed job kind to its submit endpoint.
+var submitPaths = map[string]string{
+	"experiment": "/v1/experiments",
+	"dirtbuster": "/v1/dirtbuster",
+	"trace":      "/v1/trace",
+	"scenario":   "/v1/scenarios",
+	"eval":       "/v1/eval",
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -299,160 +312,220 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// relay passes a shard's answer through to the client verbatim.
+func relay(w http.ResponseWriter, sr *shardResponse) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(sr.code)
+	w.Write(sr.body)
+}
+
 func streamRequested(r *http.Request) bool {
 	v := r.URL.Query().Get("stream")
 	return v == "1" || v == "true"
 }
 
-// parseOffset reads the ?offset=N replay parameter (0 when absent).
-func parseOffset(r *http.Request) (int, error) {
-	v := r.URL.Query().Get("offset")
-	if v == "" {
-		return 0, nil
+// ---- routing ----
+
+// maxBusyRetries bounds how often dispatch retries a shard answering
+// 429 before it moves on to the next one.
+const maxBusyRetries = 8
+
+// dispatch is the coordinator's one routing primitive: it walks key's
+// ring preference order over healthy shards, skipping skip (the lost
+// shard during a requeue; -1 for none), and calls call on each until
+// one gives a final answer. Every caller gets the same rule:
+//
+//   - a transport failure or a 503 (the shard is draining) demotes the
+//     shard and moves on to the next one;
+//   - a 429 is retried on the same shard with the shared backoff, at
+//     most maxBusyRetries times, and then moves on;
+//   - any other answer is final, and is returned with its shard.
+//
+// When no shard was tried it returns errNoHealthyShard. When every
+// shard tried was busy or draining, the last such answer is returned
+// as final; when none answered at all, the last transport error is.
+// op names the call in logs and the flight recorder.
+func (c *Coordinator) dispatch(ctx context.Context, op, key string, skip int,
+	call func(ctx context.Context, shard int) (*shardResponse, error)) (int, *shardResponse, error) {
+	tried, lastShard := 0, -1
+	var last *shardResponse
+	var lastErr error
+	for _, shard := range c.ring.Sequence(key) {
+		if shard == skip || !c.prober.healthy(shard) {
+			continue
+		}
+		tried++
+		for attempt := 0; ; attempt++ {
+			sr, err := call(ctx, shard)
+			if err != nil && ctx.Err() != nil {
+				return -1, nil, ctx.Err()
+			}
+			if err == nil && sr.code == http.StatusServiceUnavailable {
+				last, lastShard = sr, shard
+				err = fmt.Errorf("refused with 503: %s", bytes.TrimSpace(sr.body))
+			}
+			if err != nil {
+				c.shardFailed(shard, op, err)
+				lastErr = err
+				break
+			}
+			if sr.code != http.StatusTooManyRequests {
+				return shard, sr, nil
+			}
+			last, lastShard = sr, shard
+			if attempt == maxBusyRetries {
+				break
+			}
+			if err := c.sc.bo.Sleep(ctx, attempt); err != nil {
+				return -1, nil, err
+			}
+		}
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad offset %q (want a non-negative integer)", v)
+	switch {
+	case tried == 0:
+		return -1, nil, errNoHealthyShard
+	case last != nil:
+		return lastShard, last, nil
 	}
-	return n, nil
+	return -1, nil, fmt.Errorf("every healthy shard failed: %w", lastErr)
 }
 
-// submitHandler routes one submit: compute the routing key, walk the
-// ring's preference order over healthy shards, forward the body
-// verbatim, and rewrite the answering shard's job handle into the
-// coordinator's namespace. Application-level answers (429 queue full,
-// 400 bad spec, 404 unknown experiment) pass through untouched — only
-// a shard that fails to answer at all is demoted and skipped.
+// submit routes one job: it content-addresses the body, dispatches it
+// to the key's shard, and registers the accepted job under a
+// coordinator ID. The job's root span continues the span in ctx (the
+// client's traceparent for HTTP submits, the search's span for
+// autotune evals), and every shard attempt propagates it downstream,
+// so caller, coordinator routing and shard-side execution share a
+// trace ID. A shard's application-level answer (400 bad spec, 404
+// unknown experiment, 429 when every shard stayed busy) comes back as
+// a nil job with the response, for the caller to relay.
+func (c *Coordinator) submit(ctx context.Context, kind string, body []byte) (*cjob, *shardResponse, error) {
+	if c.isClosed() {
+		return nil, nil, errClosed
+	}
+	key, err := routeKey(kind, body)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", errBadBody, err)
+	}
+	path := submitPaths[kind]
+	parent, _ := obs.SpanFromContext(ctx)
+	sc := c.tracer.Child(parent)
+	submitted := time.Now()
+	ctx = obs.ContextWithSpan(ctx, sc)
+
+	shard, sr, err := c.dispatch(ctx, "submit", key, -1, func(ctx context.Context, shard int) (*shardResponse, error) {
+		attempt := time.Now()
+		sr, err := c.sc.do(ctx, "POST", c.cfg.Shards[shard]+path, jsonType, body, unaryCap)
+		outcome := "shard-failed"
+		if err == nil {
+			outcome = strconv.Itoa(sr.code) // 200 is a shard cache hit
+		}
+		c.tracer.Record(sc, "route", attempt, time.Now(),
+			obs.KV("shard", c.cfg.Shards[shard]), obs.KV("kind", kind), obs.KV("outcome", outcome))
+		return sr, err
+	})
+	if err != nil {
+		if ctx.Err() == nil {
+			c.m.rejected.Add(1)
+			c.flight.Record("job.rejected", "", sc.Trace.String(), kind)
+		}
+		return nil, nil, err
+	}
+	st := sr.job()
+	if st == nil {
+		return nil, sr, nil
+	}
+	url := c.cfg.Shards[shard]
+	j := &cjob{kind: kind, key: key, body: body,
+		shard: shard, remoteID: st.ID,
+		sc: sc, parentSpan: parent.Span, submitted: submitted}
+	cached := sr.code == http.StatusOK
+	c.addJob(j)
+	if cached { // shard cache hit: born terminal
+		c.m.cacheHits.Inc(url)
+		res := j.rewrite(*st)
+		j.mu.Lock()
+		j.result = &res
+		j.mu.Unlock()
+		c.closeRootSpan(j, res.State)
+	} else {
+		c.m.routed.Inc(url)
+		c.flight.Recordf("job.routed", j.id, sc.Trace.String(), "%s -> %s (%s)", kind, url, j.remoteID)
+	}
+	c.log.Info("job routed", "job", j.id, "kind", kind, "shard", url, "remote", j.remoteID,
+		"cached", cached, "trace", sc.Trace.String())
+	return j, sr, nil
+}
+
+// submitHandler serves one submit endpoint: submit, then stream the job
+// or answer with its handle (202) or cached result (200). A shard's
+// application-level answer passes through untouched.
 func (c *Coordinator) submitHandler(kind string) http.HandlerFunc {
-	path := map[string]string{
-		"experiment": "/v1/experiments",
-		"dirtbuster": "/v1/dirtbuster",
-		"trace":      "/v1/trace",
-		"scenario":   "/v1/scenarios",
-		"eval":       "/v1/eval",
-	}[kind]
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "reading body: %v", err)
 			return
 		}
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
+		ctx := r.Context()
+		if sc, ok := obs.Extract(r.Header); ok {
+			ctx = obs.ContextWithSpan(ctx, sc)
+		}
+		j, sr, err := c.submit(ctx, kind, body)
+		switch {
+		case r.Context().Err() != nil:
+			// client gone; nothing to answer
+		case errors.Is(err, errClosed):
 			writeError(w, http.StatusServiceUnavailable, "shutting down")
-			return
-		}
-		key, err := routeKey(kind, body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
-
-		// The routed job's root span on the coordinator: it continues
-		// the client's trace (traceparent header) when one was sent, and
-		// every shard attempt propagates it downstream, so client span,
-		// coordinator routing and shard-side execution share a trace ID.
-		clientSC, _ := obs.Extract(r.Header)
-		sc := c.tracer.Child(clientSC)
-		submitted := time.Now()
-		rctx := obs.ContextWithSpan(r.Context(), sc)
-
-		tried := 0
-		for _, shard := range c.ring.Sequence(key) {
-			if !c.prober.healthy(shard) {
-				continue
-			}
-			tried++
-			attempt := time.Now()
-			sr, err := c.sc.submit(rctx, c.cfg.Shards[shard], path, body)
-			if err != nil {
-				if r.Context().Err() != nil {
-					return // client gone; nothing to answer
-				}
-				c.tracer.Record(sc, "route", attempt, time.Now(),
-					obs.KV("shard", c.cfg.Shards[shard]), obs.KV("kind", kind), obs.KV("outcome", "shard-failed"))
-				c.shardFailed(shard, "submit", err)
-				continue
-			}
-			if sr.status == nil {
-				// Application-level answer (429/400/404/...): verbatim.
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(sr.code)
-				w.Write(sr.body)
-				return
-			}
-			c.tracer.Record(sc, "route", attempt, time.Now(),
-				obs.KV("shard", c.cfg.Shards[shard]), obs.KV("kind", kind),
-				obs.KV("remote", sr.status.ID), obs.KV("cached", fmt.Sprint(sr.code == http.StatusOK)))
-			j := &cjob{kind: kind, path: path, key: key, body: body,
-				shard: shard, remoteID: sr.status.ID,
-				sc: sc, parentSpan: clientSC.Span, submitted: submitted}
-			st := *sr.status
-			if sr.code == http.StatusOK { // shard cache hit: already terminal
-				j.result = &st
-				c.m.cacheHits.inc(c.cfg.Shards[shard])
-			} else {
-				c.m.routed.inc(c.cfg.Shards[shard])
-			}
-			c.addJob(j)
-			st.ID = j.id
-			st.Key = key
-			if j.result != nil {
-				j.result.ID = j.id
-				j.result.Key = key
-				c.closeRootSpan(j, j.result.State) // born terminal: shard cache hit
-			} else {
-				c.flight.Recordf("job.routed", j.id, sc.Trace.String(), "%s -> %s (%s)",
-					kind, c.cfg.Shards[shard], j.remoteID)
-			}
-			c.log.Info("job routed", "job", j.id, "kind", kind,
-				"shard", c.cfg.Shards[shard], "remote", j.remoteID, "cached", sr.code == http.StatusOK,
-				"trace", sc.Trace.String())
-			if streamRequested(r) {
-				c.streamProxy(w, r, j, 0)
-				return
-			}
-			writeJSON(w, sr.code, st)
-			return
-		}
-		c.m.rejected.Add(1)
-		c.flight.Record("job.rejected", "", sc.Trace.String(), kind)
-		if tried == 0 {
+		case errors.Is(err, errBadBody):
+			writeError(w, http.StatusBadRequest, "%v", err)
+		case errors.Is(err, errNoHealthyShard):
 			writeError(w, http.StatusServiceUnavailable, "%v (of %d)", errNoHealthyShard, len(c.cfg.Shards))
-			return
+		case err != nil:
+			writeError(w, http.StatusBadGateway, "every healthy shard failed to accept the job")
+		case j == nil:
+			relay(w, sr)
+		case streamRequested(r):
+			c.streamProxy(w, r, j, 0)
+		default:
+			writeJSON(w, sr.code, j.rewrite(*sr.job()))
 		}
-		writeError(w, http.StatusBadGateway, "every healthy shard failed to accept the job")
 	}
 }
 
 // embedded delegates a request to the embedded host: autotuning
-// searches (whose candidate evaluations go back through the cluster
-// surface and are routed to shards like any other eval submit) and the
-// trace pipeline (uploads land in the embedded host's trace store;
-// analysis jobs run there with per-chunk work fanned out across the
-// shards by chunk content-address).
+// searches (whose candidate evaluations are submitted through the
+// coordinator and routed to shards like any other eval) and the trace
+// pipeline (uploads land in the embedded host's trace store; analysis
+// jobs run there with per-chunk work fanned out across the shards by
+// chunk content-address).
 func (c *Coordinator) embedded(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.isClosed() {
 		writeError(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	}
 	c.tuner.Handler().ServeHTTP(w, r)
 }
 
-// delegated dispatches a /v1/jobs request by ID namespace: routed jobs
-// carry "cjob-" IDs, everything else belongs to the embedded autotune
-// host and is answered by it directly.
-func (c *Coordinator) delegated(w http.ResponseWriter, r *http.Request) bool {
-	if strings.HasPrefix(r.PathValue("id"), "cjob-") {
-		return false
+// jobHandler wraps a /v1/jobs/{id}… handler in the prologue they share:
+// IDs outside the routed "cjob-" namespace belong to the embedded host
+// and are answered by it directly; unknown routed IDs are 404s.
+func (c *Coordinator) jobHandler(h func(http.ResponseWriter, *http.Request, *cjob)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if !strings.HasPrefix(id, "cjob-") {
+			c.tuner.Handler().ServeHTTP(w, r)
+			return
+		}
+		c.mu.Lock()
+		j := c.jobs[id]
+		c.mu.Unlock()
+		if j == nil {
+			writeError(w, http.StatusNotFound, "unknown job %q", id)
+			return
+		}
+		h(w, r, j)
 	}
-	c.tuner.Handler().ServeHTTP(w, r)
-	return true
 }
 
 // addJob registers a routed job under a coordinator-namespaced ID
@@ -471,15 +544,9 @@ func (c *Coordinator) addJob(j *cjob) {
 	}
 }
 
-func (c *Coordinator) job(id string) *cjob {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.jobs[id]
-}
-
 // shardFailed demotes a shard after a call it failed to answer.
 func (c *Coordinator) shardFailed(shard int, op string, err error) {
-	c.m.shardErrors.inc(c.cfg.Shards[shard])
+	c.m.shardErrors.Inc(c.cfg.Shards[shard])
 	c.flight.Recordf("shard.error", "", "", "%s %s: %v", c.cfg.Shards[shard], op, err)
 	c.log.Warn("shard call failed", "shard", c.cfg.Shards[shard], "op", op, "err", err)
 	c.prober.markDown(shard)
@@ -524,10 +591,8 @@ func (j *cjob) rewrite(st server.JobStatus) server.JobStatus {
 // target's local cache may already hold the result (it ran the key
 // before, or the job finished just before the shard died and another
 // client warmed it) — then the requeue resolves to a terminal status
-// immediately. 429s from the target are absorbed with the shared
-// backoff schedule inside ctx's budget. Safe to call from concurrent
-// proxies: only the caller that still observes the failed placement
-// moves the job.
+// immediately. Safe to call from concurrent proxies: only the caller
+// that still observes the failed placement moves the job.
 func (c *Coordinator) requeue(ctx context.Context, j *cjob, failedShard int, failedRemoteID string) error {
 	j.routeMu.Lock()
 	defer j.routeMu.Unlock()
@@ -553,207 +618,131 @@ func (c *Coordinator) requeue(ctx context.Context, j *cjob, failedShard int, fai
 	// merged span tree shows the whole failover.
 	ctx = obs.ContextWithSpan(ctx, j.sc)
 	rqStart := time.Now()
-	for _, target := range c.ring.Sequence(j.key) {
-		if target == failedShard || !c.prober.healthy(target) {
-			continue
-		}
-		for attempt := 0; ; attempt++ {
-			sr, err := c.sc.submit(ctx, c.cfg.Shards[target], j.path, j.body)
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				c.shardFailed(target, "requeue", err)
-				break // next shard
-			}
-			switch {
-			case sr.status != nil && sr.code == http.StatusAccepted:
-				j.mu.Lock()
-				j.shard, j.remoteID = target, sr.status.ID
-				j.mu.Unlock()
-				c.m.requeued.inc(c.cfg.Shards[failedShard])
-				c.m.routed.inc(c.cfg.Shards[target])
-				c.tracer.Record(j.sc, "requeue", rqStart, time.Now(),
-					obs.KV("from", c.cfg.Shards[failedShard]), obs.KV("to", c.cfg.Shards[target]),
-					obs.KV("remote", sr.status.ID))
-				c.flight.Recordf("job.requeued", j.id, j.sc.Trace.String(), "%s -> %s (%s)",
-					c.cfg.Shards[failedShard], c.cfg.Shards[target], sr.status.ID)
-				c.log.Warn("job requeued", "job", j.id,
-					"from", c.cfg.Shards[failedShard], "to", c.cfg.Shards[target], "remote", sr.status.ID)
-				return nil
-			case sr.status != nil && sr.code == http.StatusOK:
-				st := j.rewrite(*sr.status)
-				c.m.requeued.inc(c.cfg.Shards[failedShard])
-				c.m.cacheHits.inc(c.cfg.Shards[target])
-				c.tracer.Record(j.sc, "requeue", rqStart, time.Now(),
-					obs.KV("from", c.cfg.Shards[failedShard]), obs.KV("to", c.cfg.Shards[target]),
-					obs.KV("outcome", "cached"))
-				c.flight.Recordf("job.requeued", j.id, j.sc.Trace.String(), "%s -> %s (cached result)",
-					c.cfg.Shards[failedShard], c.cfg.Shards[target])
-				c.setResult(j, st)
-				c.log.Warn("job requeued to cached result", "job", j.id,
-					"from", c.cfg.Shards[failedShard], "to", c.cfg.Shards[target])
-				return nil
-			case sr.code == http.StatusTooManyRequests:
-				if attempt >= 8 {
-					return fmt.Errorf("shard %s queue stayed full through %d retries", c.cfg.Shards[target], attempt)
-				}
-				if err := c.sc.bo.Sleep(ctx, attempt); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("shard %s rejected requeued job: %d %s",
-					c.cfg.Shards[target], sr.code, bytes.TrimSpace(sr.body))
-			}
-		}
+	target, sr, err := c.dispatch(ctx, "requeue", j.key, failedShard, func(ctx context.Context, shard int) (*shardResponse, error) {
+		return c.sc.do(ctx, "POST", c.cfg.Shards[shard]+submitPaths[j.kind], jsonType, j.body, unaryCap)
+	})
+	if err != nil {
+		return err
 	}
-	return errNoHealthyShard
+	from, to := c.cfg.Shards[failedShard], c.cfg.Shards[target]
+	st := sr.job()
+	if st == nil {
+		return fmt.Errorf("shard %s rejected requeued job: %d %s", to, sr.code, bytes.TrimSpace(sr.body))
+	}
+	cached := sr.code == http.StatusOK
+	c.m.requeued.Inc(from)
+	if cached {
+		c.m.cacheHits.Inc(to)
+	} else {
+		j.mu.Lock()
+		j.shard, j.remoteID = target, st.ID
+		j.mu.Unlock()
+		c.m.routed.Inc(to)
+	}
+	c.tracer.Record(j.sc, "requeue", rqStart, time.Now(),
+		obs.KV("from", from), obs.KV("to", to), obs.KV("remote", st.ID), obs.KV("cached", strconv.FormatBool(cached)))
+	c.flight.Recordf("job.requeued", j.id, j.sc.Trace.String(), "%s -> %s (%s, cached=%v)", from, to, st.ID, cached)
+	c.log.Warn("job requeued", "job", j.id, "from", from, "to", to, "remote", st.ID, "cached", cached)
+	if cached { // the target already held the result
+		c.setResult(j, j.rewrite(*st))
+	}
+	return nil
 }
 
-func (c *Coordinator) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	if c.delegated(w, r) {
-		return
+// jobCall calls a routed job's endpoint on its owning shard: suffix ""
+// is the job itself, "/linereport" one of its artifacts. A shard that
+// fails to answer is demoted.
+func (c *Coordinator) jobCall(ctx context.Context, j *cjob, method, suffix string) (shard int, remoteID string, sr *shardResponse, err error) {
+	shard, remoteID, _ = j.placement()
+	sr, err = c.sc.do(ctx, method, c.cfg.Shards[shard]+"/v1/jobs/"+remoteID+suffix, "", nil, unaryCap)
+	if err != nil && ctx.Err() == nil {
+		c.shardFailed(shard, method+" job"+suffix, err)
 	}
-	j := c.job(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	shard, remoteID, res := j.placement()
-	if res != nil {
+	return shard, remoteID, sr, err
+}
+
+func (c *Coordinator) handleGetJob(w http.ResponseWriter, r *http.Request, j *cjob) {
+	if _, _, res := j.placement(); res != nil {
 		writeJSON(w, http.StatusOK, *res)
 		return
 	}
-	sr, err := c.sc.jobStatus(r.Context(), c.cfg.Shards[shard], remoteID)
-	lost := false
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		c.shardFailed(shard, "status", err)
-		lost = true
-	} else if sr.code == http.StatusNotFound {
-		lost = true // worker restarted and lost its jobs
-	}
-	if lost {
+	shard, remoteID, sr, err := c.jobCall(r.Context(), j, "GET", "")
+	switch {
+	case r.Context().Err() != nil:
+	case err != nil || sr.code == http.StatusNotFound: // shard lost, or restarted and lost its jobs
 		if err := c.requeue(r.Context(), j, shard, remoteID); err != nil {
 			writeError(w, http.StatusBadGateway, "shard lost and requeue failed: %v", err)
-			return
-		}
-		if _, _, res := j.placement(); res != nil {
+		} else if _, _, res := j.placement(); res != nil {
 			writeJSON(w, http.StatusOK, *res)
-			return
+		} else {
+			writeJSON(w, http.StatusOK, server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "queued"})
 		}
-		writeJSON(w, http.StatusOK, server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "queued"})
-		return
+	case sr.job() == nil:
+		relay(w, sr)
+	default:
+		st := j.rewrite(*sr.job())
+		switch st.State {
+		case "done", "failed", "cancelled":
+			c.setResult(j, st)
+		}
+		writeJSON(w, http.StatusOK, st)
 	}
-	if sr.status == nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(sr.code)
-		w.Write(sr.body)
-		return
-	}
-	st := j.rewrite(*sr.status)
-	switch st.State {
-	case "done", "failed", "cancelled":
-		c.setResult(j, st)
-	}
-	writeJSON(w, http.StatusOK, st)
 }
 
-func (c *Coordinator) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	if c.delegated(w, r) {
-		return
-	}
-	j := c.job(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	shard, remoteID, res := j.placement()
-	if res != nil {
+func (c *Coordinator) handleCancelJob(w http.ResponseWriter, r *http.Request, j *cjob) {
+	if _, _, res := j.placement(); res != nil {
 		writeJSON(w, http.StatusOK, *res)
 		return
 	}
-	sr, err := c.sc.cancel(r.Context(), c.cfg.Shards[shard], remoteID)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
+	_, _, sr, err := c.jobCall(r.Context(), j, "DELETE", "")
+	switch {
+	case r.Context().Err() != nil:
+	case err != nil:
 		// A dead shard's job is dead with it; report it cancelled
 		// rather than requeuing work nobody wants anymore.
-		c.shardFailed(shard, "cancel", err)
 		st := server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "cancelled"}
 		c.setResult(j, st)
 		writeJSON(w, http.StatusOK, st)
-		return
+	case sr.job() == nil:
+		relay(w, sr)
+	default:
+		writeJSON(w, sr.code, j.rewrite(*sr.job()))
 	}
-	if sr.status == nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(sr.code)
-		w.Write(sr.body)
-		return
-	}
-	writeJSON(w, sr.code, j.rewrite(*sr.status))
 }
 
 // artifactHandler proxies a job's telemetry artifact from its shard.
-func (c *Coordinator) artifactHandler(name string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if c.delegated(w, r) {
-			return
+func (c *Coordinator) artifactHandler(name string) func(http.ResponseWriter, *http.Request, *cjob) {
+	return func(w http.ResponseWriter, r *http.Request, j *cjob) {
+		_, _, sr, err := c.jobCall(r.Context(), j, "GET", "/"+name)
+		switch {
+		case r.Context().Err() != nil:
+		case err != nil:
+			writeError(w, http.StatusBadGateway, "owning shard unreachable: %v", err)
+		default:
+			relay(w, sr)
 		}
-		j := c.job(r.PathValue("id"))
-		if j == nil {
-			writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-			return
-		}
-		shard, remoteID, _ := j.placement()
-		sr, err := c.sc.do(r.Context(), "GET", c.cfg.Shards[shard]+"/v1/jobs/"+remoteID+"/"+name, nil)
-		if err != nil {
-			if r.Context().Err() != nil {
-				return
-			}
-			c.shardFailed(shard, "artifact", err)
-			writeError(w, http.StatusBadGateway, "shard %s unreachable: %v", c.cfg.Shards[shard], err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(sr.code)
-		w.Write(sr.body)
 	}
 }
 
-// passthrough proxies a read-only listing to the first healthy shard:
-// every worker runs the same binary, so any of them can answer.
+// passthrough proxies a read-only listing to a healthy shard: every
+// worker runs the same binary, so any of them can answer.
 func (c *Coordinator) passthrough(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		for shard := range c.cfg.Shards {
-			if !c.prober.healthy(shard) {
-				continue
-			}
-			sr, err := c.sc.do(r.Context(), "GET", c.cfg.Shards[shard]+path, nil)
-			if err != nil {
-				if r.Context().Err() != nil {
-					return
-				}
-				c.shardFailed(shard, "passthrough", err)
-				continue
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(sr.code)
-			w.Write(sr.body)
-			return
+		_, sr, err := c.dispatch(r.Context(), "passthrough", path, -1, func(ctx context.Context, shard int) (*shardResponse, error) {
+			return c.sc.do(ctx, "GET", c.cfg.Shards[shard]+path, "", nil, unaryCap)
+		})
+		switch {
+		case r.Context().Err() != nil:
+		case err != nil:
+			writeError(w, http.StatusServiceUnavailable, "%v (of %d)", err, len(c.cfg.Shards))
+		default:
+			relay(w, sr)
 		}
-		writeError(w, http.StatusServiceUnavailable, "%v (of %d)", errNoHealthyShard, len(c.cfg.Shards))
 	}
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.isClosed() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -766,33 +755,14 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "ok (%d/%d shards healthy)\n", n, len(c.cfg.Shards))
 }
 
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	c.renderMetrics(w)
-	// Then the federated daemon families (prestored_*): the embedded
-	// host and every healthy worker shard, each sample relabeled with
-	// its origin — name-disjoint from the coordinator's own
-	// prestored_coordinator_* set, so one scrape covers the fleet.
-	c.writeFederated(r.Context(), w)
-}
-
 // handleJobSpans serves a routed job's merged span timeline: the
 // coordinator's own spans (root, queue routing, requeues) plus the
 // owning shard's spans for the same trace, fetched live. The shard
 // fetch is best-effort — a dead shard degrades the artifact to the
 // coordinator's side of the story rather than failing the request.
-func (c *Coordinator) handleJobSpans(w http.ResponseWriter, r *http.Request) {
-	if c.delegated(w, r) {
-		return
-	}
-	j := c.job(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
+func (c *Coordinator) handleJobSpans(w http.ResponseWriter, r *http.Request, j *cjob) {
 	spans, dropped := c.spans.Spans(j.sc.Trace)
-	shard, remoteID, _ := j.placement()
-	if sr, err := c.sc.do(r.Context(), "GET", c.cfg.Shards[shard]+"/v1/jobs/"+remoteID+"/spans", nil); err == nil && sr.code == http.StatusOK {
+	if _, _, sr, err := c.jobCall(r.Context(), j, "GET", "/spans"); err == nil && sr.code == http.StatusOK {
 		var remote struct {
 			OtherData struct {
 				Dropped int `json:"droppedSpans"`
@@ -816,7 +786,7 @@ func (c *Coordinator) handleFlightRecorder(w http.ResponseWriter, r *http.Reques
 	c.flight.WriteJSON(w)
 }
 
-// ---- stream proxying ----
+// ---- stream following ----
 
 // streamEvent mirrors the worker daemon's NDJSON stream line.
 type streamEvent struct {
@@ -825,67 +795,58 @@ type streamEvent struct {
 	Job   *server.JobStatus `json:"job,omitempty"`
 }
 
-func (c *Coordinator) handleStreamJob(w http.ResponseWriter, r *http.Request) {
-	if c.delegated(w, r) {
-		return
-	}
-	j := c.job(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	off, err := parseOffset(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+func (c *Coordinator) handleStreamJob(w http.ResponseWriter, r *http.Request, j *cjob) {
+	off := 0
+	if v := r.URL.Query().Get("offset"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			writeError(w, http.StatusBadRequest, "bad offset %q (want a non-negative integer)", v)
+			return
+		}
+		off = n
 	}
 	c.streamProxy(w, r, j, off)
 }
 
-// streamProxy follows a job's stream across shard failures. It tracks
-// the byte offset already forwarded to the client; every (re)attach
-// replays from that offset, so the client sees each output byte
-// exactly once no matter how many times the job moves. A broken
-// stream first reattaches to the same shard when it still looks
-// healthy (a transient drop must not forfeit its cache placement);
-// a dead or amnesiac shard triggers a requeue.
-func (c *Coordinator) streamProxy(w http.ResponseWriter, r *http.Request, j *cjob, clientOff int) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	flush := func() {
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-	enc := json.NewEncoder(w)
+// streamProxy serves a job's events to an HTTP client as NDJSON.
+func (c *Coordinator) streamProxy(w http.ResponseWriter, r *http.Request, j *cjob, offset int) {
+	emit := server.NDJSON(w)
+	c.follow(r.Context(), j, offset, func(ev streamEvent) error { return emit(ev) })
+}
+
+// follow delivers a job's stream events to emit across shard failures,
+// until the done event, ctx's end, or emit failing (the consumer is
+// gone). It tracks the output byte offset already delivered; every
+// (re)attach replays from that offset, so the consumer sees each
+// output byte exactly once no matter how many times the job moves. A
+// broken stream first reattaches to the same shard when it still looks
+// healthy (a transient drop must not forfeit its cache placement); a
+// dead or amnesiac shard triggers a requeue.
+func (c *Coordinator) follow(ctx context.Context, j *cjob, offset int, emit func(streamEvent) error) {
 	c.m.streamsUp.Add(1)
 	defer c.m.streamsUp.Add(-1)
 
-	forwarded := clientOff
+	forwarded := offset
 	sentStatus := false
 	reconnects := 0
-	for {
-		if r.Context().Err() != nil {
-			return
-		}
+	for ctx.Err() == nil {
 		shard, remoteID, res := j.placement()
 		if res != nil {
-			c.emitTerminal(enc, flush, *res, forwarded, sentStatus)
+			emitTerminal(emit, *res, forwarded, sentStatus)
 			return
 		}
 
-		body, err := c.sc.openStream(r.Context(), c.cfg.Shards[shard], remoteID, forwarded)
+		body, code, err := c.sc.openStream(ctx, c.cfg.Shards[shard], remoteID, forwarded)
 		progressed := false
 		if err == nil {
 			var done bool
-			done, progressed = c.copyStream(enc, flush, j, body, &forwarded, &sentStatus, r.Context())
+			done, progressed = c.copyStream(ctx, emit, j, body, &forwarded, &sentStatus)
 			body.Close()
 			if done {
 				return
 			}
 		}
-		if r.Context().Err() != nil {
+		if ctx.Err() != nil {
 			return
 		}
 		if progressed {
@@ -894,13 +855,12 @@ func (c *Coordinator) streamProxy(w http.ResponseWriter, r *http.Request, j *cjo
 
 		// The stream broke (or never attached). Decide: same-shard
 		// reconnect, or requeue.
-		var sse *streamStatusError
-		lostJob := errors.As(err, &sse) && sse.code == http.StatusNotFound
+		lostJob := code == http.StatusNotFound
 		sameShardOK := !lostJob && reconnects < 3 &&
-			c.sc.healthy(r.Context(), c.cfg.Shards[shard], c.proberTimeout())
+			c.sc.healthy(ctx, c.cfg.Shards[shard], c.prober.timeout)
 		if sameShardOK {
 			reconnects++
-			if c.sc.bo.Sleep(r.Context(), reconnects-1) != nil {
+			if c.sc.bo.Sleep(ctx, reconnects-1) != nil {
 				return
 			}
 			continue
@@ -908,37 +868,29 @@ func (c *Coordinator) streamProxy(w http.ResponseWriter, r *http.Request, j *cjo
 		if !lostJob {
 			c.shardFailed(shard, "stream", err)
 		}
-		if rqErr := c.requeue(r.Context(), j, shard, remoteID); rqErr != nil {
-			if r.Context().Err() != nil {
+		if rqErr := c.requeue(ctx, j, shard, remoteID); rqErr != nil {
+			if ctx.Err() != nil {
 				return
 			}
 			st := server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "failed",
 				Error:  rqErr.Error(),
 				Result: &bench.Result{ID: j.kind, Title: "lost to shard failure", Err: rqErr.Error()}}
 			c.setResult(j, st)
-			enc.Encode(streamEvent{Event: "done", Job: &st})
-			flush()
+			emit(streamEvent{Event: "done", Job: &st})
 			return
 		}
 		reconnects = 0
 	}
 }
 
-func (c *Coordinator) proberTimeout() time.Duration {
-	if c.cfg.ProbeTimeout > 0 {
-		return c.cfg.ProbeTimeout
-	}
-	return 2 * time.Second
-}
-
-// copyStream forwards one attached shard stream to the client until it
-// ends. Returns done=true when the terminal event was delivered, and
-// whether any output bytes were forwarded (progress resets the
-// reconnect budget). Duplicate status events from reattaches are
-// suppressed; output offsets are accounted so reattaches never repeat
-// a byte.
-func (c *Coordinator) copyStream(enc *json.Encoder, flush func(), j *cjob,
-	body io.Reader, forwarded *int, sentStatus *bool, ctx context.Context) (done, progressed bool) {
+// copyStream forwards one attached shard stream to emit until it ends.
+// Returns done=true when the terminal event was delivered (or the
+// consumer is gone), and whether any output bytes were forwarded
+// (progress resets the reconnect budget). Duplicate status events from
+// reattaches are suppressed; output offsets are accounted so reattaches
+// never repeat a byte.
+func (c *Coordinator) copyStream(ctx context.Context, emit func(streamEvent) error, j *cjob,
+	body io.Reader, forwarded *int, sentStatus *bool) (done, progressed bool) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	for sc.Scan() {
@@ -955,18 +907,16 @@ func (c *Coordinator) copyStream(enc *json.Encoder, flush func(), j *cjob,
 				st := j.rewrite(*ev.Job)
 				ev.Job = &st
 			}
-			if enc.Encode(ev) != nil {
-				return true, progressed // client gone: ctx will end the proxy
+			if emit(ev) != nil {
+				return true, progressed
 			}
 			*sentStatus = true
-			flush()
 		case "output":
 			*forwarded += len(ev.Data)
 			progressed = true
-			if enc.Encode(ev) != nil {
+			if emit(ev) != nil {
 				return true, progressed
 			}
-			flush()
 		case "done":
 			if ev.Job == nil {
 				return false, progressed
@@ -974,8 +924,7 @@ func (c *Coordinator) copyStream(enc *json.Encoder, flush func(), j *cjob,
 			st := j.rewrite(*ev.Job)
 			c.setResult(j, st)
 			ev.Job = &st
-			enc.Encode(ev)
-			flush()
+			emit(ev)
 			return true, progressed
 		}
 		if ctx.Err() != nil {
@@ -985,24 +934,17 @@ func (c *Coordinator) copyStream(enc *json.Encoder, flush func(), j *cjob,
 	return false, progressed
 }
 
-// emitTerminal serves a stream request for a job whose terminal status
-// the coordinator already holds (shard cache hit, or a requeue that
-// resolved to a cached result): replay the remaining output bytes and
-// the done event. Deterministic output makes the suffix exact.
-func (c *Coordinator) emitTerminal(enc *json.Encoder, flush func(),
-	st server.JobStatus, forwarded int, sentStatus bool) {
-	if !sentStatus {
-		if enc.Encode(streamEvent{Event: "status", Job: &st}) != nil {
-			return
-		}
-		flush()
+// emitTerminal serves the events of a job whose terminal status the
+// coordinator already holds (shard cache hit, or a requeue that
+// resolved to a cached result): the remaining output bytes and the
+// done event. Deterministic output makes the suffix exact.
+func emitTerminal(emit func(streamEvent) error, st server.JobStatus, forwarded int, sentStatus bool) {
+	if !sentStatus && emit(streamEvent{Event: "status", Job: &st}) != nil {
+		return
 	}
-	if st.Result != nil && forwarded < len(st.Result.Output) {
-		if enc.Encode(streamEvent{Event: "output", Data: st.Result.Output[forwarded:]}) != nil {
-			return
-		}
-		flush()
+	if st.Result != nil && forwarded < len(st.Result.Output) &&
+		emit(streamEvent{Event: "output", Data: st.Result.Output[forwarded:]}) != nil {
+		return
 	}
-	enc.Encode(streamEvent{Event: "done", Job: &st})
-	flush()
+	emit(streamEvent{Event: "done", Job: &st})
 }

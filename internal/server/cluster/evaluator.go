@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"prestores/internal/scenario"
 	"prestores/internal/server"
@@ -16,21 +14,21 @@ import (
 
 // clusterEvaluator is the autotune measurement backend the coordinator
 // injects into its embedded autotune host: every candidate evaluation
-// and telemetry probe becomes an in-process round trip against the
-// coordinator's own HTTP surface, so it inherits consistent-hash
-// routing, the shards' distributed result cache, shard-loss requeues
-// and backoff for free. Identical candidates — the hill climb revisits
-// plans across restarts, and concurrent searches overlap — always land
-// on the shard already holding the cached metrics.
+// and telemetry probe is submitted and followed through the same
+// submit/follow path the coordinator's HTTP handlers use, so it
+// inherits consistent-hash routing, the shards' distributed result
+// cache, shard-loss requeues, backoff and trace propagation. Identical
+// candidates — the hill climb revisits plans across restarts, and
+// concurrent searches overlap — always land on the shard already
+// holding the cached metrics.
 type clusterEvaluator struct {
 	c *Coordinator
 }
 
-// Eval measures one candidate plan: POST /v1/eval on the cluster
-// surface, streamed so the terminal status arrives without polling.
-// The eval job's output is the metrics map as canonical JSON.
+// Eval measures one candidate plan as an eval job. The eval job's
+// output is the metrics map as canonical JSON.
 func (e clusterEvaluator) Eval(ctx context.Context, sp scenario.Spec, quick bool) (scenario.Metrics, error) {
-	st, err := e.await(ctx, "/v1/eval?stream=1", sp, quick)
+	_, st, err := e.await(ctx, "eval", sp, quick)
 	if err != nil {
 		return nil, err
 	}
@@ -46,108 +44,53 @@ func (e clusterEvaluator) Eval(ctx context.Context, sp scenario.Spec, quick bool
 // linereport artifact. The shard caps the artifact at the same line
 // count Local.Probe uses, so both backends seed identically.
 func (e clusterEvaluator) Probe(ctx context.Context, sp scenario.Spec, quick bool) (*telemetry.LineReport, error) {
-	st, err := e.await(ctx, "/v1/scenarios?stream=1", sp, quick)
+	j, st, err := e.await(ctx, "scenario", sp, quick)
 	if err != nil {
 		return nil, err
 	}
-	rec := e.roundTrip(ctx, "GET", "/v1/jobs/"+st.ID+"/linereport", nil)
-	if rec.code != http.StatusOK {
-		return nil, fmt.Errorf("cluster probe %s: linereport fetch returned %d: %s",
-			st.ID, rec.code, bytes.TrimSpace(rec.body.Bytes()))
+	_, _, sr, err := e.c.jobCall(ctx, j, "GET", "/linereport")
+	if err != nil {
+		return nil, fmt.Errorf("cluster probe %s: linereport fetch: %w", st.ID, err)
 	}
-	return telemetry.DecodeLineReport(rec.body.Bytes())
+	if sr.code != http.StatusOK {
+		return nil, fmt.Errorf("cluster probe %s: linereport fetch returned %d: %s",
+			st.ID, sr.code, bytes.TrimSpace(sr.body))
+	}
+	return telemetry.DecodeLineReport(sr.body)
 }
 
-// await submits a spec to a streaming cluster endpoint and blocks until
-// its terminal stream event, returning the finished job status.
-func (e clusterEvaluator) await(ctx context.Context, path string, sp scenario.Spec, quick bool) (*server.JobStatus, error) {
+// await submits a spec as a job of the given kind and follows it to its
+// terminal status, which it returns with the routed job.
+func (e clusterEvaluator) await(ctx context.Context, kind string, sp scenario.Spec, quick bool) (*cjob, *server.JobStatus, error) {
 	canon, err := sp.Canonical()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	body, err := json.Marshal(struct {
 		Spec  json.RawMessage `json:"spec"`
 		Quick bool            `json:"quick,omitempty"`
 	}{Spec: canon, Quick: quick})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rec := e.roundTrip(ctx, "POST", path, body)
-	if rec.code != http.StatusOK {
-		return nil, fmt.Errorf("cluster submit %s returned %d: %s",
-			path, rec.code, bytes.TrimSpace(rec.body.Bytes()))
+	j, sr, err := e.c.submit(ctx, kind, body)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cluster %s submit: %w", kind, err)
 	}
-
-	var final *server.JobStatus
-	sc := bufio.NewScanner(&rec.body)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		var ev streamEvent
-		if json.Unmarshal(sc.Bytes(), &ev) != nil {
-			continue
-		}
-		if ev.Event == "done" && ev.Job != nil {
-			final = ev.Job
-		}
+	if j == nil {
+		return nil, nil, fmt.Errorf("cluster %s submit returned %d: %s", kind, sr.code, bytes.TrimSpace(sr.body))
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if final == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("cluster submit %s: stream ended without a done event", path)
+	e.c.follow(ctx, j, 0, func(streamEvent) error { return nil })
+	_, _, final := j.placement()
+	if final == nil { // follow ends short of a terminal status only when ctx does
+		return nil, nil, ctx.Err()
 	}
 	if final.State != "done" || final.Result == nil {
 		msg := final.Error
 		if msg == "" && final.Result != nil {
 			msg = final.Result.Err
 		}
-		return nil, fmt.Errorf("cluster job %s %s: %s", final.ID, final.State, msg)
+		return nil, nil, fmt.Errorf("cluster job %s %s: %s", final.ID, final.State, msg)
 	}
-	return final, nil
+	return j, final, nil
 }
-
-// roundTrip serves one request against the coordinator's mux without a
-// socket. Responses are buffered whole: streams block until the job's
-// terminal event, which is exactly the rendezvous await needs.
-func (e clusterEvaluator) roundTrip(ctx context.Context, method, path string, body []byte) *responseRecorder {
-	var rd *strings.Reader
-	if body != nil {
-		rd = strings.NewReader(string(body))
-	} else {
-		rd = strings.NewReader("")
-	}
-	req, err := http.NewRequestWithContext(ctx, method, path, rd)
-	if err != nil {
-		rec := newRecorder()
-		rec.code = http.StatusInternalServerError
-		fmt.Fprintf(&rec.body, "building request: %v", err)
-		return rec
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	rec := newRecorder()
-	e.c.mux.ServeHTTP(rec, req)
-	return rec
-}
-
-// responseRecorder is a minimal buffering http.ResponseWriter for
-// in-process round trips. Flush is a no-op — everything is delivered
-// when the handler returns.
-type responseRecorder struct {
-	code   int
-	header http.Header
-	body   bytes.Buffer
-}
-
-func newRecorder() *responseRecorder {
-	return &responseRecorder{code: http.StatusOK, header: http.Header{}}
-}
-
-func (r *responseRecorder) Header() http.Header         { return r.header }
-func (r *responseRecorder) WriteHeader(code int)        { r.code = code }
-func (r *responseRecorder) Write(b []byte) (int, error) { return r.body.Write(b) }
-func (r *responseRecorder) Flush()                      {}

@@ -1,152 +1,150 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
+	"bytes"
+	"context"
+	"net/http"
 	"sync/atomic"
 	"time"
 
 	"prestores/internal/obs"
 )
 
-// shardCounterVec is a counter family labeled by shard base URL.
-type shardCounterVec struct {
-	mu     sync.Mutex
-	counts map[string]int64
-}
-
-func (v *shardCounterVec) inc(shard string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.counts == nil {
-		v.counts = map[string]int64{}
-	}
-	v.counts[shard]++
-}
-
-// seed materialises a zero-valued series for each shard. Seeded series
-// render from the very first scrape and are never deleted, so per-shard
-// counters stay present and monotonic across shard re-registration —
-// a shard bouncing out of and back into the ring never resets or hides
-// its series.
-func (v *shardCounterVec) seed(shards []string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.counts == nil {
-		v.counts = map[string]int64{}
-	}
-	for _, s := range shards {
-		if _, ok := v.counts[s]; !ok {
-			v.counts[s] = 0
-		}
-	}
-}
-
-func (v *shardCounterVec) snapshot() (shards []string, vals []int64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for s := range v.counts {
-		shards = append(shards, s)
-	}
-	sort.Strings(shards)
-	for _, s := range shards {
-		vals = append(vals, v.counts[s])
-	}
-	return shards, vals
-}
-
 // cmetrics holds the coordinator's counters. Health and job gauges
 // are sampled at scrape time.
 type cmetrics struct {
-	routed       shardCounterVec // submits routed to a shard (202 accepted)
-	cacheHits    shardCounterVec // submits a shard answered from its cache (200)
-	requeued     shardCounterVec // jobs moved OFF a shard after it was lost
-	shardErrors  shardCounterVec // proxied calls a shard failed to answer
-	probeDowns   shardCounterVec // healthy→unhealthy transitions
-	chunks       shardCounterVec // trace-analysis chunk calls a shard answered
-	chunkRetries shardCounterVec // chunk calls moved OFF a shard after a failure
-	scrapeErrors shardCounterVec // federated /metrics scrapes that failed or did not parse
+	routed       *obs.CounterVec // submits routed to a shard (202 accepted)
+	cacheHits    *obs.CounterVec // submits a shard answered from its cache (200)
+	requeued     *obs.CounterVec // jobs moved OFF a shard after it was lost
+	shardErrors  *obs.CounterVec // calls a shard failed to answer, or answered 503
+	probeDowns   *obs.CounterVec // healthy→unhealthy transitions
+	chunks       *obs.CounterVec // trace-analysis chunk calls a shard answered
+	chunkRetries *obs.CounterVec // chunk calls moved OFF a shard after a failure
+	scrapeErrors *obs.CounterVec // federated /metrics scrapes that failed or did not parse
 
-	rejected  atomic.Int64 // submits refused: no healthy shard
-	jobsDone  atomic.Int64 // proxied jobs observed reaching state done
-	streamsUp atomic.Int64 // client streams currently proxied
+	rejected  *atomic.Int64 // submits refused: no shard accepted
+	jobsDone  *atomic.Int64 // proxied jobs observed reaching state done
+	streamsUp atomic.Int64  // job streams currently followed
 }
 
-// seed pre-creates every per-shard counter series for the configured
-// shards (see shardCounterVec.seed).
-func (m *cmetrics) seed(shards []string) {
-	for _, v := range []*shardCounterVec{
-		&m.routed, &m.cacheHits, &m.requeued, &m.shardErrors,
-		&m.probeDowns, &m.chunks, &m.chunkRetries, &m.scrapeErrors,
-	} {
-		v.seed(shards)
+// initMetrics registers the coordinator's own families in exposition
+// order.
+func (c *Coordinator) initMetrics() {
+	m, r := &c.m, &c.reg
+	r.GaugeVecFunc("prestored_coordinator_build_info",
+		"Build metadata for the coordinator binary (value is always 1).",
+		[]string{"version", "go"}, func(set func(float64, ...string)) { set(1, obs.Version(), obs.GoVersion()) })
+
+	// Every per-shard counter is pre-seeded with the configured shards:
+	// the series exist (at 0) from the very first scrape and never
+	// appear, vanish or reset as shards bounce in and out of the ring.
+	perShard := func(name, help string) *obs.CounterVec {
+		v := r.CounterVec(name, help, "shard")
+		for _, s := range c.cfg.Shards {
+			v.Seed(s)
+		}
+		return v
 	}
+	m.routed = perShard("prestored_coordinator_routed_total",
+		"Submits routed to a worker shard and accepted.")
+	m.cacheHits = perShard("prestored_coordinator_cache_hits_total",
+		"Submits a worker shard answered from its result cache.")
+	m.requeued = perShard("prestored_coordinator_requeued_total",
+		"Jobs rerouted off a shard after it was lost mid-flight.")
+	m.shardErrors = perShard("prestored_coordinator_shard_errors_total",
+		"Proxied calls a shard failed to answer (connect failure or timeout) or refused while draining.")
+	m.probeDowns = perShard("prestored_coordinator_probe_failures_total",
+		"Healthy-to-unhealthy transitions per shard.")
+	m.chunks = perShard("prestored_coordinator_chunks_total",
+		"Trace-analysis chunk calls answered by a shard.")
+	m.chunkRetries = perShard("prestored_coordinator_chunk_retries_total",
+		"Chunk calls rerouted off a shard after it failed to answer.")
+	m.scrapeErrors = perShard("prestored_coordinator_federation_errors_total",
+		"Federated /metrics scrapes that failed to fetch or parse.")
+	m.rejected = r.Counter("prestored_coordinator_rejected_total",
+		"Submits refused because no shard was healthy.")
+	m.jobsDone = r.Counter("prestored_coordinator_jobs_done_total",
+		"Proxied jobs observed reaching state done.")
+
+	r.GaugeVecFunc("prestored_coordinator_shard_healthy", "Shard health from the prober (1 healthy, 0 down).",
+		[]string{"shard"}, func(set func(float64, ...string)) {
+			for i, s := range c.cfg.Shards {
+				up := 0.0
+				if c.prober.healthy(i) {
+					up = 1
+				}
+				set(up, s)
+			}
+		})
+	r.GaugeFunc("prestored_coordinator_shards", "Configured worker shards.",
+		func() float64 { return float64(len(c.cfg.Shards)) })
+	r.GaugeFunc("prestored_coordinator_jobs_tracked", "Jobs the coordinator is tracking.", func() float64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return float64(len(c.jobs))
+	})
+	r.GaugeFunc("prestored_coordinator_streams_active", "Client streams currently proxied.",
+		func() float64 { return float64(m.streamsUp.Load()) })
+	r.GaugeFunc("prestored_coordinator_span_traces", "Traces currently held in the coordinator span store.",
+		func() float64 { return float64(c.spans.Traces()) })
+	r.CounterFunc("prestored_coordinator_flight_records_total",
+		"Events recorded by the coordinator flight recorder.", c.flight.Recorded)
+	r.GaugeFunc("prestored_coordinator_uptime_seconds", "Seconds since the coordinator started.",
+		func() float64 { return time.Since(c.start).Seconds() })
 }
 
-// renderMetrics writes the coordinator's Prometheus text exposition.
-func (c *Coordinator) renderMetrics(w io.Writer) {
-	m := &c.m
-	counterVec := func(name, help string, v *shardCounterVec) {
-		shards, vals := v.snapshot()
-		if len(shards) == 0 {
-			return
+func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	obs.WriteFamilies(w, append(c.reg.Families(), c.federate(r.Context())...))
+}
+
+// federate gathers the daemon families (prestored_*) of the whole
+// fleet — the embedded host, read in process, plus each healthy worker
+// shard's /metrics page — with a shard label naming the origin ("self"
+// for the embedded host, the shard's base URL otherwise). They are
+// name-disjoint from the coordinator's own prestored_coordinator_*
+// set, so one scrape covers the fleet. Families merge by name, so
+// HELP/TYPE appear once per family with every origin's series beneath
+// them: Prometheus rejects duplicate family declarations but accepts
+// label-disjoint series. A shard page that fails to fetch or parse is
+// skipped and counted in prestored_coordinator_federation_errors_total;
+// unhealthy shards are skipped silently, since the prober already
+// accounts for them and a scrape would only burn the request timeout.
+func (c *Coordinator) federate(ctx context.Context) []*obs.Family {
+	origins := []string{"self"}
+	sources := [][]*obs.Family{c.tuner.MetricFamilies()}
+	for i, url := range c.cfg.Shards {
+		if !c.prober.healthy(i) {
+			continue
 		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for i, s := range shards {
-			fmt.Fprintf(w, "%s{shard=%q} %d\n", name, s, vals[i])
+		sr, err := c.sc.do(ctx, "GET", url+"/metrics", "", nil, unaryCap)
+		if err != nil || sr.code != http.StatusOK {
+			c.m.scrapeErrors.Inc(url)
+			continue
+		}
+		fams, err := obs.ParseMetrics(bytes.NewReader(sr.body))
+		if err != nil {
+			c.m.scrapeErrors.Inc(url)
+			continue
+		}
+		origins = append(origins, url)
+		sources = append(sources, fams)
+	}
+
+	merged := map[string]*obs.Family{}
+	var out []*obs.Family
+	for i, fams := range sources {
+		for _, f := range fams {
+			mf := merged[f.Name]
+			if mf == nil {
+				mf = &obs.Family{Name: f.Name, Help: f.Help, Type: f.Type}
+				merged[f.Name] = mf
+				out = append(out, mf)
+			}
+			for _, s := range f.Samples {
+				mf.Samples = append(mf.Samples, s.WithLabel("shard", origins[i]))
+			}
 		}
 	}
-	counter := func(name, help string, val int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, val)
-	}
-	gauge := func(name, help string, val float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, val)
-	}
-
-	fmt.Fprintf(w, "# HELP prestored_coordinator_build_info Build metadata for the coordinator binary (value is always 1).\n")
-	fmt.Fprintf(w, "# TYPE prestored_coordinator_build_info gauge\n")
-	fmt.Fprintf(w, "prestored_coordinator_build_info{version=%q,go=%q} 1\n", obs.Version(), obs.GoVersion())
-
-	counterVec("prestored_coordinator_routed_total",
-		"Submits routed to a worker shard and accepted.", &m.routed)
-	counterVec("prestored_coordinator_cache_hits_total",
-		"Submits a worker shard answered from its result cache.", &m.cacheHits)
-	counterVec("prestored_coordinator_requeued_total",
-		"Jobs rerouted off a shard after it was lost mid-flight.", &m.requeued)
-	counterVec("prestored_coordinator_shard_errors_total",
-		"Proxied calls a shard failed to answer (connect failure or timeout).", &m.shardErrors)
-	counterVec("prestored_coordinator_probe_failures_total",
-		"Healthy-to-unhealthy transitions per shard.", &m.probeDowns)
-	counterVec("prestored_coordinator_chunks_total",
-		"Trace-analysis chunk calls answered by a shard.", &m.chunks)
-	counterVec("prestored_coordinator_chunk_retries_total",
-		"Chunk calls rerouted off a shard after it failed to answer.", &m.chunkRetries)
-	counterVec("prestored_coordinator_federation_errors_total",
-		"Federated /metrics scrapes that failed to fetch or parse.", &m.scrapeErrors)
-	counter("prestored_coordinator_rejected_total",
-		"Submits refused because no shard was healthy.", m.rejected.Load())
-	counter("prestored_coordinator_jobs_done_total",
-		"Proxied jobs observed reaching state done.", m.jobsDone.Load())
-
-	fmt.Fprintf(w, "# HELP prestored_coordinator_shard_healthy Shard health from the prober (1 healthy, 0 down).\n")
-	fmt.Fprintf(w, "# TYPE prestored_coordinator_shard_healthy gauge\n")
-	for i, s := range c.ring.Shards() {
-		up := 0
-		if c.prober.healthy(i) {
-			up = 1
-		}
-		fmt.Fprintf(w, "prestored_coordinator_shard_healthy{shard=%q} %d\n", s, up)
-	}
-
-	c.mu.Lock()
-	tracked := len(c.jobs)
-	c.mu.Unlock()
-	gauge("prestored_coordinator_shards", "Configured worker shards.", float64(len(c.ring.Shards())))
-	gauge("prestored_coordinator_jobs_tracked", "Jobs the coordinator is tracking.", float64(tracked))
-	gauge("prestored_coordinator_streams_active", "Client streams currently proxied.", float64(m.streamsUp.Load()))
-	gauge("prestored_coordinator_span_traces", "Traces currently held in the coordinator span store.", float64(c.spans.Traces()))
-	counter("prestored_coordinator_flight_records_total", "Events recorded by the coordinator flight recorder.", int64(c.flight.Recorded()))
-	gauge("prestored_coordinator_uptime_seconds", "Seconds since the coordinator started.", time.Since(c.start).Seconds())
+	return out
 }

@@ -56,9 +56,6 @@ func ringHash(s string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// Shards returns the shard base URLs in construction order.
-func (r *Ring) Shards() []string { return r.shards }
-
 // Sequence returns every shard index in preference order for key: the
 // owner first, then each successive distinct shard walking the ring.
 // The coordinator routes to the first healthy entry, which is what

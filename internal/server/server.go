@@ -178,7 +178,7 @@ func New(cfg Config) *Server {
 		cfg.Flight = obs.NewFlightRecorder(0)
 	}
 	s := &Server{
-		log: cfg.Logger,
+		log:      cfg.Logger,
 		cfg:      cfg,
 		queue:    make(chan *job, cfg.QueueDepth),
 		jobs:     make(map[string]*job),
@@ -203,7 +203,7 @@ func New(cfg Config) *Server {
 		ck.SetFlight(s.flight)
 		s.ck = ck
 	}
-	s.m.init()
+	s.initMetrics()
 	s.routes()
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -265,7 +265,7 @@ func (s *Server) worker() {
 			continue
 		}
 		wait := time.Since(j.submitted)
-		s.m.queueWait.observe(j.kind, wait)
+		s.m.queueWait.Observe(wait, j.kind)
 		// The queue wait becomes a span after the fact: submit time to
 		// pickup, parented to the job's root span.
 		s.tracer.Record(j.sc, "queue.wait", j.submitted, time.Now(), obs.KV("kind", j.kind))
@@ -290,7 +290,7 @@ func (s *Server) worker() {
 		dur := time.Since(start)
 		runSpan.End()
 		s.m.running.Add(-1)
-		s.m.runDur.observe(j.kind, dur)
+		s.m.runDur.Observe(dur, j.kind)
 		s.finalize(j, res)
 	}
 }
@@ -436,7 +436,7 @@ func (s *Server) finalize(j *job, res bench.Result) {
 		s.flight.Record("job.cancelled", j.id, j.sc.Trace.String(), j.kind)
 		s.log.InfoContext(logCtx, "job cancelled", attrs...)
 	}
-	s.m.finished.inc(j.kind, final.String())
+	s.m.finished.Inc(j.kind, final.String())
 	j.cancel() // release the context's resources
 	j.out.close()
 	close(j.done)
@@ -505,7 +505,7 @@ func (s *Server) finalizeAbandoned(j *job) {
 	s.finished = append(s.finished, j.id)
 	s.mu.Unlock()
 	s.m.jobsCancelled.Add(1)
-	s.m.finished.inc(j.kind, stateCancelled.String())
+	s.m.finished.Inc(j.kind, stateCancelled.String())
 	s.tracer.Add(obs.Span{
 		Trace: j.sc.Trace, ID: j.sc.Span, Parent: j.parent,
 		Name: "job", Start: j.submitted.UnixNano(), End: time.Now().UnixNano(),
@@ -560,14 +560,13 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/experiments", s.handleListExperiments)
 	s.mux.HandleFunc("GET /v1/registry", s.handleRegistry)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleListWorkloads)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStreamJob)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/timeline", s.artifactHandler("timeline"))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/linereport", s.artifactHandler("linereport"))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/trajectory", s.artifactHandler("trajectory"))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/winner", s.artifactHandler("winner"))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/spans", s.handleJobSpans)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
+	s.mux.HandleFunc("GET /v1/jobs/{id}", s.jobHandler(s.handleGetJob))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.jobHandler(s.streamJob))
+	for _, name := range []string{"timeline", "linereport", "trajectory", "winner"} {
+		s.mux.HandleFunc("GET /v1/jobs/{id}/"+name, s.jobHandler(s.artifactHandler(name)))
+	}
+	s.mux.HandleFunc("GET /v1/jobs/{id}/spans", s.jobHandler(s.handleJobSpans))
+	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.jobHandler(s.handleCancelJob))
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/debug/flightrecorder", s.handleFlightRecorder)
@@ -583,13 +582,8 @@ func (s *Server) routes() {
 // artifactHandler serves a job's named artifact (recorded telemetry).
 // 409 while the job is still producing it, 404 when the job never
 // recorded one (the submit lacked a telemetry block).
-func (s *Server) artifactHandler(name string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		j := s.job(r.PathValue("id"))
-		if j == nil {
-			writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-			return
-		}
+func (s *Server) artifactHandler(name string) func(http.ResponseWriter, *http.Request, *job) {
+	return func(w http.ResponseWriter, r *http.Request, j *job) {
 		if !j.finished() {
 			writeError(w, http.StatusConflict, "job %s is not finished; poll GET /v1/jobs/%s", j.id, j.id)
 			return
@@ -610,12 +604,7 @@ func (s *Server) artifactHandler(name string) http.HandlerFunc {
 // Unlike telemetry artifacts it is available while the job is still
 // running — a partial span tree is exactly what you want when asking
 // why a job is slow right now.
-func (s *Server) handleJobSpans(w http.ResponseWriter, r *http.Request) {
-	j := s.job(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
+func (s *Server) handleJobSpans(w http.ResponseWriter, r *http.Request, j *job) {
 	spans, dropped := s.spans.Spans(j.sc.Trace)
 	w.Header().Set("Content-Type", "application/json")
 	telemetry.WriteSpanTimeline(w, spans, dropped)
@@ -754,21 +743,24 @@ func (s *Server) job(id string) *job {
 	return s.jobs[id]
 }
 
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	j := s.job(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
+// jobHandler wraps a /v1/jobs/{id}… handler in the job lookup they
+// share; unknown IDs are 404s.
+func (s *Server) jobHandler(h func(http.ResponseWriter, *http.Request, *job)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j := s.job(r.PathValue("id"))
+		if j == nil {
+			writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+			return
+		}
+		h(w, r, j)
 	}
+}
+
+func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request, j *job) {
 	writeJSON(w, http.StatusOK, j.status())
 }
 
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	j := s.job(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
+func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request, j *job) {
 	s.cancelJob(j)
 	writeJSON(w, http.StatusOK, j.status())
 }
@@ -778,15 +770,6 @@ type streamEvent struct {
 	Event string     `json:"event"` // "status", "output", "done"
 	Data  string     `json:"data,omitempty"`
 	Job   *JobStatus `json:"job,omitempty"`
-}
-
-func (s *Server) handleStreamJob(w http.ResponseWriter, r *http.Request) {
-	j := s.job(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	s.streamJob(w, r, j)
 }
 
 // streamJob follows a job as NDJSON: a status line, output chunks as
@@ -817,33 +800,21 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
 		s.tracer.Record(j.sc, "stream.replay", streamStart, time.Now(),
 			obs.KV("offset", strconv.Itoa(attachOff)))
 	}()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	flush := func() {
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-	enc := json.NewEncoder(w)
-
+	emit := NDJSON(w)
 	s.watch(j)
 	defer s.unwatch(j)
 
 	st := j.status()
-	if err := enc.Encode(streamEvent{Event: "status", Job: &st}); err != nil {
+	if emit(streamEvent{Event: "status", Job: &st}) != nil {
 		return
 	}
-	flush()
-
 	for {
 		chunk, noff, closed, wake := j.out.next(off)
 		if len(chunk) > 0 {
 			off = noff
-			if err := enc.Encode(streamEvent{Event: "output", Data: string(chunk)}); err != nil {
+			if emit(streamEvent{Event: "output", Data: string(chunk)}) != nil {
 				return
 			}
-			flush()
 			continue
 		}
 		if closed {
@@ -857,8 +828,26 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
 	}
 	<-j.done
 	st = j.status()
-	enc.Encode(streamEvent{Event: "done", Job: &st})
-	flush()
+	emit(streamEvent{Event: "done", Job: &st})
+}
+
+// NDJSON starts a 200 NDJSON stream on w and returns the function that
+// writes one event line and flushes it to the client. The daemon's and
+// the coordinator's job streams both write through it.
+func NDJSON(w http.ResponseWriter) func(event any) error {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	fl, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	return func(event any) error {
+		if err := enc.Encode(event); err != nil {
+			return err
+		}
+		if fl != nil {
+			fl.Flush()
+		}
+		return nil
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -871,33 +860,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	queued := len(s.queue)
-	cacheEntries := len(s.cache)
-	inflight := len(s.inflight)
-	s.mu.Unlock()
-	g := metricsGauges{
-		queueDepth:    queued,
-		queueCapacity: s.cfg.QueueDepth,
-		workers:       s.cfg.Workers,
-		inflight:      inflight,
-		cacheEntries:  cacheEntries,
-		uptime:        time.Since(s.start),
-		version:       s.cfg.Version,
-		goVersion:     obs.GoVersion(),
-		spanTraces:    s.spans.Traces(),
-		flightRecords: s.flight.Recorded(),
-	}
-	if s.ck != nil {
-		g.ckptEnabled = true
-		g.ckptHits = s.ck.Hits()
-		g.ckptMisses = s.ck.Misses()
-		g.ckptBytes = s.ck.Bytes()
-	}
-	g.traceBytes, g.traceStored = s.traces.usage()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.m.render(w, g)
 }
