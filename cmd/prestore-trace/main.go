@@ -1,17 +1,29 @@
-// Command prestore-trace records a workload's full operation trace to a
-// file and analyzes recordings offline — DirtBuster's intended usage as
+// Command prestore-trace runs DirtBuster on the bundled workloads, live
+// or from recordings analyzed offline — DirtBuster's intended usage as
 // an optimization pass decoupled from the profiled run (paper §6.1).
 //
+// Given only -workload, it runs the live three-step pipeline (sampling,
+// then full instrumentation) and prints the paper-format report: the
+// write-intensive functions, their sequentiality contexts with re-read
+// and re-write distances, fence proximity, and the pre-store
+// recommendation for each.
+//
 // Recording streams chunks to disk as the workload runs (v2 chunked
-// format), so peak memory stays flat no matter how long the trace is;
-// analysis streams the chunks back in two bounded-memory passes.
-// Recordings can also be shipped to a prestored daemon (or cluster
-// coordinator) for remote sharded analysis.
+// format), so peak memory stays flat no matter how long the trace is.
+// Every offline analysis streams the chunks back with bounded memory:
+// the DirtBuster report in two passes, the -report time profile as its
+// first pass, and -pmcheck in one. Recordings can also be shipped to a
+// prestored daemon (or cluster coordinator) for remote sharded
+// analysis.
 //
 // Usage:
 //
+//	prestore-trace -list                 # available workloads
+//	prestore-trace -workload tensorflow  # live analysis of one workload
+//	prestore-trace -workload all         # analyze everything (Table 2)
 //	prestore-trace -record tf.trace -workload tensorflow
 //	prestore-trace -analyze tf.trace -line 64
+//	prestore-trace -analyze tf.trace -report
 //	prestore-trace -analyze tf.trace -pmcheck -pmbase 0x10000000000
 //	prestore-trace -upload tf.trace -server http://localhost:8344
 package main
@@ -39,7 +51,7 @@ func main() {
 	analyze := flag.String("analyze", "", "analyze a recorded trace file")
 	upload := flag.String("upload", "", "upload a recorded trace to -server and analyze it there")
 	serverURL := flag.String("server", "", "prestored daemon or coordinator base URL for -upload")
-	workload := flag.String("workload", "", "workload to record (see prestore-trace -list)")
+	workload := flag.String("workload", "", "workload to record, or to analyze live ('all' for every one; see -list)")
 	list := flag.Bool("list", false, "list recordable workloads")
 	quick := flag.Bool("quick", true, "use smoke-sized workloads (full-size traces are huge)")
 	chunk := flag.Int("chunk", trace.DefaultChunkRecords, "records per chunk when recording")
@@ -47,8 +59,8 @@ func main() {
 	lineSize := flag.Uint64("line", 64, "cache line size of the recorded machine")
 	report := flag.Bool("report", false, "print a perf-report-style per-function time profile")
 	pmCheck := flag.Bool("pmcheck", false, "run the persistence checker instead of DirtBuster")
-	pmBase := flag.Uint64("pmbase", 1<<40, "persistent range base for -pmcheck")
-	pmSize := flag.Uint64("pmsize", 256<<30, "persistent range size for -pmcheck")
+	pmBase := flag.Uint64("pmbase", pmcheck.DefaultBase, "persistent range base for -pmcheck")
+	pmSize := flag.Uint64("pmsize", pmcheck.DefaultSize, "persistent range size for -pmcheck")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -62,49 +74,26 @@ func main() {
 			fmt.Println(w.Name)
 		}
 	case *record != "" && *workload != "":
-		doRecord(*record, *workload, *quick, *chunk)
+		doRecord(*record, findWorkload(*workload, *quick), *chunk)
 	case *analyze != "" && *report:
-		tb := loadTrace(*analyze)
-		fmt.Printf("%-32s %10s %8s %8s %8s\n", "function", "cycles", "time%", "store%", "ops")
-		for _, ft := range tb.TimeByFunction() {
-			if ft.Fn == "" {
-				ft.Fn = "(untagged)"
-			}
-			storePct := 0.0
-			if ft.Cycles > 0 {
-				storePct = 100 * float64(ft.StoreCyc) / float64(ft.Cycles)
-			}
-			fmt.Printf("%-32s %10d %7.1f%% %7.1f%% %8d\n",
-				ft.Fn, ft.Cycles, ft.TimeShare*100, storePct, ft.Ops)
+		st, err := dirtbuster.StatsOf(openTrace(*analyze))
+		if err != nil {
+			fatal(err)
 		}
+		fmt.Print(st.RenderProfile())
 	case *analyze != "" && *pmCheck:
-		tb := loadTrace(*analyze)
-		res := pmcheck.Check(tb, pmcheck.Config{
+		res, err := pmcheck.Check(openTrace(*analyze), pmcheck.Config{
 			Base: *pmBase, Size: *pmSize, LineSize: *lineSize,
 		})
-		fmt.Printf("pmcheck: %d line-stores checked, %d commits, %d violations\n",
-			res.StoresChecked, res.Commits, len(res.Violations))
-		for _, v := range res.Violations {
-			fmt.Println("  ", v)
+		if err != nil {
+			fatal(err)
 		}
+		fmt.Print(res.Render())
 		if !res.Ok() {
 			os.Exit(1)
 		}
 	case *analyze != "":
-		// The DirtBuster path streams chunks in two bounded-memory
-		// passes instead of decoding the whole trace.
-		open := func() (dirtbuster.ChunkIter, error) {
-			f, err := os.Open(*analyze)
-			if err != nil {
-				return nil, err
-			}
-			cr, err := trace.NewChunkReader(f)
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
-			return &closingIter{cr: cr, f: f}, nil
-		}
+		open := func() (dirtbuster.ChunkIter, error) { return openTrace(*analyze), nil }
 		rep, err := dirtbuster.AnalyzeChunkSource(*name, open, *lineSize, dirtbuster.Config{})
 		if err != nil {
 			fatal(err)
@@ -112,53 +101,64 @@ func main() {
 		fmt.Println(rep.Render())
 	case *upload != "" && *serverURL != "":
 		doUpload(*serverURL, *upload, *name, *lineSize)
+	case *workload == "all":
+		for _, w := range bench.Table2Workloads(*quick) {
+			fmt.Println(dirtbuster.Analyze(w, dirtbuster.Config{}).Render())
+		}
+	case *workload != "":
+		fmt.Println(dirtbuster.Analyze(findWorkload(*workload, *quick), dirtbuster.Config{}).Render())
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 }
 
+// findWorkload returns the named bundled workload, exiting on an
+// unknown name.
+func findWorkload(name string, quick bool) dirtbuster.Workload {
+	for _, w := range bench.Table2Workloads(quick) {
+		if w.Name == name {
+			return w
+		}
+	}
+	fmt.Fprintf(os.Stderr, "unknown workload %q; try -list\n", name)
+	os.Exit(2)
+	return dirtbuster.Workload{}
+}
+
 // doRecord streams the workload's trace to the file chunk by chunk:
 // the writer's buffer holds at most one chunk of records, so peak RSS
 // is flat in trace length.
-func doRecord(path, workload string, quick bool, chunkRecords int) {
-	for _, w := range bench.Table2Workloads(quick) {
-		if w.Name != workload {
-			continue
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		tw := trace.NewWriter(f, trace.WriterOptions{ChunkRecords: chunkRecords})
-		line := dirtbuster.RecordStream(w, tw.Hook())
-		if err := tw.Close(); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("recorded %d ops of %q (line size %dB) to %s in %d chunks\n",
-			tw.Records(), w.Name, line, path, tw.Chunks())
-		return
+func doRecord(path string, w dirtbuster.Workload, chunkRecords int) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "unknown workload %q; try -list\n", workload)
-	os.Exit(2)
+	tw := trace.NewWriter(f, trace.WriterOptions{ChunkRecords: chunkRecords})
+	line := dirtbuster.RecordStream(w, tw.Hook())
+	if err := tw.Close(); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("recorded %d ops of %q (line size %dB) to %s in %d chunks\n",
+		tw.Records(), w.Name, line, path, tw.Chunks())
 }
 
-// loadTrace fully decodes a recording (v1 or v2) for the analyses that
-// need the whole buffer in memory (-report, -pmcheck).
-func loadTrace(path string) *trace.Buffer {
+// openTrace opens a recording (v1 or v2) as a chunk stream that
+// closes the file when the stream ends; it exits if the file cannot be
+// opened.
+func openTrace(path string) trace.ChunkIter {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	tb, err := trace.Decode(f)
+	cr, err := trace.NewChunkReader(f)
 	if err != nil {
 		fatal(err)
 	}
-	return tb
+	return &closingIter{cr: cr, f: f}
 }
 
 // closingIter closes the underlying file when the chunk stream ends.

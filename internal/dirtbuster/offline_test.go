@@ -2,6 +2,8 @@ package dirtbuster
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"prestores/internal/core"
@@ -42,16 +44,17 @@ func TestOfflineMatchesLive(t *testing.T) {
 }
 
 func TestOfflineThroughEncodeDecode(t *testing.T) {
-	w := streamWorkload()
-	tb, line := Record(w)
-	var buf bytes.Buffer
-	if err := tb.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := trace.Decode(&buf)
+	// testdata/stream.v1.pstr is streamWorkload's recording in the
+	// read-only v1 format, written once by the v1 encoder.
+	data, err := os.ReadFile(filepath.Join("testdata", "stream.v1.pstr"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	decoded, err := trace.Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := streamWorkload().NewMachine().LineSize()
 	rep := AnalyzeTrace("stream", decoded, line, Config{})
 	if got := rep.Advice("stream.write"); got != core.Skip {
 		t.Fatalf("advice after file roundtrip = %v\n%s", got, rep.Render())

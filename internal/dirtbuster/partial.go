@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"prestores/internal/core"
 	"prestores/internal/profile"
@@ -43,6 +44,7 @@ import (
 
 // FnAgg is one function's pass-1 aggregate.
 type FnAgg struct {
+	Ops         uint64 `json:"ops"` // records of every kind
 	Loads       uint64 `json:"loads"`
 	Stores      uint64 `json:"stores"` // includes non-temporal stores and atomics
 	Cycles      uint64 `json:"cycles"`
@@ -71,6 +73,7 @@ func (s *Stats) AddRecord(r trace.Record, fn string) {
 	s.Records++
 	s.TotalCycles += r.Cost
 	a := s.Fns[fn]
+	a.Ops++
 	a.Cycles += r.Cost
 	switch r.Kind {
 	case sim.OpLoad:
@@ -98,6 +101,7 @@ func (s *Stats) Merge(o *Stats) {
 	}
 	for fn, oa := range o.Fns {
 		a := s.Fns[fn]
+		a.Ops += oa.Ops
 		a.Loads += oa.Loads
 		a.Stores += oa.Stores
 		a.Cycles += oa.Cycles
@@ -110,6 +114,54 @@ func (s *Stats) Merge(o *Stats) {
 		s.MaxCore = o.MaxCore
 	}
 	s.Records += o.Records
+}
+
+// StatsOf runs pass 1 alone: the merged aggregate of every chunk it
+// yields.
+func StatsOf(it ChunkIter) (*Stats, error) {
+	s := NewStats()
+	err := trace.ForEach(it, func(c *trace.Chunk) error {
+		s.AddChunk(c)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// RenderProfile renders the perf-report-style per-function time
+// profile: functions by cycles, with their share of the trace's time,
+// the share of their own cycles spent storing, and their op count.
+func (s *Stats) RenderProfile() string {
+	fns := make([]string, 0, len(s.Fns))
+	for fn := range s.Fns {
+		fns = append(fns, fn)
+	}
+	sort.Slice(fns, func(i, j int) bool {
+		a, b := s.Fns[fns[i]], s.Fns[fns[j]]
+		if a.Cycles != b.Cycles {
+			return a.Cycles > b.Cycles
+		}
+		return fns[i] < fns[j]
+	})
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-32s %10s %8s %8s %8s\n", "function", "cycles", "time%", "store%", "ops")
+	for _, fn := range fns {
+		a := s.Fns[fn]
+		var timeShare, storePct float64
+		if s.TotalCycles > 0 {
+			timeShare = float64(a.Cycles) / float64(s.TotalCycles)
+		}
+		if a.Cycles > 0 {
+			storePct = 100 * float64(a.StoreCycles) / float64(a.Cycles)
+		}
+		if fn == "" {
+			fn = "(untagged)"
+		}
+		fmt.Fprintf(&b, "%-32s %10d %7.1f%% %7.1f%% %8d\n", fn, a.Cycles, timeShare*100, storePct, a.Ops)
+	}
+	return b.String()
 }
 
 // Plan is the step-1 outcome: the function ranking, the
@@ -427,9 +479,7 @@ func (p *Plan) Finish(pt *Partial) (*Report, error) {
 
 // ChunkIter yields the chunks of a trace in order; trace.ChunkReader
 // satisfies it.
-type ChunkIter interface {
-	Next() (*trace.Chunk, error)
-}
+type ChunkIter = trace.ChunkIter
 
 // ChunkSource opens a fresh in-order pass over a trace's chunks. The
 // two-pass pipeline calls it twice.
@@ -439,39 +489,22 @@ type ChunkSource func() (ChunkIter, error)
 // AnalyzeTrace: two passes over the chunks, never holding more than
 // one chunk in memory.
 func AnalyzeChunkSource(app string, open ChunkSource, lineSize uint64, cfg Config) (*Report, error) {
-	stats := NewStats()
 	it, err := open()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		c, err := it.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		stats.AddChunk(c)
+	stats, err := StatsOf(it)
+	if err != nil {
+		return nil, err
 	}
 	plan := stats.Plan(app, lineSize, cfg)
 	a := plan.NewAnalysis()
 	if plan.WriteIntensive {
-		it, err = open()
-		if err != nil {
+		if it, err = open(); err != nil {
 			return nil, err
 		}
-		for {
-			c, err := it.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			if err := a.AddChunk(c); err != nil {
-				return nil, err
-			}
+		if err := trace.ForEach(it, a.AddChunk); err != nil {
+			return nil, err
 		}
 	}
 	return a.Report(), nil

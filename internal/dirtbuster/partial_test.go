@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"prestores/internal/sim"
@@ -338,4 +339,38 @@ func FuzzDecodePartial(f *testing.F) {
 			t.Fatalf("re-decode of re-encoded partial: %v", err)
 		}
 	})
+}
+
+// TestProfileFromStats checks the per-function time profile rendered
+// from the pass-1 aggregate.
+func TestProfileFromStats(t *testing.T) {
+	tb, _ := Record(wl("profile", func(c *sim.Core) {
+		c.PushFunc("writer")
+		for i := uint64(0); i < 200; i++ {
+			c.Write(1<<40+i*4096, make([]byte, 256))
+		}
+		c.PopFunc()
+		c.PushFunc("thinker")
+		c.Compute(50)
+		c.PopFunc()
+	}))
+	st := NewStats()
+	tb.Replay(st.AddRecord)
+	rows := strings.Split(strings.TrimSuffix(st.RenderProfile(), "\n"), "\n")[1:]
+	if len(rows) < 2 {
+		t.Fatalf("profile has %d functions", len(rows))
+	}
+	if top := strings.Fields(rows[0])[0]; top != "writer" {
+		t.Fatalf("top function %q, want writer", top)
+	}
+	if w := st.Fns["writer"]; w.StoreCycles == 0 || w.Cycles == 0 || w.Ops == 0 {
+		t.Fatalf("writer attribution: %+v", w)
+	}
+	var total float64
+	for _, a := range st.Fns {
+		total += float64(a.Cycles) / float64(st.TotalCycles)
+	}
+	if total < 0.99 || total > 1.01 {
+		t.Fatalf("time shares sum to %v", total)
+	}
 }

@@ -7,7 +7,8 @@
 // The paper uses cleaning instructions for *performance*; persistent
 // programming uses the same instructions for *correctness*. Both
 // workflows share the instrumentation substrate, so the checker
-// consumes the same operation traces DirtBuster analyzes.
+// streams the same chunked operation traces DirtBuster analyzes, one
+// chunk at a time.
 //
 // Model: a store to the checked range is "volatile" until a clean
 // covering its line is issued and a subsequent fence (or atomic)
@@ -19,6 +20,7 @@ package pmcheck
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"prestores/internal/sim"
 	"prestores/internal/trace"
@@ -39,6 +41,13 @@ func (v Violation) String() string {
 	return fmt.Sprintf("line %#x written in %s not persisted at commit in %s (instr %d)",
 		v.Line, v.StoreFn, v.CommitFn, v.Instr)
 }
+
+// The default persistent window, used when a caller names no range:
+// machine A's PMEM window.
+const (
+	DefaultBase = 1 << 40
+	DefaultSize = 256 << 30
+)
 
 // Config parameterizes a check.
 type Config struct {
@@ -76,8 +85,20 @@ type Result struct {
 // Ok reports whether no violations were found.
 func (r Result) Ok() bool { return len(r.Violations) == 0 }
 
-// Check replays the trace and reports unpersisted-at-commit lines.
-func Check(tb *trace.Buffer, cfg Config) Result {
+// Render prints the summary line and one line per violation.
+func (r Result) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "pmcheck: %d line-stores checked, %d commits, %d violations\n",
+		r.StoresChecked, r.Commits, len(r.Violations))
+	for _, v := range r.Violations {
+		fmt.Fprintln(&b, "  ", v)
+	}
+	return b.String()
+}
+
+// Check streams the trace's chunks in order and reports
+// unpersisted-at-commit lines. It fails only if reading a chunk does.
+func Check(it trace.ChunkIter, cfg Config) (Result, error) {
 	if cfg.LineSize == 0 {
 		cfg.LineSize = 64
 	}
@@ -98,25 +119,15 @@ func Check(tb *trace.Buffer, cfg Config) Result {
 	lines := map[uint64]*lineInfo{}
 	var res Result
 
-	tb.Replay(func(r trace.Record, fn string) {
+	step := func(r trace.Record, fn string) {
 		switch r.Kind {
-		case sim.OpStore:
-			for l := units.AlignDown(r.Addr, cfg.LineSize); l < r.Addr+r.Size; l += cfg.LineSize {
-				if !inRange(l) {
-					continue
-				}
-				res.StoresChecked++
-				li := lines[l]
-				if li == nil {
-					li = &lineInfo{}
-					lines[l] = li
-				}
-				li.state = stateDirty
-				li.fn = fn
+		case sim.OpStore, sim.OpStoreNT:
+			state := stateDirty
+			if r.Kind == sim.OpStoreNT {
+				// Non-temporal stores go straight toward memory; they
+				// still need an ordering fence.
+				state = statePending
 			}
-		case sim.OpStoreNT:
-			// Non-temporal stores go straight toward memory; they still
-			// need an ordering fence.
 			for l := units.AlignDown(r.Addr, cfg.LineSize); l < r.Addr+r.Size; l += cfg.LineSize {
 				if !inRange(l) {
 					continue
@@ -127,7 +138,7 @@ func Check(tb *trace.Buffer, cfg Config) Result {
 					li = &lineInfo{}
 					lines[l] = li
 				}
-				li.state = statePending
+				li.state = state
 				li.fn = fn
 			}
 		case sim.OpPrestoreClean:
@@ -175,6 +186,12 @@ func Check(tb *trace.Buffer, cfg Config) Result {
 				delete(lines, l)
 			}
 		}
+	}
+	err := trace.ForEach(it, func(c *trace.Chunk) error {
+		for _, r := range c.Records {
+			step(r, c.FuncName(r.Fn))
+		}
+		return nil
 	})
-	return res
+	return res, err
 }

@@ -1,6 +1,7 @@
 package pmcheck
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -10,14 +11,34 @@ import (
 
 const pmBase = uint64(1) << 40
 
-// record traces fn's operations on a fresh machine A.
-func record(fn func(c *sim.Core)) *trace.Buffer {
-	tb := trace.NewBuffer()
+// record traces fn's operations on a fresh machine A into a chunked
+// trace. Chunks are tiny so stores, cleans, fences and commits land in
+// different chunks.
+func record(fn func(c *sim.Core)) []byte {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf, trace.WriterOptions{ChunkRecords: 4})
 	m := sim.MachineA()
-	m.SetHook(tb.Hook())
+	m.SetHook(w.Hook())
 	fn(m.Core(0))
 	m.SetHook(nil)
-	return tb
+	if err := w.Close(); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// check streams a recorded trace through the checker.
+func check(t *testing.T, data []byte, cfg Config) Result {
+	t.Helper()
+	cr, err := trace.NewChunkReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Check(cr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestCorrectProtocolPasses(t *testing.T) {
@@ -32,7 +53,7 @@ func TestCorrectProtocolPasses(t *testing.T) {
 		c.CAS(pmBase+1<<20, 0, 1) // commit
 		c.PopFunc()
 	})
-	res := Check(tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
+	res := check(t, tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
 	if !res.Ok() {
 		t.Fatalf("correct protocol flagged: %v", res.Violations)
 	}
@@ -49,7 +70,7 @@ func TestMissingCleanFlagged(t *testing.T) {
 		c.CAS(pmBase+1<<20, 0, 1)
 		c.PopFunc()
 	})
-	res := Check(tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
+	res := check(t, tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
 	if res.Ok() {
 		t.Fatal("missing clean not flagged")
 	}
@@ -77,7 +98,7 @@ func TestCleanWithoutFenceFlagged(t *testing.T) {
 		c.Prestore(pmBase, 64, sim.Clean)
 		c.PopFunc()
 	})
-	res := Check(tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
+	res := check(t, tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
 	if res.Ok() {
 		t.Fatal("late clean not flagged")
 	}
@@ -91,7 +112,7 @@ func TestNTStoreNeedsOnlyFence(t *testing.T) {
 		c.CAS(pmBase+1<<20, 0, 1)
 		c.PopFunc()
 	})
-	res := Check(tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
+	res := check(t, tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
 	if !res.Ok() {
 		t.Fatalf("NT + fence flagged: %v", res.Violations)
 	}
@@ -104,7 +125,7 @@ func TestRangeRestriction(t *testing.T) {
 		c.CAS(pmBase+1<<20, 0, 1)
 		c.PopFunc()
 	})
-	res := Check(tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
+	res := check(t, tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
 	if !res.Ok() {
 		t.Fatalf("out-of-range store flagged: %v", res.Violations)
 	}
@@ -120,7 +141,7 @@ func TestCommitFnFilter(t *testing.T) {
 		c.Fence()
 		c.PopFunc()
 	})
-	res := Check(tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64, CommitFn: "log.commit"})
+	res := check(t, tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64, CommitFn: "log.commit"})
 	if res.Ok() {
 		t.Fatal("uncleaned store survived a named commit")
 	}
@@ -138,7 +159,7 @@ func TestViolationCap(t *testing.T) {
 		c.CAS(pmBase+1<<20, 0, 1)
 		c.PopFunc()
 	})
-	res := Check(tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64, MaxViolations: 5})
+	res := check(t, tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64, MaxViolations: 5})
 	if len(res.Violations) != 5 {
 		t.Fatalf("cap not applied: %d", len(res.Violations))
 	}

@@ -184,43 +184,29 @@ func runChunks[T any](ctx context.Context, data []byte, conc int,
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	type item struct {
-		idx int
-		c   *trace.Chunk
-	}
 	type res struct {
 		idx int
 		v   T
 		err error
 	}
-	work := make(chan item, conc)
+	work := make(chan *trace.Chunk, conc)
 	results := make(chan res, conc)
 	readErr := make(chan error, 1)
 
 	go func() {
 		defer close(work)
 		cr, err := trace.NewChunkReader(bytes.NewReader(data))
-		if err != nil {
-			readErr <- err
-			return
+		if err == nil {
+			err = trace.ForEach(cr, func(c *trace.Chunk) error {
+				select {
+				case work <- c:
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			})
 		}
-		for idx := 0; ; idx++ {
-			c, err := cr.Next()
-			if err == io.EOF {
-				readErr <- nil
-				return
-			}
-			if err != nil {
-				readErr <- err
-				return
-			}
-			select {
-			case work <- item{idx, c}:
-			case <-ctx.Done():
-				readErr <- ctx.Err()
-				return
-			}
-		}
+		readErr <- err
 	}()
 
 	var wg sync.WaitGroup
@@ -228,10 +214,10 @@ func runChunks[T any](ctx context.Context, data []byte, conc int,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for it := range work {
-				v, err := fn(ctx, it.c)
+			for c := range work {
+				v, err := fn(ctx, c)
 				select {
-				case results <- res{it.idx, v, err}:
+				case results <- res{c.Index, v, err}:
 				case <-ctx.Done():
 					return
 				}

@@ -10,6 +10,7 @@ import (
 	"prestores/internal/dirtbuster"
 	"prestores/internal/pmcheck"
 	"prestores/internal/sim"
+	"prestores/internal/trace"
 )
 
 // experimentSpec is the POST /v1/experiments body. Its JSON encoding
@@ -128,53 +129,58 @@ func (s *Server) dirtbusterRun(wl dirtbuster.Workload) func(context.Context, *jo
 		})
 }
 
-// traceRun builds the run function for a trace-analysis job: record
-// the workload's full operation trace, then analyze the recording
-// offline per spec.Mode. Cancellation is checked between the record
-// and analyze stages.
+// traceRun builds the run function for a trace-analysis job: stream
+// the workload's operation trace into an in-memory chunked recording,
+// then analyze the chunks offline per spec.Mode — "dirtbuster" through
+// the same two-pass pipeline as /v1/analyses, "report" as its pass 1,
+// "pmcheck" one chunk at a time. Cancellation is checked between the
+// record and analyze stages.
 func (s *Server) traceRun(wl dirtbuster.Workload, spec traceSpec) func(context.Context, *job) bench.Result {
 	mode := spec.Mode
 	if mode == "" {
 		mode = "dirtbuster"
 	}
 	return analysisRun("trace/"+mode+"/"+wl.Name, "trace analysis ("+mode+") of "+wl.Name, s.cfg.JobTimeout,
-		func(ctx context.Context, _ *job, out *bytes.Buffer) error {
-			wl := attachOps(ctx, wl)
-			tb, line := dirtbuster.Record(wl)
+		func(ctx context.Context, j *job, out *bytes.Buffer) error {
+			var rec bytes.Buffer
+			tw := trace.NewWriter(&rec, trace.WriterOptions{})
+			line := dirtbuster.RecordStream(attachOps(ctx, wl), tw.Hook())
+			if err := tw.Close(); err != nil {
+				return fmt.Errorf("recording trace: %w", err)
+			}
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("cancelled: %w", err)
 			}
+			cr, err := trace.NewChunkReader(bytes.NewReader(rec.Bytes()))
+			if err != nil {
+				return err
+			}
 			switch mode {
 			case "dirtbuster":
-				rep := dirtbuster.AnalyzeTrace(wl.Name, tb, line, dirtbuster.Config{})
+				rep, err := s.analyzeStored(ctx, j.out, rec.Bytes(), analysisSpec{App: wl.Name, LineSize: line})
+				if err != nil {
+					return err
+				}
 				fmt.Fprintln(out, rep.Render())
 			case "report":
-				fmt.Fprintf(out, "%-32s %10s %8s %8s %8s\n", "function", "cycles", "time%", "store%", "ops")
-				for _, ft := range tb.TimeByFunction() {
-					if ft.Fn == "" {
-						ft.Fn = "(untagged)"
-					}
-					storePct := 0.0
-					if ft.Cycles > 0 {
-						storePct = 100 * float64(ft.StoreCyc) / float64(ft.Cycles)
-					}
-					fmt.Fprintf(out, "%-32s %10d %7.1f%% %7.1f%% %8d\n",
-						ft.Fn, ft.Cycles, ft.TimeShare*100, storePct, ft.Ops)
+				st, err := dirtbuster.StatsOf(cr)
+				if err != nil {
+					return err
 				}
+				out.WriteString(st.RenderProfile())
 			case "pmcheck":
-				base, size := spec.PMBase, spec.PMSize
-				if base == 0 {
-					base = 1 << 40
+				cfg := pmcheck.Config{Base: spec.PMBase, Size: spec.PMSize, LineSize: line}
+				if cfg.Base == 0 {
+					cfg.Base = pmcheck.DefaultBase
 				}
-				if size == 0 {
-					size = 256 << 30
+				if cfg.Size == 0 {
+					cfg.Size = pmcheck.DefaultSize
 				}
-				res := pmcheck.Check(tb, pmcheck.Config{Base: base, Size: size, LineSize: line})
-				fmt.Fprintf(out, "pmcheck: %d line-stores checked, %d commits, %d violations\n",
-					res.StoresChecked, res.Commits, len(res.Violations))
-				for _, v := range res.Violations {
-					fmt.Fprintln(out, "  ", v)
+				res, err := pmcheck.Check(cr, cfg)
+				if err != nil {
+					return err
 				}
+				out.WriteString(res.Render())
 			default:
 				return fmt.Errorf("unknown trace mode %q (want dirtbuster, report or pmcheck)", mode)
 			}

@@ -31,6 +31,12 @@
 //
 // Submits return 202 with a job handle (or 200 with the result on a
 // cache hit), 429 when the queue is full, and 503 while shutting down.
+//
+// /v1/dirtbuster runs the live sampling pipeline on a bundled workload.
+// /v1/trace records a bundled workload into an in-memory chunked trace
+// and analyzes its chunks exactly as an uploaded trace would be: the
+// dirtbuster mode through the /v1/analyses pipeline, report as that
+// pipeline's first pass, pmcheck streaming one chunk at a time.
 package server
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -612,10 +613,14 @@ func TestTraceEndpointModes(t *testing.T) {
 		Workers:   1,
 		Workloads: func(bool) []dirtbuster.Workload { return []dirtbuster.Workload{synthWorkload()} },
 	})
-	for mode, want := range map[string]string{
-		"report":  "synthwl.write",
-		"pmcheck": "pmcheck:",
-		"":        "synthwl", // default dirtbuster report
+	// The SHA-256 of each mode's output pins its bytes; the values were
+	// recorded from the whole-buffer implementation the chunked one
+	// replaced.
+	for mode, want := range map[string]struct{ substr, sha string }{
+		"report":     {"synthwl.write", "f48b6d16534327b8f2efff1f9f9d643fd2e9c256c5f0fd9b6ec40518d946cdcd"},
+		"pmcheck":    {"pmcheck:", "e6b8a7ddaf49b088984b9ddebc93758f4979515d7f4dc5cb1e0995a939183502"},
+		"dirtbuster": {"synthwl", "279355eb4649e4ceb522d6b7ef7165586b98666c3fb15a99e3ea8620b9fb55a2"},
+		"":           {"synthwl", "279355eb4649e4ceb522d6b7ef7165586b98666c3fb15a99e3ea8620b9fb55a2"}, // default dirtbuster report
 	} {
 		code, data := postJSON(t, ts.URL+"/v1/trace", map[string]any{"workload": "synthwl", "mode": mode})
 		if code != http.StatusAccepted && code != http.StatusOK {
@@ -624,8 +629,11 @@ func TestTraceEndpointModes(t *testing.T) {
 		var st JobStatus
 		json.Unmarshal(data, &st)
 		st = waitFinal(t, ts.URL, st.ID)
-		if st.State != "done" || !strings.Contains(st.Result.Output, want) {
+		if st.State != "done" || !strings.Contains(st.Result.Output, want.substr) {
 			t.Fatalf("trace mode %q: %+v", mode, st)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(st.Result.Output))); got != want.sha {
+			t.Errorf("trace mode %q: output sha %s, want %s:\n%s", mode, got, want.sha, st.Result.Output)
 		}
 	}
 	// An unknown mode fails the job, not the daemon.

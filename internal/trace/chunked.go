@@ -1,10 +1,10 @@
-// Chunked (v2) trace format: the streaming counterpart to the v1
-// whole-buffer codec. A v2 file is a sequence of fixed-target record
-// chunks, each carrying its own header (record count, core set, delta
-// of newly interned function names) so a reader never needs more than
-// one chunk in memory, followed by a trailing index that lets seekable
-// consumers jump straight to a chunk. The record wire format is shared
-// with v1.
+// Chunked (v2) trace format, the only one written: a v2 file is a
+// sequence of fixed-target record chunks, each carrying its own header
+// (record count, core set, delta of newly interned function names) so
+// a reader never needs more than one chunk in memory, followed by a
+// trailing index that lets seekable consumers jump straight to a
+// chunk. The record wire format is shared with the read-only v1 format
+// (magic | nFuncs u32 | nRecords u32 | names | records).
 //
 // Layout (all little-endian):
 //
@@ -53,7 +53,7 @@ const maxChunkRecords = 1 << 22
 // therefore self-contained and can be shipped to a remote analyzer
 // with EncodeChunk.
 type Chunk struct {
-	Index    int      // position in the trace, 0-based
+	Index    int // position in the trace, 0-based
 	Records  []Record
 	Funcs    []string // cumulative function table; Record.Fn indexes it
 	CoreMask uint64   // bit min(core,63) set for every core seen
@@ -112,10 +112,6 @@ type Writer struct {
 	index []ChunkInfo
 	total uint64
 	off   uint64 // bytes written so far
-
-	// Filter, when non-nil, drops hooked events whose function name
-	// does not satisfy it (mirrors Buffer.Filter).
-	Filter func(fn string) bool
 }
 
 // NewWriter returns a streaming v2 writer over w.
@@ -139,9 +135,6 @@ func NewWriter(w io.Writer, opts WriterOptions) *Writer {
 // I/O errors stick and surface from Flush or Close.
 func (w *Writer) Hook() sim.Hook {
 	return func(ev sim.Event, _ *sim.Core) {
-		if w.Filter != nil && !w.Filter(ev.Fn) {
-			return
-		}
 		w.Append(Record{
 			Core:  uint16(ev.Core),
 			Kind:  ev.Kind,
@@ -407,6 +400,29 @@ func NewChunkReader(r io.Reader) (*ChunkReader, error) {
 	return cr, nil
 }
 
+// ChunkIter yields a trace's chunks in order, then io.EOF;
+// ChunkReader satisfies it.
+type ChunkIter interface {
+	Next() (*Chunk, error)
+}
+
+// ForEach calls fn on every chunk it yields, in order, stopping at
+// io.EOF (returning nil) or at the first error.
+func ForEach(it ChunkIter, fn func(*Chunk) error) error {
+	for {
+		c, err := it.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := fn(c); err != nil {
+			return err
+		}
+	}
+}
+
 // ChunkRecords returns the file's per-chunk record target.
 func (cr *ChunkReader) ChunkRecords() int { return cr.target }
 
@@ -449,12 +465,18 @@ func (cr *ChunkReader) read() (*Chunk, error) {
 	if m == indexMagic {
 		return nil, cr.checkFooter()
 	}
-	if m != chunkMagic {
-		return nil, fmt.Errorf("trace: bad chunk magic")
-	}
+	return cr.readChunk(false)
+}
+
+// readChunk decodes one chunk: header, function-name delta and
+// records. A standalone chunk (EncodeChunk) may carry any index.
+func (cr *ChunkReader) readChunk(standalone bool) (*Chunk, error) {
 	var hdr [chunkHeaderSize]byte
 	if _, err := io.ReadFull(cr.br, hdr[:]); err != nil {
 		return nil, unexpectedEOF(err)
+	}
+	if binary.LittleEndian.Uint32(hdr[0:]) != chunkMagic {
+		return nil, fmt.Errorf("trace: bad chunk magic")
 	}
 	idx := binary.LittleEndian.Uint32(hdr[4:])
 	nRecs := binary.LittleEndian.Uint32(hdr[8:])
@@ -462,7 +484,7 @@ func (cr *ChunkReader) read() (*Chunk, error) {
 	nNewFns := binary.LittleEndian.Uint32(hdr[16:])
 	maxCore := binary.LittleEndian.Uint32(hdr[20:])
 	coreMask := binary.LittleEndian.Uint64(hdr[24:])
-	if int(idx) != cr.next {
+	if int(idx) != cr.next && !standalone {
 		return nil, fmt.Errorf("trace: chunk index %d, want %d", idx, cr.next)
 	}
 	if int(fnBase) != len(cr.fnNames) {
@@ -522,7 +544,9 @@ func (cr *ChunkReader) readV1() (*Chunk, error) {
 }
 
 func (cr *ChunkReader) readRecords(n uint32) ([]Record, error) {
-	recs := make([]Record, 0, n)
+	// Cap the preallocation: a corrupt count must not force a huge
+	// allocation before the reads fail naturally.
+	recs := make([]Record, 0, min(n, 1<<16))
 	var rec [RecordSize]byte
 	for i := uint32(0); i < n; i++ {
 		if _, err := io.ReadFull(cr.br, rec[:]); err != nil {
@@ -562,38 +586,6 @@ func unexpectedEOF(err error) error {
 	return err
 }
 
-// decodeV2 assembles a chunked stream back into one Buffer.
-func decodeV2(br *bufio.Reader) (*Buffer, error) {
-	cr := &ChunkReader{br: br}
-	var hdr [fileHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion2 {
-		return nil, fmt.Errorf("trace: unsupported format version %d", v)
-	}
-	cr.target = int(binary.LittleEndian.Uint32(hdr[8:]))
-	if cr.target <= 0 || cr.target > maxChunkRecords {
-		return nil, fmt.Errorf("trace: chunk record target %d out of range", cr.target)
-	}
-	b := NewBuffer()
-	for {
-		c, err := cr.Next()
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		// Chunk ids are assigned in interning order, so re-interning
-		// the cumulative table reproduces them exactly.
-		for _, name := range c.Funcs[len(b.fnNames):] {
-			b.intern(name)
-		}
-		b.records = append(b.records, c.Records...)
-	}
-}
-
 // EncodeChunk writes one chunk standalone: full function table, no
 // delta — the unit shipped to a remote chunk analyzer.
 func EncodeChunk(w io.Writer, c *Chunk) error {
@@ -626,53 +618,8 @@ func EncodeChunk(w io.Writer, c *Chunk) error {
 
 // DecodeChunk reads one standalone chunk written by EncodeChunk.
 func DecodeChunk(r io.Reader) (*Chunk, error) {
-	br := bufio.NewReader(r)
-	var hdr [chunkHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != chunkMagic {
-		return nil, fmt.Errorf("trace: bad chunk magic")
-	}
-	idx := binary.LittleEndian.Uint32(hdr[4:])
-	nRecs := binary.LittleEndian.Uint32(hdr[8:])
-	fnBase := binary.LittleEndian.Uint32(hdr[12:])
-	nFns := binary.LittleEndian.Uint32(hdr[16:])
-	if fnBase != 0 {
-		return nil, fmt.Errorf("trace: standalone chunk has function base %d, want 0", fnBase)
-	}
-	if nFns > MaxFuncs {
-		return nil, fmt.Errorf("trace: function table size %d exceeds limit %d", nFns, MaxFuncs)
-	}
-	if nRecs > maxChunkRecords {
-		return nil, fmt.Errorf("trace: chunk record count %d exceeds limit %d", nRecs, maxChunkRecords)
-	}
-	c := &Chunk{
-		Index:    int(idx),
-		Funcs:    make([]string, 0, min(int(nFns), 1<<12)),
-		CoreMask: binary.LittleEndian.Uint64(hdr[24:]),
-		MaxCore:  int(binary.LittleEndian.Uint32(hdr[20:])),
-	}
-	for i := uint32(0); i < nFns; i++ {
-		name, err := readName(br)
-		if err != nil {
-			return nil, unexpectedEOF(err)
-		}
-		c.Funcs = append(c.Funcs, name)
-	}
-	c.Records = make([]Record, 0, min(int(nRecs), 1<<16))
-	var rec [RecordSize]byte
-	for i := uint32(0); i < nRecs; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, unexpectedEOF(err)
-		}
-		r := GetRecord(rec[:])
-		if int(r.Fn) >= len(c.Funcs) {
-			return nil, fmt.Errorf("trace: record references function id %d outside table of %d", r.Fn, len(c.Funcs))
-		}
-		c.Records = append(c.Records, r)
-	}
-	return c, nil
+	cr := &ChunkReader{br: bufio.NewReader(r)}
+	return cr.readChunk(true)
 }
 
 // ReadIndex seeks to the trailing index of a v2 file and decodes it
@@ -718,14 +665,14 @@ func ReadIndex(rs io.ReadSeeker) (*Index, error) {
 	if _, err := rs.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	var hdr [fileHeaderSize]byte
-	if _, err := io.ReadFull(rs, hdr[:]); err != nil {
+	cr, err := NewChunkReader(io.LimitReader(rs, fileHeaderSize))
+	if err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != magic2 {
+	if cr.v1 {
 		return nil, fmt.Errorf("trace: bad magic")
 	}
-	idx.ChunkRecords = int(binary.LittleEndian.Uint32(hdr[8:]))
+	idx.ChunkRecords = cr.ChunkRecords()
 	if _, err := rs.Seek(int64(indexOff)+16, io.SeekStart); err != nil {
 		return nil, err
 	}

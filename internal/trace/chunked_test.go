@@ -11,7 +11,7 @@ import (
 // recordMany records count store/load/fence ops across two functions
 // and two cores so chunked encodings exercise fn-table deltas and core
 // masks.
-func recordMany(t *testing.T, count int) *Buffer {
+func recordMany(t testing.TB, count int) *Buffer {
 	t.Helper()
 	b := NewBuffer()
 	m := sim.MachineA()
@@ -114,11 +114,7 @@ func TestDecodeReadsChunked(t *testing.T) {
 
 func TestChunkReaderReadsV1(t *testing.T) {
 	b := recordSome(t)
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cr, err := NewChunkReader(bytes.NewReader(buf.Bytes()))
+	cr, err := NewChunkReader(bytes.NewReader(v1Fixture(t, "some.v1.pstr")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,24 +253,14 @@ func TestReadIndex(t *testing.T) {
 		t.Fatalf("index chunk records sum to %d, want %d", sum, idx.TotalRecords)
 	}
 	// The v1 format has no footer.
-	var v1 bytes.Buffer
-	if err := b.Encode(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadIndex(bytes.NewReader(v1.Bytes())); err == nil {
+	if _, err := ReadIndex(bytes.NewReader(v1Fixture(t, "some.v1.pstr"))); err == nil {
 		t.Fatal("ReadIndex accepted a v1 trace")
 	}
 }
 
 func TestDecodeRejectsCorruptFnID(t *testing.T) {
 	// v1: patch the single record's fn id past the table.
-	b := NewBuffer()
-	b.records = append(b.records, Record{Fn: b.intern("f"), Addr: 64})
-	var v1 bytes.Buffer
-	if err := b.Encode(&v1); err != nil {
-		t.Fatal(err)
-	}
-	raw := v1.Bytes()
+	raw := v1Fixture(t, "one.v1.pstr")
 	// Record starts after 12B header + (4+1)B name entry; fn id at +19.
 	raw[12+5+19] = 0xff
 	if _, err := Decode(bytes.NewReader(raw)); err == nil {
@@ -282,6 +268,8 @@ func TestDecodeRejectsCorruptFnID(t *testing.T) {
 	}
 
 	// v2: same corruption inside the chunk payload.
+	b := NewBuffer()
+	b.records = append(b.records, Record{Fn: b.intern("f"), Addr: 64})
 	var v2 bytes.Buffer
 	if err := b.EncodeChunked(&v2, 16); err != nil {
 		t.Fatal(err)
@@ -294,12 +282,7 @@ func TestDecodeRejectsCorruptFnID(t *testing.T) {
 }
 
 func TestDecodeRejectsOversizedFnTable(t *testing.T) {
-	b := recordSome(t)
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := v1Fixture(t, "some.v1.pstr")
 	raw[4], raw[5], raw[6], raw[7] = 0xff, 0xff, 0xff, 0xff
 	if _, err := Decode(bytes.NewReader(raw)); err == nil {
 		t.Fatal("decode accepted an oversized function table")

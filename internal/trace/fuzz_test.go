@@ -11,11 +11,7 @@ func FuzzDecode(f *testing.F) {
 	// Seed with a real encoding.
 	b := NewBuffer()
 	b.records = append(b.records, Record{Core: 1, Addr: 64, Size: 8, Fn: b.intern("f"), Instr: 3, Cost: 5})
-	var seed bytes.Buffer
-	if err := b.Encode(&seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	f.Add(v1Fixture(f, "one.v1.pstr"))
 	f.Add([]byte{})
 	f.Add([]byte("PSTR"))
 	// v2 chunked seeds alongside the v1 corpus.
@@ -38,8 +34,76 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("replay visited %d of %d records", count, tb.Len())
 		}
 		var out bytes.Buffer
-		if err := tb.Encode(&out); err != nil {
+		if err := tb.EncodeChunked(&out, 0); err != nil {
 			t.Fatalf("re-encode of decoded trace failed: %v", err)
+		}
+	})
+}
+
+// dupNamesV2 is a chunked trace whose function table repeats a name,
+// ["f" "f"], with one record on each entry. The Writer never emits
+// such a table (it interns), so the second name is patched in.
+func dupNamesV2(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf, WriterOptions{})
+	w.Append(Record{Addr: 64, Size: 8}, "f")
+	w.Append(Record{Addr: 128, Size: 8}, "g")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	// The chunk's name delta follows its header: len u32 | "f" | len u32 | "g".
+	raw[fileHeaderSize+chunkHeaderSize+4+1+4] = 'f'
+	return raw
+}
+
+// FuzzDecodeMatchesChunkReader checks the whole-buffer Decode against
+// the chunk stream: on any input both accept, they yield the same
+// records resolved to the same function names.
+func FuzzDecodeMatchesChunkReader(f *testing.F) {
+	f.Add(v1Fixture(f, "dupnames.v1.pstr"))
+	f.Add(dupNamesV2(f))
+	f.Add(v1Fixture(f, "fg.v1.pstr"))
+	var v2 bytes.Buffer
+	if err := recordMany(f, 300).EncodeChunked(&v2, 64); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2.Bytes())
+
+	type named struct {
+		r  Record
+		fn string
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tb, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		cr, err := NewChunkReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var want []named
+		err = ForEach(cr, func(c *Chunk) error {
+			for _, r := range c.Records {
+				want = append(want, named{r, c.FuncName(r.Fn)})
+			}
+			return nil
+		})
+		if err != nil {
+			return
+		}
+		var got []named
+		tb.Replay(func(r Record, fn string) { got = append(got, named{r, fn}) })
+		if len(got) != len(want) {
+			t.Fatalf("Decode yields %d records, ChunkReader %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("record %d: Decode %+v (%q), ChunkReader %+v (%q)",
+					i, got[i].r, got[i].fn, want[i].r, want[i].fn)
+			}
 		}
 	})
 }
@@ -52,14 +116,11 @@ func FuzzChunkReader(f *testing.F) {
 		Record{Core: 1, Addr: 64, Size: 8, Fn: b.intern("f"), Instr: 3, Cost: 5},
 		Record{Core: 2, Addr: 128, Size: 8, Fn: b.intern("g"), Instr: 4, Cost: 6},
 	)
-	var v1, v2 bytes.Buffer
-	if err := b.Encode(&v1); err != nil {
-		f.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := b.EncodeChunked(&v2, 1); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1.Bytes())
+	f.Add(v1Fixture(f, "fg.v1.pstr"))
 	f.Add(v2.Bytes())
 	f.Add(v2.Bytes()[:v2.Len()/2])
 	var standalone bytes.Buffer
@@ -115,7 +176,7 @@ func FuzzRoundtrip(f *testing.F) {
 		})
 		_ = kind
 		var buf bytes.Buffer
-		if err := b.Encode(&buf); err != nil {
+		if err := b.EncodeChunked(&buf, 0); err != nil {
 			t.Fatal(err)
 		}
 		got, err := Decode(&buf)

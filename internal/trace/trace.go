@@ -2,11 +2,14 @@
 // equivalent of the Intel PIN instrumentation DirtBuster uses in its
 // second step — and can persist it for offline analysis.
 //
-// A Buffer subscribes to a machine's hook and stores one compact record
-// per operation, interning function names. Traces encode to a simple
-// length-prefixed binary format (encoding/binary) so an application can
-// be traced once and analyzed many times, mirroring the paper's
-// "intended usage ... executed offline, as an optimization pass".
+// A Writer subscribes to a machine's hook and streams one compact
+// record per operation to a chunked binary file (PST2, see chunked.go),
+// so an application can be traced once and analyzed many times,
+// mirroring the paper's "intended usage ... executed offline, as an
+// optimization pass". ChunkReader is the only decoder: it reads PST2
+// and the legacy whole-buffer PSTR (v1) format, which is read-only.
+// A Buffer is the in-memory recording that tests and the monolithic
+// reference analysis replay.
 package trace
 
 import (
@@ -14,7 +17,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"prestores/internal/sim"
 )
@@ -35,10 +37,6 @@ type Buffer struct {
 	records []Record
 	fnIDs   map[string]uint32
 	fnNames []string
-	// Filter, when non-nil, drops records whose function name does not
-	// satisfy it (DirtBuster only instruments the write-intensive
-	// functions found by sampling).
-	Filter func(fn string) bool
 }
 
 // NewBuffer returns an empty trace buffer.
@@ -49,9 +47,6 @@ func NewBuffer() *Buffer {
 // Hook returns a sim.Hook that appends every operation to the buffer.
 func (b *Buffer) Hook() sim.Hook {
 	return func(ev sim.Event, _ *sim.Core) {
-		if b.Filter != nil && !b.Filter(ev.Fn) {
-			return
-		}
 		b.records = append(b.records, Record{
 			Core:  uint16(ev.Core),
 			Kind:  ev.Kind,
@@ -92,10 +87,7 @@ func (b *Buffer) Replay(fn func(r Record, fnName string)) {
 	}
 }
 
-// Reset drops all records but keeps the interning table.
-func (b *Buffer) Reset() { b.records = b.records[:0] }
-
-const magic = 0x50535452 // "PSTR"
+const magic = 0x50535452 // "PSTR", the read-only v1 format
 
 // MaxFuncs bounds the interned function table. Real traces intern a
 // handful of names; a corrupt header must not make a decoder allocate
@@ -134,31 +126,6 @@ func GetRecord(b []byte) Record {
 	}
 }
 
-// Encode writes the trace in the v1 binary form.
-func (b *Buffer) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(b.fnNames)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(b.records)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, name := range b.fnNames {
-		if err := writeName(bw, name); err != nil {
-			return err
-		}
-	}
-	var rec [RecordSize]byte
-	for _, r := range b.records {
-		PutRecord(rec[:], r)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 func writeName(bw *bufio.Writer, name string) error {
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(name))); err != nil {
 		return err
@@ -182,57 +149,24 @@ func readName(br *bufio.Reader) (string, error) {
 	return string(name), nil
 }
 
-// Decode reads a trace written by Encode (v1) or by a Writer (v2
-// chunked): the chunked form is assembled back into one in-memory
-// Buffer. Decoding fails on corrupt input, including records whose
-// function id falls outside the interned table.
+// Decode reads a whole trace (PST2, or legacy v1) into one in-memory
+// Buffer through ChunkReader. The buffer keeps the last chunk's
+// cumulative function table exactly as read, so every record resolves
+// to the same name it does chunk by chunk. Decoding fails on corrupt
+// input, including records whose function id falls outside the table.
 func Decode(r io.Reader) (*Buffer, error) {
-	br := bufio.NewReader(r)
-	m, err := peekMagic(br)
+	cr, err := NewChunkReader(r)
 	if err != nil {
 		return nil, err
 	}
-	if m == magic2 {
-		return decodeV2(br)
-	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
-		return nil, fmt.Errorf("trace: bad magic")
-	}
-	nFns := binary.LittleEndian.Uint32(hdr[4:])
-	nRecs := binary.LittleEndian.Uint32(hdr[8:])
-	if nFns > MaxFuncs {
-		return nil, fmt.Errorf("trace: function table size %d exceeds limit %d", nFns, MaxFuncs)
-	}
 	b := NewBuffer()
-	for i := uint32(0); i < nFns; i++ {
-		name, err := readName(br)
-		if err != nil {
-			return nil, err
-		}
-		b.intern(name)
-	}
-	// Cap the preallocation: the header is untrusted input, and a
-	// corrupt count must not force a huge allocation before the reads
-	// fail naturally.
-	prealloc := nRecs
-	if prealloc > 1<<20 {
-		prealloc = 1 << 20
-	}
-	b.records = make([]Record, 0, prealloc)
-	var rec [RecordSize]byte
-	for i := uint32(0); i < nRecs; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, err
-		}
-		rr := GetRecord(rec[:])
-		if rr.Fn >= nFns {
-			return nil, fmt.Errorf("trace: record %d references function id %d outside table of %d", i, rr.Fn, nFns)
-		}
-		b.records = append(b.records, rr)
+	err = ForEach(cr, func(c *Chunk) error {
+		b.fnNames = c.Funcs
+		b.records = append(b.records, c.Records...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -243,51 +177,4 @@ func peekMagic(br *bufio.Reader) (uint32, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(p), nil
-}
-
-// FnTime is the per-function time attribution of a trace.
-type FnTime struct {
-	Fn        string
-	Cycles    uint64 // total cycles attributed to the function's ops
-	StoreCyc  uint64 // cycles in stores/NT stores/atomics
-	LoadCyc   uint64
-	Ops       uint64
-	TimeShare float64 // fraction of the trace's total cycles
-}
-
-// TimeByFunction aggregates per-function cycle attribution — a
-// perf-report-style view of a recording.
-func (b *Buffer) TimeByFunction() []FnTime {
-	agg := map[string]*FnTime{}
-	var total uint64
-	b.Replay(func(r Record, fn string) {
-		ft := agg[fn]
-		if ft == nil {
-			ft = &FnTime{Fn: fn}
-			agg[fn] = ft
-		}
-		ft.Cycles += r.Cost
-		ft.Ops++
-		total += r.Cost
-		switch r.Kind {
-		case sim.OpStore, sim.OpStoreNT, sim.OpAtomic:
-			ft.StoreCyc += r.Cost
-		case sim.OpLoad:
-			ft.LoadCyc += r.Cost
-		}
-	})
-	out := make([]FnTime, 0, len(agg))
-	for _, ft := range agg {
-		if total > 0 {
-			ft.TimeShare = float64(ft.Cycles) / float64(total)
-		}
-		out = append(out, *ft)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cycles != out[j].Cycles {
-			return out[i].Cycles > out[j].Cycles
-		}
-		return out[i].Fn < out[j].Fn
-	})
-	return out
 }

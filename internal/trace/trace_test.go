@@ -2,11 +2,30 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"prestores/internal/sim"
 )
+
+// v1Fixture returns a legacy v1 (PSTR) recording from testdata. The v1
+// format is read-only, so these files were written once by the v1
+// encoder and are checked in:
+//
+//	some.v1.pstr      recordSome's operations
+//	one.v1.pstr       {Core 1, Addr 64, Size 8, Fn "f", Instr 3, Cost 5}
+//	fg.v1.pstr        one.v1.pstr plus {Core 2, Addr 128, Size 8, Fn "g", Instr 4, Cost 6}
+//	dupnames.v1.pstr  table ["f" "f" "g"], one record of function id 2
+func v1Fixture(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
 
 func recordSome(t *testing.T) *Buffer {
 	t.Helper()
@@ -55,40 +74,9 @@ func TestRecording(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	b := NewBuffer()
-	b.Filter = func(fn string) bool { return fn == "keep" }
-	m := sim.MachineA()
-	m.SetHook(b.Hook())
-	c := m.Core(0)
-	c.PushFunc("keep")
-	c.Write(1<<40, []byte{1})
-	c.PopFunc()
-	c.PushFunc("drop")
-	c.Write(1<<40+64, []byte{1})
-	c.PopFunc()
-	m.SetHook(nil)
-	count := 0
-	b.Replay(func(r Record, fn string) {
-		if r.Kind == sim.OpStore {
-			count++
-			if fn != "keep" {
-				t.Fatalf("filtered record from %q", fn)
-			}
-		}
-	})
-	if count != 1 {
-		t.Fatalf("kept %d stores, want 1", count)
-	}
-}
-
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	b := recordSome(t)
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
+	got, err := Decode(bytes.NewReader(v1Fixture(t, "some.v1.pstr")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,26 +102,10 @@ func TestDecodeBadMagic(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	b := recordSome(t)
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
+	raw := v1Fixture(t, "some.v1.pstr")
+	trunc := raw[:len(raw)/2]
 	if _, err := Decode(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated trace accepted")
-	}
-}
-
-func TestReset(t *testing.T) {
-	b := recordSome(t)
-	b.Reset()
-	if b.Len() != 0 {
-		t.Fatal("Reset kept records")
-	}
-	// Interning table survives.
-	if b.FuncName(0) == "?" {
-		t.Fatal("Reset dropped the function table")
 	}
 }
 
@@ -141,38 +113,5 @@ func TestFuncNameUnknown(t *testing.T) {
 	b := NewBuffer()
 	if b.FuncName(42) != "?" {
 		t.Fatal("unknown id did not map to ?")
-	}
-}
-
-func TestTimeByFunction(t *testing.T) {
-	b := NewBuffer()
-	m := sim.MachineA()
-	m.SetHook(b.Hook())
-	c := m.Core(0)
-	c.PushFunc("writer")
-	for i := uint64(0); i < 200; i++ {
-		c.Write(1<<40+i*4096, make([]byte, 256))
-	}
-	c.PopFunc()
-	c.PushFunc("thinker")
-	c.Compute(50)
-	c.PopFunc()
-	m.SetHook(nil)
-	rep := b.TimeByFunction()
-	if len(rep) < 2 {
-		t.Fatalf("report has %d functions", len(rep))
-	}
-	if rep[0].Fn != "writer" {
-		t.Fatalf("top function %q, want writer", rep[0].Fn)
-	}
-	if rep[0].StoreCyc == 0 || rep[0].TimeShare <= 0 {
-		t.Fatalf("writer attribution: %+v", rep[0])
-	}
-	var total float64
-	for _, ft := range rep {
-		total += ft.TimeShare
-	}
-	if total < 0.99 || total > 1.01 {
-		t.Fatalf("time shares sum to %v", total)
 	}
 }
