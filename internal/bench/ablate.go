@@ -7,6 +7,7 @@ import (
 
 	"prestores/internal/cache"
 	"prestores/internal/memdev"
+	"prestores/internal/scenario"
 	"prestores/internal/sim"
 	"prestores/internal/units"
 	"prestores/internal/workloads/micro"
@@ -44,7 +45,7 @@ func runAblateDrain(ctx context.Context, w io.Writer, quick bool) {
 	if quick {
 		iters = 5000
 	}
-	header(w, "drain", "reads", "base cyc", "demote cyc", "improvement")
+	scenario.Row(w, "drain", "reads", "base cyc", "demote cyc", "improvement")
 	for _, drain := range []sim.DrainMode{sim.DrainLazy, sim.DrainEager} {
 		for _, n := range []int{20, 80} {
 			if cancelled(ctx) {
@@ -60,7 +61,7 @@ func runAblateDrain(ctx context.Context, w io.Writer, quick bool) {
 			base := micro.RunListing2(mk(), l2)
 			l2.Mode = micro.DemotePrestore
 			dem := micro.RunListing2(mk(), l2)
-			row(w, drain.String(), fmt.Sprint(n),
+			scenario.Row(w, drain.String(), fmt.Sprint(n),
 				fmt.Sprintf("%.0f", base.CyclesPerIter),
 				fmt.Sprintf("%.0f", dem.CyclesPerIter),
 				pct(base.CyclesPerIter/dem.CyclesPerIter))
@@ -71,7 +72,7 @@ func runAblateDrain(ctx context.Context, w io.Writer, quick bool) {
 func runAblateLLC(ctx context.Context, w io.Writer, quick bool) {
 	esz := uint64(1024)
 	vol := fig3Volume(quick)
-	header(w, "llc policy", "base amp", "clean amp", "speedup")
+	scenario.Row(w, "llc policy", "base amp", "clean amp", "speedup")
 	for _, pol := range []cache.Policy{cache.QLRU, cache.PLRU, cache.LRU, cache.Random, cache.SRRIP} {
 		if cancelled(ctx) {
 			return
@@ -89,7 +90,7 @@ func runAblateLLC(ctx context.Context, w io.Writer, quick bool) {
 		base := micro.RunListing1(mk(), l1)
 		l1.Mode = micro.CleanPrestore
 		clean := micro.RunListing1(mk(), l1)
-		row(w, pol.String(), f2(base.WriteAmp), f2(clean.WriteAmp),
+		scenario.Row(w, pol.String(), f2(base.WriteAmp), f2(clean.WriteAmp),
 			fmt.Sprintf("%.2fx", float64(base.Elapsed)/float64(clean.Elapsed)))
 	}
 }
@@ -99,7 +100,7 @@ func runAblateDir(ctx context.Context, w io.Writer, quick bool) {
 	if quick {
 		iters = 5000
 	}
-	header(w, "directory", "base cyc", "demote cyc", "improvement")
+	scenario.Row(w, "directory", "base cyc", "demote cyc", "improvement")
 	for _, onDevice := range []bool{true, false} {
 		if cancelled(ctx) {
 			return
@@ -118,7 +119,7 @@ func runAblateDir(ctx context.Context, w io.Writer, quick bool) {
 		if !onDevice {
 			loc = "on-die"
 		}
-		row(w, loc,
+		scenario.Row(w, loc,
 			fmt.Sprintf("%.0f", base.CyclesPerIter),
 			fmt.Sprintf("%.0f", dem.CyclesPerIter),
 			pct(base.CyclesPerIter/dem.CyclesPerIter))
@@ -128,7 +129,7 @@ func runAblateDir(ctx context.Context, w io.Writer, quick bool) {
 func runAblatePMEMBuf(ctx context.Context, w io.Writer, quick bool) {
 	esz := uint64(1024)
 	vol := fig3Volume(quick)
-	header(w, "buf entries", "base amp", "clean amp")
+	scenario.Row(w, "buf entries", "base amp", "clean amp")
 	for _, entries := range []int{8, 32, 128} {
 		if cancelled(ctx) {
 			return
@@ -150,7 +151,7 @@ func runAblatePMEMBuf(ctx context.Context, w io.Writer, quick bool) {
 		base := micro.RunListing1(mk(), l1)
 		l1.Mode = micro.CleanPrestore
 		clean := micro.RunListing1(mk(), l1)
-		row(w, fmt.Sprint(entries), f2(base.WriteAmp), f2(clean.WriteAmp))
+		scenario.Row(w, fmt.Sprint(entries), f2(base.WriteAmp), f2(clean.WriteAmp))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"prestores/internal/scenario"
 	"prestores/internal/sim"
 	"prestores/internal/workloads/nas"
 	"prestores/internal/workloads/tensor"
@@ -55,7 +56,7 @@ func trainCfg(batch int, mode tensor.Mode, quick bool) tensor.TrainConfig {
 }
 
 func runFig7(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "batch", "base Mcyc", "clean gain", "skip gain")
+	scenario.Row(w, "batch", "base Mcyc", "clean gain", "skip gain")
 	for _, batch := range fig7Batches(quick) {
 		if cancelled(ctx) {
 			return
@@ -63,7 +64,7 @@ func runFig7(ctx context.Context, w io.Writer, quick bool) {
 		base := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Baseline, quick))
 		clean := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Clean, quick))
 		skip := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Skip, quick))
-		row(w, fmt.Sprint(batch),
+		scenario.Row(w, fmt.Sprint(batch),
 			fmt.Sprintf("%.1f", float64(base.Elapsed)/1e6),
 			pct(float64(base.Elapsed)/float64(clean.Elapsed)),
 			pct(float64(base.Elapsed)/float64(skip.Elapsed)))
@@ -71,14 +72,14 @@ func runFig7(ctx context.Context, w io.Writer, quick bool) {
 }
 
 func runFig8(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "batch", "base amp", "clean amp")
+	scenario.Row(w, "batch", "base amp", "clean amp")
 	for _, batch := range fig7Batches(quick) {
 		if cancelled(ctx) {
 			return
 		}
 		base := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Baseline, quick))
 		clean := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Clean, quick))
-		row(w, fmt.Sprint(batch), f2(base.WriteAmp), f2(clean.WriteAmp))
+		scenario.Row(w, fmt.Sprint(batch), f2(base.WriteAmp), f2(clean.WriteAmp))
 	}
 }
 
@@ -90,7 +91,7 @@ func nasKernels(quick bool) []nas.Kernel {
 }
 
 func runFig9(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "kernel", "base amp", "clean amp", "norm runtime", "cksum ok")
+	scenario.Row(w, "kernel", "base amp", "clean amp", "norm runtime", "cksum ok")
 	for _, k := range nasKernels(quick) {
 		if cancelled(ctx) {
 			return
@@ -103,7 +104,7 @@ func runFig9(ctx context.Context, w io.Writer, quick bool) {
 		base := nas.Run(sim.MachineA().AttachOps(ctx), cfg)
 		cfg.Mode = nas.Clean
 		clean := nas.Run(sim.MachineA().AttachOps(ctx), cfg)
-		row(w, string(k), f2(base.WriteAmp), f2(clean.WriteAmp),
+		scenario.Row(w, string(k), f2(base.WriteAmp), f2(clean.WriteAmp),
 			f2(float64(clean.Elapsed)/float64(base.Elapsed)),
 			fmt.Sprint(base.Checksum == clean.Checksum))
 	}
@@ -132,7 +133,7 @@ func runOverhead(ctx context.Context, w io.Writer, quick bool) {
 	// mechanism applies (no write amplification on the FPGA, NAS uses
 	// no fences): overhead should be negligible.
 	fmt.Fprintln(w, "-- recommended pre-stores on the wrong machine (B-fast): overhead --")
-	header(w, "kernel", "base Mcyc", "clean Mcyc", "overhead")
+	scenario.Row(w, "kernel", "base Mcyc", "clean Mcyc", "overhead")
 	for _, k := range []nas.Kernel{nas.MG, nas.SP} {
 		if cancelled(ctx) {
 			return
@@ -145,7 +146,7 @@ func runOverhead(ctx context.Context, w io.Writer, quick bool) {
 		base := nas.Run(sim.MachineBFast().AttachOps(ctx), cfg)
 		cfg.Mode = nas.Clean
 		clean := nas.Run(sim.MachineBFast().AttachOps(ctx), cfg)
-		row(w, string(k),
+		scenario.Row(w, string(k),
 			fmt.Sprintf("%.1f", float64(base.Elapsed)/1e6),
 			fmt.Sprintf("%.1f", float64(clean.Elapsed)/1e6),
 			pct(float64(clean.Elapsed)/float64(base.Elapsed)))
@@ -165,9 +166,9 @@ func runOverhead(ctx context.Context, w io.Writer, quick bool) {
 	ftBase := nas.Run(sim.MachineA().AttachOps(ctx), ftCfg)
 	ftCfg.Mode = nas.CleanHot
 	ftHot := nas.Run(sim.MachineA().AttachOps(ctx), ftCfg)
-	header(w, "variant", "Mcyc", "slowdown")
-	row(w, "baseline", fmt.Sprintf("%.1f", float64(ftBase.Elapsed)/1e6), "1.0x")
-	row(w, "clean fftz2", fmt.Sprintf("%.1f", float64(ftHot.Elapsed)/1e6),
+	scenario.Row(w, "variant", "Mcyc", "slowdown")
+	scenario.Row(w, "baseline", fmt.Sprintf("%.1f", float64(ftBase.Elapsed)/1e6), "1.0x")
+	scenario.Row(w, "clean fftz2", fmt.Sprintf("%.1f", float64(ftHot.Elapsed)/1e6),
 		fmt.Sprintf("%.2fx", float64(ftHot.Elapsed)/float64(ftBase.Elapsed)))
 
 	// 3. IS rank: small random writes, neither re-read nor sequential;
@@ -184,8 +185,8 @@ func runOverhead(ctx context.Context, w io.Writer, quick bool) {
 	isBase := nas.Run(sim.MachineA().AttachOps(ctx), isCfg)
 	isCfg.Mode = nas.Clean
 	isClean := nas.Run(sim.MachineA().AttachOps(ctx), isCfg)
-	header(w, "variant", "Mcyc", "delta")
-	row(w, "baseline", fmt.Sprintf("%.1f", float64(isBase.Elapsed)/1e6), "")
-	row(w, "clean", fmt.Sprintf("%.1f", float64(isClean.Elapsed)/1e6),
+	scenario.Row(w, "variant", "Mcyc", "delta")
+	scenario.Row(w, "baseline", fmt.Sprintf("%.1f", float64(isBase.Elapsed)/1e6), "")
+	scenario.Row(w, "clean", fmt.Sprintf("%.1f", float64(isClean.Elapsed)/1e6),
 		pct(float64(isClean.Elapsed)/float64(isBase.Elapsed)))
 }

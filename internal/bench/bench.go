@@ -100,28 +100,6 @@ func (ew *errWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// header prints a column header row.
-func header(w io.Writer, cols ...string) {
-	for i, c := range cols {
-		if i > 0 {
-			fmt.Fprint(w, "  ")
-		}
-		fmt.Fprintf(w, "%12s", c)
-	}
-	fmt.Fprintln(w)
-}
-
-// row prints a data row matching header's layout.
-func row(w io.Writer, cells ...string) {
-	for i, c := range cells {
-		if i > 0 {
-			fmt.Fprint(w, "  ")
-		}
-		fmt.Fprintf(w, "%12s", c)
-	}
-	fmt.Fprintln(w)
-}
-
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 func pct(ratio float64) string { return fmt.Sprintf("%+.1f%%", (ratio-1)*100) }

@@ -15,9 +15,9 @@ import (
 
 // ckptIDs is a fast cross-section of the checkpoint-eligible
 // experiments, covering both sweep shapes: fig13 forks across craft
-// modes on two machines (runKVB), kv-threads forks every grid point
-// from a single load (runKVThreads). The full set (fig10-fig14,
-// ycsb-mixes) runs in CI's checkpoint smoke.
+// modes on two machines (a machine axis), kv-threads forks every grid
+// point from a single load (a measured-phase axis). The full set
+// (fig10-fig14, ycsb-mixes) runs in CI's checkpoint smoke.
 var ckptIDs = []string{"fig13", "kv-threads"}
 
 // TestWarmForkByteIdentity is the acceptance bar for warm-state

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"prestores/internal/scenario"
 	"prestores/internal/sim"
 	"prestores/internal/units"
 	"prestores/internal/workloads/micro"
@@ -28,7 +29,7 @@ func init() {
 }
 
 func runTable1(ctx context.Context, w io.Writer, _ bool) {
-	header(w, "device", "granularity", "read lat", "machine")
+	scenario.Row(w, "device", "granularity", "read lat", "machine")
 	type dev struct{ machine, window string }
 	rows := []dev{
 		{"machine-A", sim.WindowDRAM},
@@ -47,7 +48,7 @@ func runTable1(ctx context.Context, w io.Writer, _ bool) {
 			return
 		}
 		d := machines[r.machine].Device(r.window)
-		row(w, d.Name(), units.Bytes(d.InternalGranularity()),
+		scenario.Row(w, d.Name(), units.Bytes(d.InternalGranularity()),
 			fmt.Sprintf("%d cyc", d.ReadLatency()), r.machine)
 	}
 	fmt.Fprintf(w, "CPU line sizes: machine-A %dB (x86), machine-B %dB (ThunderX ARM)\n",
@@ -73,8 +74,8 @@ func runListing3(ctx context.Context, w io.Writer, quick bool) {
 		return
 	}
 	clean := micro.RunListing3(sim.MachineA().AttachOps(ctx), micro.Listing3Config{Iters: iters, Mode: micro.CleanPrestore})
-	header(w, "variant", "cyc/rewrite", "slowdown")
-	row(w, "baseline", fmt.Sprintf("%.1f", base.CyclesPerRew), "1.0x")
-	row(w, "clean", fmt.Sprintf("%.1f", clean.CyclesPerRew),
+	scenario.Row(w, "variant", "cyc/rewrite", "slowdown")
+	scenario.Row(w, "baseline", fmt.Sprintf("%.1f", base.CyclesPerRew), "1.0x")
+	scenario.Row(w, "clean", fmt.Sprintf("%.1f", clean.CyclesPerRew),
 		fmt.Sprintf("%.0fx", clean.CyclesPerRew/base.CyclesPerRew))
 }

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"prestores/internal/sim"
-	"prestores/internal/workloads/kv"
-	"prestores/internal/workloads/ycsb"
+	"prestores/internal/scenario"
 )
 
 func init() {
@@ -19,65 +17,31 @@ func init() {
 	})
 }
 
+// runYCSBMixes stays code only for its second label column (the mix's
+// write ratio), which the spec column set cannot express; each point is
+// a single-point ycsb spec measured through EvalPoint, so it shares warm
+// states with the spec-driven KV figures.
 func runYCSBMixes(ctx context.Context, w io.Writer, quick bool) {
-	mixes := []ycsb.Workload{ycsb.A, ycsb.B, ycsb.C, ycsb.F}
-	header(w, "mix", "write ratio", "baseline", "clean", "clean gain")
-	for _, mix := range mixes {
-		results := map[kv.CraftMode]ycsb.Result{}
-		for _, mode := range []kv.CraftMode{kv.CraftBaseline, kv.CraftClean} {
+	scenario.Row(w, "mix", "write ratio", "baseline", "clean", "clean gain")
+	for _, mix := range []struct{ name, writes string }{{"A", "50%"}, {"B", "5%"}, {"C", "0%"}, {"F", "50%"}} {
+		var opsPerSec [2]float64
+		for i, op := range []string{"none", "clean"} {
 			if cancelled(ctx) {
 				return
 			}
-			m, store, heap, cfg := kvSetup(ctx, sim.MachineA, "clht", sim.WindowPMEM, quick)
-			cfg.ValueSize = 1024
-			cfg.Workload = mix
-			cfg.Craft = mode
-			kvLoad(ctx, m, store, heap, cfg)
-			results[mode] = ycsb.Run(m, store, heap, cfg)
-		}
-		base, clean := results[kv.CraftBaseline], results[kv.CraftClean]
-		wr := "0%"
-		switch mix {
-		case ycsb.A, ycsb.F:
-			wr = "50%"
-		case ycsb.B:
-			wr = "5%"
-		}
-		row(w, mix.String(), wr, mops(base.OpsPerSec), mops(clean.OpsPerSec),
-			pct(clean.OpsPerSec/base.OpsPerSec))
-	}
-}
-
-func init() {
-	register(Experiment{
-		ID:    "kv-threads",
-		Title: "CLHT YCSB-A (1KB) on Machine A: thread scaling of baseline and clean",
-		Paper: "Section 7.2.3 injects load with 10 threads, 'the configuration that provides the highest throughput'; the clean advantage requires enough threads to pressure the device",
-		Run:   runKVThreads,
-	})
-}
-
-func runKVThreads(ctx context.Context, w io.Writer, quick bool) {
-	threads := []int{1, 2, 5, 10}
-	if quick {
-		threads = []int{2, 10}
-	}
-	header(w, "threads", "baseline", "clean", "clean gain")
-	for _, th := range threads {
-		results := map[kv.CraftMode]ycsb.Result{}
-		for _, mode := range []kv.CraftMode{kv.CraftBaseline, kv.CraftClean} {
-			if cancelled(ctx) {
-				return
+			s := scenario.Spec{
+				Version:  1,
+				Machine:  scenario.MachineSpec{Preset: "machine-a"},
+				Workload: kvWorkload("clht", map[string]any{"value_size": 1024, "mix": mix.name}),
+				Policy:   scenario.PolicySpec{Ops: []string{op}},
+				Run:      kvRun(),
 			}
-			m, store, heap, cfg := kvSetup(ctx, sim.MachineA, "clht", sim.WindowPMEM, quick)
-			cfg.ValueSize = 1024
-			cfg.Threads = th
-			cfg.Craft = mode
-			kvLoad(ctx, m, store, heap, cfg)
-			results[mode] = ycsb.Run(m, store, heap, cfg)
+			m, err := s.EvalPoint(ctx, quick)
+			if err != nil {
+				panic(fmt.Sprintf("bench: ycsb-mixes: %v", err))
+			}
+			opsPerSec[i] = m["ops_per_sec"]
 		}
-		base, clean := results[kv.CraftBaseline], results[kv.CraftClean]
-		row(w, fmt.Sprint(th), mops(base.OpsPerSec), mops(clean.OpsPerSec),
-			pct(clean.OpsPerSec/base.OpsPerSec))
+		scenario.Row(w, mix.name, mix.writes, mops(opsPerSec[0]), mops(opsPerSec[1]), pct(opsPerSec[1]/opsPerSec[0]))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"prestores/internal/scenario"
 	"prestores/internal/sim"
 	"prestores/internal/units"
 	"prestores/internal/workloads/micro"
@@ -25,7 +26,7 @@ func init() {
 func runPrefetchOrthogonal(ctx context.Context, w io.Writer, quick bool) {
 	esz := uint64(1024)
 	vol := fig3Volume(quick)
-	header(w, "prefetch", "mode", "cyc/op", "write amp")
+	scenario.Row(w, "prefetch", "mode", "cyc/op", "write amp")
 	for _, depth := range []int{0, 2} {
 		for _, mode := range []micro.Mode{micro.Baseline, micro.CleanPrestore} {
 			if cancelled(ctx) {
@@ -43,7 +44,7 @@ func runPrefetchOrthogonal(ctx context.Context, w io.Writer, quick bool) {
 			if depth > 0 {
 				pf = fmt.Sprintf("next-%d", depth)
 			}
-			row(w, pf, mode.String(),
+			scenario.Row(w, pf, mode.String(),
 				fmt.Sprintf("%.0f", res.ElapsedPerOp), f2(res.WriteAmp))
 		}
 	}

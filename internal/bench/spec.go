@@ -14,8 +14,8 @@ import (
 // time and registers an Experiment whose Run is the scenario grid
 // runner. The golden-output guard (golden_test.go) pins these to the
 // byte-exact tables the hand-written loops produced; experiments with
-// quirky rendering or cross-run logic (listing3, the ablations, the
-// kv comparison tables) stay code.
+// quirky rendering or cross-run logic (listing3, the ablations,
+// ycsb-mixes' second label column) stay code.
 
 var specs = map[string]scenario.Spec{}
 
@@ -253,4 +253,154 @@ func init() {
 		},
 		Run: scenario.RunSpec{Quick: map[string]any{"iters": 4000}},
 	})
+
+	// The key-value figures (§7.2): YCSB-A over CLHT or Masstree, sized
+	// per DESIGN.md §6. With a checkpoint view, every run with the same
+	// store, value size, window and machine forks from one warm load,
+	// across figures too.
+	registerSpec(scenario.Spec{
+		Version:  1,
+		Name:     "fig10",
+		Title:    "CLHT, YCSB-A on Machine A: throughput vs value size",
+		Paper:    "Fig 10: skip up to 2.9x, clean up to 2.3x over baseline",
+		Machine:  scenario.MachineSpec{Preset: "machine-a"},
+		Workload: kvWorkload("clht", nil),
+		Policy: scenario.PolicySpec{
+			Ops:  []string{"none", "clean", "skip"},
+			Axes: []scenario.Axis{kvValueSizes()},
+			Columns: []scenario.Column{
+				{Title: "value", Axis: "value_size", Format: "bytes"},
+				{Title: "baseline", Op: "none", Metric: "ops_per_sec", Format: "mops"},
+				{Title: "clean", Op: "clean", Metric: "ops_per_sec", Format: "mops"},
+				{Title: "clean gain", Op: "clean", Metric: "ops_per_sec", DenOp: "none", Format: "x2"},
+				{Title: "skip", Op: "skip", Metric: "ops_per_sec", Format: "mops"},
+				{Title: "skip gain", Op: "skip", Metric: "ops_per_sec", DenOp: "none", Format: "x2"},
+			},
+		},
+		Run: kvRun(),
+	})
+
+	registerSpec(scenario.Spec{
+		Version:  1,
+		Name:     "fig11",
+		Title:    "Masstree, YCSB-A on Machine A: throughput vs value size",
+		Paper:    "Fig 11: skip up to 2.5x, clean up to 1.9x over baseline",
+		Machine:  scenario.MachineSpec{Preset: "machine-a"},
+		Workload: kvWorkload("masstree", nil),
+		Policy: scenario.PolicySpec{
+			Ops:  []string{"none", "clean", "skip"},
+			Axes: []scenario.Axis{kvValueSizes()},
+			Columns: []scenario.Column{
+				{Title: "value", Axis: "value_size", Format: "bytes"},
+				{Title: "baseline", Op: "none", Metric: "ops_per_sec", Format: "mops"},
+				{Title: "clean", Op: "clean", Metric: "ops_per_sec", Format: "mops"},
+				{Title: "clean gain", Op: "clean", Metric: "ops_per_sec", DenOp: "none", Format: "x2"},
+				{Title: "skip", Op: "skip", Metric: "ops_per_sec", Format: "mops"},
+				{Title: "skip gain", Op: "skip", Metric: "ops_per_sec", DenOp: "none", Format: "x2"},
+			},
+		},
+		Run: kvRun(),
+	})
+
+	registerSpec(scenario.Spec{
+		Version:  1,
+		Name:     "fig12",
+		Title:    "CLHT, YCSB-A on Machine A: write amplification vs value size",
+		Paper:    "Fig 12: baseline ~3.8x at >=256B values; skip and clean eliminate it",
+		Machine:  scenario.MachineSpec{Preset: "machine-a"},
+		Workload: kvWorkload("clht", nil),
+		Policy: scenario.PolicySpec{
+			Ops:  []string{"none", "clean", "skip"},
+			Axes: []scenario.Axis{kvValueSizes()},
+			Columns: []scenario.Column{
+				{Title: "value", Axis: "value_size", Format: "bytes"},
+				{Title: "base amp", Op: "none", Metric: "write_amp", Format: "f2"},
+				{Title: "clean amp", Op: "clean", Metric: "write_amp", Format: "f2"},
+				{Title: "skip amp", Op: "skip", Metric: "write_amp", Format: "f2"},
+			},
+		},
+		Run: kvRun(),
+	})
+
+	// On ARM the "clean" patch compiles to dc cvau, which the Machine B
+	// presets model via CleanToPOU (paper §2 / §7.3.1).
+	registerSpec(scenario.Spec{
+		Version:  1,
+		Name:     "fig13",
+		Title:    "CLHT, YCSB-A (1KB values) on Machine B fast/slow",
+		Paper:    "Fig 13: cleaning (dc cvau -> demote to L2) 52% faster on B-fast",
+		Workload: kvWorkload("clht", map[string]any{"value_size": 1024}),
+		Policy: scenario.PolicySpec{
+			Ops:     []string{"none", "clean"},
+			Window:  "fpga",
+			Axes:    []scenario.Axis{kvMachinesB()},
+			Columns: kvCleanColumns("machine", "improvement"),
+		},
+		Run: kvRun(),
+	})
+
+	registerSpec(scenario.Spec{
+		Version:  1,
+		Name:     "fig14",
+		Title:    "Masstree, YCSB-A (1KB values) on Machine B fast/slow",
+		Paper:    "Fig 14: cleaning 25% faster",
+		Workload: kvWorkload("masstree", map[string]any{"value_size": 1024}),
+		Policy: scenario.PolicySpec{
+			Ops:     []string{"none", "clean"},
+			Window:  "fpga",
+			Axes:    []scenario.Axis{kvMachinesB()},
+			Columns: kvCleanColumns("machine", "improvement"),
+		},
+		Run: kvRun(),
+	})
+
+	registerSpec(scenario.Spec{
+		Version:  1,
+		Name:     "kv-threads",
+		Title:    "CLHT YCSB-A (1KB) on Machine A: thread scaling of baseline and clean",
+		Paper:    "Section 7.2.3 injects load with 10 threads, 'the configuration that provides the highest throughput'; the clean advantage requires enough threads to pressure the device",
+		Machine:  scenario.MachineSpec{Preset: "machine-a"},
+		Workload: kvWorkload("clht", map[string]any{"value_size": 1024}),
+		Policy: scenario.PolicySpec{
+			Ops:     []string{"none", "clean"},
+			Axes:    []scenario.Axis{{Param: "threads", Values: []any{1, 2, 5, 10}, Quick: []any{2, 10}}},
+			Columns: kvCleanColumns("threads", "clean gain"),
+		},
+		Run: kvRun(),
+	})
+}
+
+// kvWorkload is the YCSB-A client every key-value experiment runs on
+// store, plus the experiment's own fixed parameters.
+func kvWorkload(store string, extra map[string]any) scenario.WorkloadSpec {
+	p := map[string]any{"store": store, "records": 400_000, "ops": 6000, "threads": 10, "mix": "A", "seed": 99}
+	for k, v := range extra {
+		p[k] = v
+	}
+	return scenario.WorkloadSpec{Name: "ycsb", Params: p}
+}
+
+// kvRun shrinks the load and the per-thread op count in quick mode.
+func kvRun() scenario.RunSpec {
+	return scenario.RunSpec{Quick: map[string]any{"records": 100_000, "ops": 1500}}
+}
+
+func kvValueSizes() scenario.Axis {
+	return scenario.Axis{Param: "value_size", Values: []any{64, 128, 256, 1024, 4096}, Quick: []any{256, 1024}}
+}
+
+func kvMachinesB() scenario.Axis {
+	return scenario.Axis{Param: "machine", Values: []any{"machine-b-fast", "machine-b-slow"},
+		Labels: []string{"B-fast", "B-slow"}}
+}
+
+// kvCleanColumns is the baseline-vs-clean throughput table over axis:
+// the axis value, both throughputs, and clean's gain as a percentage.
+func kvCleanColumns(axis, gain string) []scenario.Column {
+	return []scenario.Column{
+		{Title: axis, Axis: axis},
+		{Title: "baseline", Op: "none", Metric: "ops_per_sec", Format: "mops"},
+		{Title: "clean", Op: "clean", Metric: "ops_per_sec", Format: "mops"},
+		{Title: gain, Op: "clean", Metric: "ops_per_sec", DenOp: "none", Format: "pct"},
+	}
 }

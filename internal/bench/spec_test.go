@@ -5,12 +5,14 @@ import (
 	"context"
 	"testing"
 
+	"prestores/internal/checkpoint"
 	"prestores/internal/scenario"
 )
 
 // TestSpecIDsRegistered pins which named experiments are spec-driven.
 func TestSpecIDsRegistered(t *testing.T) {
-	want := []string{"ext-cxlssd", "ext-seqlog", "fig3", "fig5", "skipvsclean", "x9"}
+	want := []string{"ext-cxlssd", "ext-seqlog", "fig10", "fig11", "fig12", "fig13", "fig14",
+		"fig3", "fig5", "kv-threads", "skipvsclean", "x9"}
 	got := SpecIDs()
 	if len(got) != len(want) {
 		t.Fatalf("SpecIDs() = %v, want %v", got, want)
@@ -28,12 +30,18 @@ func TestSpecIDsRegistered(t *testing.T) {
 // TestDumpedSpecByteIdentical runs every spec-driven experiment both
 // through its registry entry and through RunSpec on its dumped
 // (canonical JSON, re-decoded) spec, and requires byte-identical
-// output — the acceptance oracle for the declarative refactor.
+// output — the acceptance oracle for the declarative refactor. All runs
+// share one checkpoint view, so each warm state loads once (the golden
+// guard and TestWarmForkByteIdentity pin warm == cold).
 func TestDumpedSpecByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
 	}
-	ctx := context.Background()
+	store, err := checkpoint.NewStore(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := checkpoint.NewContext(context.Background(), store.View())
 	for _, id := range SpecIDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"prestores/internal/core"
 	"prestores/internal/dirtbuster"
+	"prestores/internal/scenario"
 	"prestores/internal/sim"
 	"prestores/internal/units"
 	"prestores/internal/workloads/clht"
@@ -118,7 +119,7 @@ func Table2Workloads(quick bool) []dirtbuster.Workload {
 }
 
 func runTable2(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "application", "write-int", "sequential", "before-fence", "choice")
+	scenario.Row(w, "application", "write-int", "sequential", "before-fence", "choice")
 	for _, wl := range Table2Workloads(quick) {
 		if cancelled(ctx) {
 			return
@@ -151,7 +152,7 @@ func runTable2(ctx context.Context, w io.Writer, quick bool) {
 		if rep.WriteIntensive {
 			wi = "yes"
 		}
-		row(w, wl.Name, wi, orDash(seq), orDash(fence), choice.String())
+		scenario.Row(w, wl.Name, wi, orDash(seq), orDash(fence), choice.String())
 	}
 	fmt.Fprintln(w, "(choice = recommendation for the top write-intensive function)")
 }

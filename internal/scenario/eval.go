@@ -35,15 +35,11 @@ func (s *Spec) EvalPoint(ctx context.Context, quick bool) (Metrics, error) {
 	if !ok {
 		return nil, fmt.Errorf("workload.name: unknown workload %q (one of %v)", s.Workload.Name, WorkloadNames())
 	}
-	prefixKey, err := s.forkKey(ctx, wl)
-	if err != nil {
-		return nil, err
-	}
 	m, err := s.buildMachine(s.Machine.Preset)
 	if err != nil {
 		return nil, err
 	}
-	return runOp(ctx, wl, m, s.Policy.Ops[0], s.baseParams(quick), prefixKey)
+	return runOp(ctx, wl, m, s.Policy.Ops[0], s.baseParams(quick), s.forks(ctx, wl))
 }
 
 // WithPlan returns a copy of the spec carrying a different pre-store

@@ -63,26 +63,15 @@ func (s *Spec) Exec(ctx context.Context, w io.Writer, quick bool) error {
 	}
 
 	base := s.baseParams(quick)
-
-	// Effective axis values.
-	axes := make([]Axis, len(s.Policy.Axes))
-	copy(axes, s.Policy.Axes)
-	for i := range axes {
-		if quick && len(axes[i].Quick) > 0 {
-			axes[i].Values = axes[i].Quick
-		}
-	}
+	axes := s.axes(quick)
 
 	titles := make([]string, len(s.Policy.Columns))
 	for i, c := range s.Policy.Columns {
 		titles[i] = c.Title
 	}
-	header(w, titles...)
+	Row(w, titles...)
 
-	prefixKey, err := s.forkKey(ctx, wl)
-	if err != nil {
-		return err
-	}
+	warm := s.forks(ctx, wl)
 
 	// Odometer over the axes; the first axis varies slowest.
 	idx := make([]int, len(axes))
@@ -90,7 +79,7 @@ func (s *Spec) Exec(ctx context.Context, w io.Writer, quick bool) error {
 		if ctx.Err() != nil {
 			return nil
 		}
-		if err := s.runRow(ctx, w, wl, axes, idx, base, prefixKey); err != nil {
+		if err := s.runRow(ctx, w, wl, axes, idx, base, warm); err != nil {
 			return err
 		}
 		// Advance.
@@ -110,6 +99,19 @@ func (s *Spec) Exec(ctx context.Context, w io.Writer, quick bool) error {
 		fmt.Fprintln(w, line)
 	}
 	return nil
+}
+
+// axes returns the sweep axes with their effective values: in quick
+// mode an axis's Quick list replaces its Values.
+func (s *Spec) axes(quick bool) []Axis {
+	axes := make([]Axis, len(s.Policy.Axes))
+	copy(axes, s.Policy.Axes)
+	for i := range axes {
+		if quick && len(axes[i].Quick) > 0 {
+			axes[i].Values = axes[i].Quick
+		}
+	}
+	return axes
 }
 
 // baseParams assembles the effective base parameters for a run: spec
@@ -138,41 +140,24 @@ func (s *Spec) baseParams(quick bool) Params {
 	return base
 }
 
-// forkKey returns the spec's warm-prefix key when its runs may fork
-// from the context's checkpoint view: the view is there, the workload
-// declares a warm phase, and run.cold_start does not opt the spec out.
-// Otherwise it returns "" and every run loads cold.
-func (s *Spec) forkKey(ctx context.Context, wl Workload) (string, error) {
-	if checkpoint.FromContext(ctx) == nil || wl.RunPhased == nil || s.Run.ColdStart {
-		return "", nil
-	}
-	return s.WarmPrefixKey(checkpoint.Build(), 0)
+// forks reports whether the spec's runs may fork from the context's
+// checkpoint view: the view is there, the workload declares a warm
+// phase, and run.cold_start does not opt the spec out. Otherwise every
+// run loads cold.
+func (s *Spec) forks(ctx context.Context, wl Workload) bool {
+	return checkpoint.FromContext(ctx) != nil && wl.RunPhased != nil && !s.Run.ColdStart
 }
 
 // runRow executes one grid point (all its ops) and renders the row.
-func (s *Spec) runRow(ctx context.Context, w io.Writer, wl Workload, axes []Axis, idx []int, base Params, prefixKey string) error {
-	params := base.clone()
-	machinePreset := s.Machine.Preset
-	ops := s.Policy.Ops
-	for ai, a := range axes {
-		v := a.Values[idx[ai]]
-		switch a.Param {
-		case "machine":
-			machinePreset = v.(string)
-		case "op":
-			ops = []string{v.(string)}
-		default:
-			params[a.Param] = v
-		}
-	}
-
+func (s *Spec) runRow(ctx context.Context, w io.Writer, wl Workload, axes []Axis, idx []int, base Params, warm bool) error {
+	preset, ops, params := s.point(axes, idx, base)
 	results := make(map[string]Metrics, len(ops))
 	for _, op := range ops {
-		m, err := s.buildMachine(machinePreset)
+		m, err := s.buildMachine(preset)
 		if err != nil {
 			return err
 		}
-		metrics, err := runOp(ctx, wl, m, op, params, prefixKey)
+		metrics, err := runOp(ctx, wl, m, op, params, warm)
 		if err != nil {
 			return err
 		}
@@ -183,8 +168,27 @@ func (s *Spec) runRow(ctx context.Context, w io.Writer, wl Workload, axes []Axis
 	for ci, c := range s.Policy.Columns {
 		cells[ci] = s.renderCell(c, axes, idx, ops, results)
 	}
-	row(w, cells...)
+	Row(w, cells...)
 	return nil
+}
+
+// point resolves one grid point: the machine preset it runs on, the
+// ops it runs, and its parameters (the base with the point's axis
+// values applied).
+func (s *Spec) point(axes []Axis, idx []int, base Params) (preset string, ops []string, params Params) {
+	preset, ops, params = s.Machine.Preset, s.Policy.Ops, base.clone()
+	for ai, a := range axes {
+		v := a.Values[idx[ai]]
+		switch a.Param {
+		case "machine":
+			preset = v.(string)
+		case "op":
+			ops = []string{v.(string)}
+		default:
+			params[a.Param] = v
+		}
+	}
+	return preset, ops, params
 }
 
 func (s *Spec) renderCell(c Column, axes []Axis, idx []int, ops []string, results map[string]Metrics) string {
@@ -217,9 +221,9 @@ func (s *Spec) renderCell(c Column, axes []Axis, idx []int, ops []string, result
 
 // runOp runs one op of wl on a freshly built machine. It is the one run
 // path behind EvalPoint and Exec: it attaches the context's op sink,
-// observer and recorder, and with a non-empty prefixKey it routes the
-// workload's warm phase through the context's checkpoint view.
-func runOp(ctx context.Context, wl Workload, m *sim.Machine, op string, p Params, prefixKey string) (Metrics, error) {
+// observer and recorder, and when warm it routes the workload's warm
+// phase through the context's checkpoint view under the run's warm key.
+func runOp(ctx context.Context, wl Workload, m *sim.Machine, op string, p Params, warm bool) (Metrics, error) {
 	m.AttachOps(ctx)
 	if observe := observerFrom(ctx); observe != nil {
 		observe(m)
@@ -227,14 +231,17 @@ func runOp(ctx context.Context, wl Workload, m *sim.Machine, op string, p Params
 	var fork *telemetry.Fork
 	if rec := recorderFrom(ctx); rec != nil {
 		if fork = rec.AttachFork(m); fork == nil {
-			prefixKey = "" // a timeline records every event: load cold
+			warm = false // a timeline records every event: load cold
 		}
+	}
+	var key string
+	if warm {
+		key = warmKey(checkpoint.Build(), wl, m.ConfigHash(), p)
 	}
 	var metrics Metrics
 	var err error
-	if prefixKey != "" {
-		key := warmRunKey(prefixKey, m.ConfigHash(), wl.WarmParams, p)
-		metrics, err = wl.RunPhased(m, op, p, PhaseControl(ctx, key, fork))
+	if key != "" {
+		metrics, err = wl.RunPhased(m, op, p, phaseControl(ctx, key, fork))
 	} else {
 		metrics, err = wl.Run(m, op, p)
 	}
@@ -244,12 +251,12 @@ func runOp(ctx context.Context, wl Workload, m *sim.Machine, op string, p Params
 	return metrics, nil
 }
 
-// PhaseControl wires the context's checkpoint view into a
+// phaseControl wires the context's checkpoint view into a
 // sim.PhaseControl for one run whose warm state is stored under key
 // (nil without a view: the run loads cold). Restore forks the machine
 // from the stored post-warmup state; Save encodes and stores it. It is
-// the one checkpoint-fork path of both the scenario runner and
-// internal/bench's KV experiments.
+// the one checkpoint-fork path: every Exec row and EvalPoint (and so
+// every autotune candidate) forks through it.
 //
 // A non-nil fork is the run's recorder share: its state is stored
 // beside the machine's under its own key and must hit too, or the run
@@ -262,7 +269,7 @@ func runOp(ctx context.Context, wl Workload, m *sim.Machine, op string, p Params
 // that fails after the header matched panics rather than silently
 // re-running the warmup on a half-mutated machine; the bench runner
 // contains the panic into Result.Err.
-func PhaseControl(ctx context.Context, key string, fork *telemetry.Fork) *sim.PhaseControl {
+func phaseControl(ctx context.Context, key string, fork *telemetry.Fork) *sim.PhaseControl {
 	view := checkpoint.FromContext(ctx)
 	if view == nil {
 		return nil
@@ -429,19 +436,10 @@ func formatCell(format string, v any) string {
 	return fmt.Sprint(v)
 }
 
-// header and row replicate internal/bench's fixed-width table layout
-// ("%12s" cells, two-space separators) byte for byte.
-func header(w io.Writer, cols ...string) {
-	for i, c := range cols {
-		if i > 0 {
-			fmt.Fprint(w, "  ")
-		}
-		fmt.Fprintf(w, "%12s", c)
-	}
-	fmt.Fprintln(w)
-}
-
-func row(w io.Writer, cells ...string) {
+// Row writes one line of the fixed-width tables every experiment
+// prints, header or data: each cell right-aligned in 12 columns, two
+// spaces apart.
+func Row(w io.Writer, cells ...string) {
 	for i, c := range cells {
 		if i > 0 {
 			fmt.Fprint(w, "  ")

@@ -367,6 +367,10 @@ func (s *Spec) Validate() error {
 		}
 	}
 
+	if err := s.validateWindows(); err != nil {
+		return err
+	}
+
 	// Ops.
 	opAxis := s.hasAxis("op")
 	if opAxis && len(s.Policy.Ops) > 0 {
@@ -519,6 +523,37 @@ func (s *Spec) checkAxisValue(path, param string, def ParamDef, v any, w Workloa
 	return nil
 }
 
+// machineConfigs returns the base config of every machine a row of the
+// spec can run on: the custom config, the preset, or each preset the
+// "machine" axis names (values and quick values).
+func (s *Spec) machineConfigs() []sim.Config {
+	switch {
+	case s.Machine.Config != nil:
+		return []sim.Config{*s.Machine.Config}
+	case s.Machine.Preset != "":
+		cfg, _ := sim.PresetConfig(s.Machine.Preset)
+		return []sim.Config{cfg}
+	}
+	axis, _ := s.axisFor("machine")
+	var bases []sim.Config
+	for _, v := range append(append([]any(nil), axis.Values...), axis.Quick...) {
+		if name, ok := v.(string); ok {
+			if cfg, ok := sim.PresetConfig(name); ok {
+				bases = append(bases, cfg)
+			}
+		}
+	}
+	return bases
+}
+
+func windowNames(cfg sim.Config) []string {
+	names := make([]string, len(cfg.Windows))
+	for i, ws := range cfg.Windows {
+		names[i] = ws.Name
+	}
+	return names
+}
+
 // validateDevicePatches checks machine.devices against the windows of
 // the machine(s) the spec can resolve.
 func (s *Spec) validateDevicePatches() error {
@@ -527,32 +562,11 @@ func (s *Spec) validateDevicePatches() error {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	// Collect the base configs every row could use.
-	var bases []sim.Config
-	switch {
-	case s.Machine.Config != nil:
-		bases = append(bases, *s.Machine.Config)
-	case s.Machine.Preset != "":
-		cfg, _ := sim.PresetConfig(s.Machine.Preset)
-		bases = append(bases, cfg)
-	default:
-		axis, _ := s.axisFor("machine")
-		for _, v := range axis.Values {
-			name, ok := v.(string)
-			if !ok {
-				continue // axis validation reports this
-			}
-			if cfg, ok := sim.PresetConfig(name); ok {
-				bases = append(bases, cfg)
-			}
-		}
-	}
+	bases := s.machineConfigs()
 	for _, win := range names {
 		for _, base := range bases {
 			found := false
-			var windows []string
 			for _, ws := range base.Windows {
-				windows = append(windows, ws.Name)
 				if ws.Name == win {
 					found = true
 					spec, ok := memdev.Describe(ws.Device)
@@ -565,7 +579,49 @@ func (s *Spec) validateDevicePatches() error {
 				}
 			}
 			if !found {
-				return fmt.Errorf("machine.devices.%s: no such window (machine %s has %v)", win, base.Name, windows)
+				return fmt.Errorf("machine.devices.%s: no such window (machine %s has %v)", win, base.Name, windowNames(base))
+			}
+		}
+	}
+	return nil
+}
+
+// validateWindows checks every explicit window value — policy.window,
+// workload.params.window, run.quick.window and a "window" axis's values
+// — against the windows of every machine the spec can run on, so a
+// placement the machine lacks is a validation error instead of a
+// failure mid-run. Workload default windows are not checked.
+func (s *Spec) validateWindows() error {
+	type use struct {
+		path string
+		v    any
+	}
+	var uses []use
+	if s.Policy.Window != "" {
+		uses = append(uses, use{"policy.window", s.Policy.Window})
+	}
+	if v, ok := s.Workload.Params["window"]; ok {
+		uses = append(uses, use{"workload.params.window", v})
+	}
+	if v, ok := s.Run.Quick["window"]; ok {
+		uses = append(uses, use{"run.quick.window", v})
+	}
+	for i, a := range s.Policy.Axes {
+		if a.Param != "window" {
+			continue
+		}
+		for vi, v := range a.Values {
+			uses = append(uses, use{fmt.Sprintf("policy.axes[%d].values[%d]", i, vi), v})
+		}
+		for vi, v := range a.Quick {
+			uses = append(uses, use{fmt.Sprintf("policy.axes[%d].quick[%d]", i, vi), v})
+		}
+	}
+	for _, base := range s.machineConfigs() {
+		names := windowNames(base)
+		for _, u := range uses {
+			if name, _ := u.v.(string); name != "" && !containsStr(names, name) {
+				return fmt.Errorf("%s: unknown window %q (machine %s has %v)", u.path, name, base.Name, names)
 			}
 		}
 	}

@@ -60,6 +60,21 @@ func TestValidateErrorFieldPaths(t *testing.T) {
 		{"bad device param", func(s *scenario.Spec) {
 			s.Machine.Devices = map[string]map[string]any{"pmem": {"warp": float64(9)}}
 		}, "machine.devices.pmem.warp: unknown device parameter"},
+		{"unknown policy window", func(s *scenario.Spec) { s.Policy.Window = "remote" },
+			`policy.window: unknown window "remote" (machine machine-A (x86 + Optane PMEM) has [dram pmem])`},
+		{"unknown window param", func(s *scenario.Spec) { s.Workload.Params["window"] = "fpga" },
+			`workload.params.window: unknown window "fpga"`},
+		{"unknown quick window", func(s *scenario.Spec) { s.Run.Quick = map[string]any{"window": "cxlssd"} },
+			`run.quick.window: unknown window "cxlssd"`},
+		{"unknown window axis value", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "window", Values: []any{"pmem", "cxlssd"}})
+		}, `policy.axes[0].values[1]: unknown window "cxlssd"`},
+		{"window missing on an axis machine", func(s *scenario.Spec) {
+			s.Machine.Preset = ""
+			s.Policy.Window = "pmem"
+			s.Policy.Axes = append(s.Policy.Axes,
+				scenario.Axis{Param: "machine", Values: []any{"machine-a", "machine-b-fast"}})
+		}, `policy.window: unknown window "pmem" (machine machine-B-fast`},
 		{"unknown axis", func(s *scenario.Spec) {
 			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "zoom", Values: []any{1}})
 		}, `policy.axes[0].param: unknown axis "zoom"`},

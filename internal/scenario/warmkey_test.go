@@ -4,7 +4,8 @@ import (
 	"testing"
 
 	"prestores/internal/scenario"
-	_ "prestores/internal/workloads/ycsb" // the warm-phase workload whose WarmParams the key honours
+	_ "prestores/internal/workloads/micro" // listing3: a workload without warm parameters
+	_ "prestores/internal/workloads/ycsb"  // the warm-phase workload whose WarmParams the key honours
 )
 
 // warmSpec sweeps ycsb's value_size (a warm parameter) and op; records
@@ -13,6 +14,7 @@ func warmSpec() scenario.Spec {
 	return scenario.Spec{
 		Version: 1,
 		Name:    "warmkey-test",
+		Title:   "warm key test",
 		Machine: scenario.MachineSpec{Preset: "machine-a"},
 		Workload: scenario.WorkloadSpec{
 			Name:   "ycsb",
@@ -37,27 +39,34 @@ func ycsbWarmParams(t testing.TB) []string {
 	return wl.WarmParams
 }
 
-func key(t *testing.T, s scenario.Spec, build string, phase int) string {
+// key is the warm key of the spec's first grid point in full and in
+// quick mode, so a field that shapes either mode's warm state moves it.
+func key(t testing.TB, s scenario.Spec, build string) string {
 	t.Helper()
-	k, err := s.WarmPrefixKey(build, phase)
+	full, err := s.FirstWarmKey(build, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k
+	quick, err := s.FirstWarmKey(build, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return full + "/" + quick
 }
 
-// TestWarmPrefixKeyInvariants pins the key's contract: invariant under
-// everything a sweep axis masks (axis order, value lists, quick lists,
-// labels, the swept parameters' base values) and everything that feeds
-// only the measured phase (parameters outside the workload's
-// WarmParams and their quick overrides, run.seed, the op table, the
-// telemetry block); sensitive to everything else (warm parameters,
-// machine, workload, build, phase).
+// TestWarmPrefixKeyInvariants pins the one warm key's contract at the
+// spec level: a run's key is invariant under everything that feeds only
+// the measured phase or the rendered table (ops, the op table, run.seed,
+// telemetry, parameters outside the workload's WarmParams, columns,
+// title, footer, axis labels and order) and under base values an axis
+// overrides; it changes with the workload, the machine, the build and
+// every effective warm-parameter value, whether set in the params, a
+// quick override, policy.window or an axis.
 func TestWarmPrefixKeyInvariants(t *testing.T) {
-	base := key(t, warmSpec(), "build-1", 0)
+	base := key(t, warmSpec(), "build-1")
 
 	// Determinism.
-	if k := key(t, warmSpec(), "build-1", 0); k != base {
+	if k := key(t, warmSpec(), "build-1"); k != base {
 		t.Errorf("same spec hashed twice: %s vs %s", base, k)
 	}
 
@@ -65,14 +74,15 @@ func TestWarmPrefixKeyInvariants(t *testing.T) {
 		"axis order swapped": func(s *scenario.Spec) {
 			s.Policy.Axes[0], s.Policy.Axes[1] = s.Policy.Axes[1], s.Policy.Axes[0]
 		},
-		"axis values changed": func(s *scenario.Spec) {
-			s.Policy.Axes[0].Values = []any{4096}
-		},
-		"axis quick list changed": func(s *scenario.Spec) {
-			s.Policy.Axes[0].Quick = []any{64, 1024}
-		},
 		"axis labels added": func(s *scenario.Spec) {
 			s.Policy.Axes[1].Labels = []string{"base", "cl", "sk"}
+		},
+		"op axis values changed": func(s *scenario.Spec) {
+			s.Policy.Axes[1].Values = []any{"demote"}
+		},
+		"op axis replaced by an ops list": func(s *scenario.Spec) {
+			s.Policy.Axes = s.Policy.Axes[:1]
+			s.Policy.Ops = []string{"clean"}
 		},
 		"swept param's base value changed": func(s *scenario.Spec) {
 			s.Workload.Params["value_size"] = 8192
@@ -95,6 +105,9 @@ func TestWarmPrefixKeyInvariants(t *testing.T) {
 		"non-warm quick override changed": func(s *scenario.Spec) {
 			s.Run.Quick["threads"] = 8
 		},
+		"non-warm axis added": func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "threads", Values: []any{1, 2}})
+		},
 		"seed changed": func(s *scenario.Spec) {
 			s.Run.Seed = 7
 		},
@@ -104,16 +117,30 @@ func TestWarmPrefixKeyInvariants(t *testing.T) {
 		"telemetry block added": func(s *scenario.Spec) {
 			s.Telemetry = &scenario.TelemetrySpec{LineReport: true, BucketBytes: 4096}
 		},
+		"table layout changed": func(s *scenario.Spec) {
+			s.Name, s.Title, s.Paper = "other", "other title", "other paper"
+			s.Policy.Columns = []scenario.Column{{Title: "amp", Metric: "write_amp", Format: "f2"}}
+			s.Policy.Footer = []string{"footer"}
+		},
+		"warm value written as a JSON number": func(s *scenario.Spec) {
+			s.Workload.Params["records"] = float64(400000)
+		},
 	}
 	for name, mutate := range same {
 		s := warmSpec()
 		mutate(&s)
-		if k := key(t, s, "build-1", 0); k != base {
-			t.Errorf("%s: key changed (%s vs %s); sweep-masked fields must not affect it", name, k, base)
+		if k := key(t, s, "build-1"); k != base {
+			t.Errorf("%s: key changed (%s vs %s); only warm-state inputs may affect it", name, k, base)
 		}
 	}
 
 	diff := map[string]func(*scenario.Spec){
+		"swept warm values changed": func(s *scenario.Spec) {
+			s.Policy.Axes[0].Values = []any{4096}
+		},
+		"swept warm quick values changed": func(s *scenario.Spec) {
+			s.Policy.Axes[0].Quick = []any{64, 1024}
+		},
 		"non-swept warm param changed": func(s *scenario.Spec) {
 			s.Workload.Params["records"] = 50000
 		},
@@ -123,29 +150,29 @@ func TestWarmPrefixKeyInvariants(t *testing.T) {
 		"non-swept warm quick override changed": func(s *scenario.Spec) {
 			s.Run.Quick["records"] = 200000
 		},
+		"policy window set": func(s *scenario.Spec) {
+			s.Policy.Window = "dram"
+		},
 		"machine preset changed": func(s *scenario.Spec) {
-			s.Machine.Preset = "machine-b-fast"
+			s.Machine.Preset = "machine-c"
+		},
+		"device patched": func(s *scenario.Spec) {
+			s.Machine.Devices = map[string]map[string]any{"pmem": {"write_lat": float64(900)}}
 		},
 		"workload changed": func(s *scenario.Spec) {
 			s.Workload.Name = "listing3"
-		},
-		"axis param set changed": func(s *scenario.Spec) {
-			s.Policy.Axes[0].Param = "threads"
 		},
 	}
 	for name, mutate := range diff {
 		s := warmSpec()
 		mutate(&s)
-		if k := key(t, s, "build-1", 0); k == base {
-			t.Errorf("%s: key unchanged; non-masked fields must affect it", name)
+		if k := key(t, s, "build-1"); k == base {
+			t.Errorf("%s: key unchanged; warm-state inputs must affect it", name)
 		}
 	}
 
-	if k := key(t, warmSpec(), "build-2", 0); k == base {
+	if k := key(t, warmSpec(), "build-2"); k == base {
 		t.Error("build change: key unchanged; checkpoints must not survive a simulator change")
-	}
-	if k := key(t, warmSpec(), "build-1", 1); k == base {
-		t.Error("phase change: key unchanged")
 	}
 
 	// The original spec must not have been mutated by key computation.
@@ -154,11 +181,12 @@ func TestWarmPrefixKeyInvariants(t *testing.T) {
 	}
 }
 
-// TestWarmRunKey pins the per-grid-point narrowing: sensitive to the
-// config hash and the declared warm parameters' effective values,
-// insensitive to measured-phase parameters and declaration order.
+// TestWarmRunKey pins the key function itself: sensitive to the build,
+// the workload name, the config hash and the declared warm parameters'
+// values; insensitive to measured-phase parameters, to declaration
+// order and to how a number is typed.
 func TestWarmRunKey(t *testing.T) {
-	warm := []string{"store", "records", "value_size"}
+	wl := scenario.Workload{Name: "w", WarmParams: []string{"store", "records", "value_size"}}
 	p := scenario.Params{"store": "clht", "records": 100000, "value_size": 256, "threads": 10, "mix": "A"}
 	clone := func() scenario.Params {
 		q := scenario.Params{}
@@ -167,39 +195,60 @@ func TestWarmRunKey(t *testing.T) {
 		}
 		return q
 	}
-	base := scenario.WarmRunKey("prefix", "cfg-1", warm, p)
+	base := scenario.WarmKey("build", wl, "cfg-1", p)
+	if base == "" {
+		t.Fatal("no key for plain parameters")
+	}
 
-	if k := scenario.WarmRunKey("prefix", "cfg-1", warm, clone()); k != base {
+	if k := scenario.WarmKey("build", wl, "cfg-1", clone()); k != base {
 		t.Error("same inputs hashed twice differ")
 	}
-	if k := scenario.WarmRunKey("prefix", "cfg-2", warm, p); k == base {
+	if k := scenario.WarmKey("build", wl, "cfg-2", p); k == base {
 		t.Error("config hash ignored")
 	}
-	if k := scenario.WarmRunKey("other", "cfg-1", warm, p); k == base {
-		t.Error("prefix key ignored")
+	if k := scenario.WarmKey("build-2", wl, "cfg-1", p); k == base {
+		t.Error("build ignored")
 	}
-	if k := scenario.WarmRunKey("prefix", "cfg-1", []string{"records", "value_size", "store"}, p); k != base {
+	other := wl
+	other.Name = "v"
+	if k := scenario.WarmKey("build", other, "cfg-1", p); k == base {
+		t.Error("workload name ignored")
+	}
+	reordered := wl
+	reordered.WarmParams = []string{"records", "value_size", "store"}
+	if k := scenario.WarmKey("build", reordered, "cfg-1", p); k != base {
 		t.Error("warm-param declaration order leaked into the key")
 	}
 
 	q := clone()
 	q["threads"] = 4
 	q["mix"] = "F"
-	if k := scenario.WarmRunKey("prefix", "cfg-1", warm, q); k != base {
+	if k := scenario.WarmKey("build", wl, "cfg-1", q); k != base {
 		t.Error("measured-phase params leaked into the key; sibling grid points would never share a checkpoint")
 	}
 	q = clone()
+	q["records"] = float64(100000)
+	if k := scenario.WarmKey("build", wl, "cfg-1", q); k != base {
+		t.Error("an int and the same JSON-decoded float64 give different keys")
+	}
+	q = clone()
 	q["value_size"] = 1024
-	if k := scenario.WarmRunKey("prefix", "cfg-1", warm, q); k == base {
+	if k := scenario.WarmKey("build", wl, "cfg-1", q); k == base {
 		t.Error("warm param value ignored; grid points with different loads would share a checkpoint")
+	}
+	q = clone()
+	delete(q, "store")
+	if k := scenario.WarmKey("build", wl, "cfg-1", q); k == base {
+		t.Error("an absent warm param hashed like a set one")
 	}
 }
 
-// FuzzWarmPrefixKey hammers the masking logic: for any parameter name
-// and pair of values (also used as run.seed), the key must ignore the
-// parameter when a sweep axis overrides it or when it is not one of
-// the workload's warm parameters, must change with it otherwise, and
-// must be deterministic and never panic.
+// FuzzWarmPrefixKey hammers the key's parameter handling: for any
+// parameter name and pair of values (also used as run.seed), set in the
+// params or swept by a one-value axis, the key of the spec's run must
+// change with the value exactly when the parameter is one of the
+// workload's warm parameters, and must be deterministic and never
+// panic.
 func FuzzWarmPrefixKey(f *testing.F) {
 	f.Add("value_size", int64(64), int64(4096), true)
 	f.Add("records", int64(100), int64(100000), false)
@@ -210,44 +259,43 @@ func FuzzWarmPrefixKey(f *testing.F) {
 	f.Add("heap", int64(1<<20), int64(1<<30), false)
 	warm := ycsbWarmParams(f)
 	f.Fuzz(func(t *testing.T, name string, v1, v2 int64, sweep bool) {
-		// The base spec already sweeps some params; those are masked
-		// whether or not this case adds an axis for them.
+		// "machine" and "op" axes name presets and ops, not parameters.
+		sweep = sweep && name != "machine" && name != "op"
+		overridden := false // set as a parameter, but an axis of the base spec replaces it
 		for _, a := range warmSpec().Policy.Axes {
-			if a.Param == name {
-				sweep = true
-			}
+			overridden = overridden || (!sweep && a.Param == name)
 		}
 		build := func(v int64) scenario.Spec {
 			s := warmSpec()
-			s.Workload.Params[name] = v
 			s.Run.Seed = uint64(v)
-			if sweep {
-				s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: name, Values: []any{v}})
+			delete(s.Run.Quick, name)
+			if !sweep {
+				s.Workload.Params[name] = v
+				return s
 			}
+			for i, a := range s.Policy.Axes {
+				if a.Param == name {
+					s.Policy.Axes[i] = scenario.Axis{Param: name, Values: []any{v}}
+					return s
+				}
+			}
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: name, Values: []any{v}})
 			return s
 		}
-		k1, err1 := build(v1).WarmPrefixKey("b", 0)
-		k2, err2 := build(v2).WarmPrefixKey("b", 0)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("error asymmetry: %v vs %v", err1, err2)
-		}
-		if err1 != nil {
-			return
-		}
-		if r1, _ := build(v1).WarmPrefixKey("b", 0); r1 != k1 {
+		k1 := key(t, build(v1), "b")
+		k2 := key(t, build(v2), "b")
+		if r1 := key(t, build(v1), "b"); r1 != k1 {
 			t.Fatalf("non-deterministic key for %q", name)
 		}
 		shapesWarm := false
 		for _, w := range warm {
-			shapesWarm = shapesWarm || w == name
+			shapesWarm = shapesWarm || (w == name && !overridden)
 		}
 		switch {
-		case sweep && k1 != k2:
-			t.Errorf("swept param %q: base value leaked into the key", name)
 		case !shapesWarm && k1 != k2:
-			t.Errorf("measured-phase param %q or run.seed leaked into the key", name)
-		case !sweep && shapesWarm && v1 != v2 && k1 == k2:
-			t.Errorf("non-swept warm param %q: value ignored by the key", name)
+			t.Errorf("param %q (sweep=%v) or run.seed leaked into the key", name, sweep)
+		case shapesWarm && v1 != v2 && k1 == k2:
+			t.Errorf("warm param %q (sweep=%v): value ignored by the key", name, sweep)
 		}
 	})
 }

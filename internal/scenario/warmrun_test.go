@@ -258,3 +258,51 @@ func TestEvalPointForksAcrossMeasuredParams(t *testing.T) {
 		}
 	}
 }
+
+// TestTableLayoutSharesWarmStates is the cross-spec half of the warm-key
+// contract: two sweeps that differ only in table layout — title,
+// columns, ops list and the set of axes — load the same warm states, so
+// every run of the second forks from a checkpoint the first saved.
+func TestTableLayoutSharesWarmStates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two small KV sweeps; skipped with -short")
+	}
+	first := ycsbSpec(nil)
+	first.Policy.Ops = []string{"none", "clean"}
+	first.Policy.Axes = []scenario.Axis{{Param: "value_size", Values: []any{128, 256}}}
+	first.Policy.Columns = []scenario.Column{
+		{Title: "value", Axis: "value_size", Format: "bytes"},
+		{Title: "gain", Op: "clean", Metric: "ops_per_sec", DenOp: "none", Format: "x2"},
+	}
+	second := ycsbSpec(nil)
+	second.Title = "another table"
+	second.Policy.Ops = []string{"skip"}
+	second.Policy.Axes = []scenario.Axis{
+		{Param: "threads", Values: []any{1, 2}},
+		{Param: "value_size", Values: []any{256, 128}},
+	}
+	second.Policy.Columns = []scenario.Column{
+		{Title: "threads", Axis: "threads"},
+		{Title: "amp", Op: "skip", Metric: "write_amp", Format: "f2"},
+	}
+	for _, s := range []scenario.Spec{first, second} {
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	store, err := checkpoint.NewStore(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Exec(checkpoint.NewContext(context.Background(), store.View()), io.Discard, false); err != nil {
+		t.Fatal(err)
+	}
+	view := store.View()
+	if err := second.Exec(checkpoint.NewContext(context.Background(), view), io.Discard, false); err != nil {
+		t.Fatal(err)
+	}
+	if view.Misses() != 0 || view.Hits() != 4 {
+		t.Errorf("second spec: %d hits, %d misses; want all 4 runs to fork", view.Hits(), view.Misses())
+	}
+}

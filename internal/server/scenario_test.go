@@ -232,7 +232,8 @@ func TestRegistryListsAllBuildingBlocks(t *testing.T) {
 	if len(reg.Formats) == 0 {
 		t.Error("no column formats listed")
 	}
-	wantSpecs := []string{"ext-cxlssd", "ext-seqlog", "fig3", "fig5", "skipvsclean", "x9"}
+	wantSpecs := []string{"ext-cxlssd", "ext-seqlog", "fig10", "fig11", "fig12", "fig13", "fig14",
+		"fig3", "fig5", "kv-threads", "skipvsclean", "x9"}
 	if len(reg.Specs) != len(wantSpecs) {
 		t.Fatalf("spec experiments = %v, want %v", reg.Specs, wantSpecs)
 	}

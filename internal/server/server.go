@@ -379,16 +379,16 @@ func (s *Server) submit(kind string, spec any, detached bool, parent obs.SpanCon
 // finalize moves a job to its final state, caches successful results,
 // updates metrics, evicts old finished jobs, and releases streamers.
 func (s *Server) finalize(j *job, res bench.Result) {
-	j.mu.Lock()
+	final := stateDone
 	switch {
 	case j.ctx.Err() != nil:
-		j.state = stateCancelled
+		final = stateCancelled
 	case res.Err != "":
-		j.state = stateFailed
-	default:
-		j.state = stateDone
+		final = stateFailed
 	}
-	final := j.state
+	s.countFinished(j.kind, final)
+	j.mu.Lock()
+	j.state = final
 	j.result = &res
 	j.mu.Unlock()
 
@@ -430,22 +430,33 @@ func (s *Server) finalize(j *job, res bench.Result) {
 	logCtx := j.logCtx()
 	switch final {
 	case stateDone:
-		s.m.jobsDone.Add(1)
 		s.flight.Record("job.done", j.id, j.sc.Trace.String(), j.kind)
 		s.log.InfoContext(logCtx, "job done", attrs...)
 	case stateFailed:
-		s.m.jobsFailed.Add(1)
 		s.flight.Record("job.failed", j.id, j.sc.Trace.String(), res.Err)
 		s.log.WarnContext(logCtx, "job failed", append(attrs, "error", res.Err)...)
 	case stateCancelled:
-		s.m.jobsCancelled.Add(1)
 		s.flight.Record("job.cancelled", j.id, j.sc.Trace.String(), j.kind)
 		s.log.InfoContext(logCtx, "job cancelled", attrs...)
 	}
-	s.m.finished.Inc(j.kind, final.String())
 	j.cancel() // release the context's resources
 	j.out.close()
 	close(j.done)
+}
+
+// countFinished counts a job reaching its final state. Callers count
+// before they publish that state, so a client that sees a job finished
+// always finds it on /metrics.
+func (s *Server) countFinished(kind string, final jobState) {
+	switch final {
+	case stateDone:
+		s.m.jobsDone.Add(1)
+	case stateFailed:
+		s.m.jobsFailed.Add(1)
+	case stateCancelled:
+		s.m.jobsCancelled.Add(1)
+	}
+	s.m.finished.Inc(kind, final.String())
 }
 
 // watch registers a streaming connection on a job.
@@ -467,6 +478,7 @@ func (s *Server) unwatch(j *job) {
 		(j.state == stateQueued || j.state == stateRunning)
 	wasQueued := abandon && j.state == stateQueued
 	if wasQueued {
+		s.countFinished(j.kind, stateCancelled)
 		j.state = stateCancelled // worker will skip it at dequeue
 	}
 	j.mu.Unlock()
@@ -485,6 +497,7 @@ func (s *Server) cancelJob(j *job) {
 	j.mu.Lock()
 	wasQueued := j.state == stateQueued
 	if wasQueued {
+		s.countFinished(j.kind, stateCancelled)
 		j.state = stateCancelled
 	}
 	j.mu.Unlock()
@@ -495,9 +508,10 @@ func (s *Server) cancelJob(j *job) {
 }
 
 // finalizeAbandoned records the final state of a job cancelled before
-// a worker picked it up. The state is already stateCancelled (set by
-// the caller under the job lock, which is what makes the worker skip
-// it), so finalize's bookkeeping runs with a synthetic result.
+// a worker picked it up. The state is already stateCancelled and
+// counted (by the caller under the job lock, which is what makes the
+// worker skip it), so finalize's bookkeeping runs with a synthetic
+// result.
 func (s *Server) finalizeAbandoned(j *job) {
 	res := bench.Result{ID: j.kind, Title: "cancelled before start", Err: "cancelled: " + context.Canceled.Error()}
 	j.mu.Lock()
@@ -510,8 +524,6 @@ func (s *Server) finalizeAbandoned(j *job) {
 	}
 	s.finished = append(s.finished, j.id)
 	s.mu.Unlock()
-	s.m.jobsCancelled.Add(1)
-	s.m.finished.Inc(j.kind, stateCancelled.String())
 	s.tracer.Add(obs.Span{
 		Trace: j.sc.Trace, ID: j.sc.Span, Parent: j.parent,
 		Name: "job", Start: j.submitted.UnixNano(), End: time.Now().UnixNano(),

@@ -17,6 +17,7 @@ import (
 
 	"prestores/internal/bench"
 	"prestores/internal/dirtbuster"
+	"prestores/internal/obs"
 	"prestores/internal/sim"
 )
 
@@ -697,5 +698,61 @@ func TestListEndpoints(t *testing.T) {
 	}
 	if len(names) == 0 {
 		t.Fatal("workload listing empty")
+	}
+}
+
+// TestFinishedJobCountedBeforeVisible pins the order of a job's last
+// two steps: its completion counter moves before its final state is
+// published, so a client that sees "done" or "cancelled" and then
+// scrapes /metrics always finds the job counted. The test holds the
+// scheduler lock, which finalize and finalizeAbandoned need after
+// publishing the state, so a counter still pending behind that lock
+// reads as zero.
+func TestFinishedJobCountedBeforeVisible(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	release := make(chan struct{})
+	blocker := func(context.Context, *job) bench.Result { <-release; return bench.Result{ID: "x"} }
+	_, running, err := s.submit("test", "running", true, obs.SpanContext{}, blocker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, queued, err := s.submit("test", "queued", true, obs.SpanContext{}, blocker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for running.status().State != stateRunning.String() {
+		time.Sleep(time.Millisecond)
+	}
+
+	waitFor := func(j *job, state string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for j.status().State != state {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s never became %s (state %s)", j.id, state, j.status().State)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	s.mu.Lock()
+	go s.cancelJob(queued)
+	waitFor(queued, stateCancelled.String())
+	cancelled := s.m.jobsCancelled.Load()
+	close(release)
+	waitFor(running, stateDone.String())
+	done := s.m.jobsDone.Load()
+	s.mu.Unlock()
+
+	if cancelled != 1 {
+		t.Errorf("queued job visible as cancelled with prestored_jobs_cancelled_total = %d; want 1", cancelled)
+	}
+	if done != 1 {
+		t.Errorf("job visible as done with prestored_jobs_completed_total = %d; want 1", done)
 	}
 }

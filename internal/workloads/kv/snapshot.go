@@ -7,11 +7,6 @@ import (
 	"prestores/internal/snap"
 )
 
-// Size returns the heap's region size in bytes. Warm-prefix keys embed
-// it: heaps of different sizes wrap and recycle differently, so their
-// load-phase states are not interchangeable.
-func (h *ValueHeap) Size() uint64 { return h.region.Size }
-
 // SnapshotState serializes the heap's host-side allocator state — the
 // bump cursor and the per-class free lists — for a checkpoint annex.
 // Free classes are written in sorted order and each list in LIFO order,

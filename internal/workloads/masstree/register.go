@@ -6,7 +6,8 @@ import (
 )
 
 func init() {
-	// Default sizing matches the bench harness's kvSetup.
+	// Default sizing per DESIGN.md §6: the KV figures (fig10-fig14,
+	// kv-threads, ycsb-mixes) run every store with it.
 	kv.RegisterStore("masstree", func(m *sim.Machine, window string) kv.Store {
 		return New(m, Config{Window: window, PoolNodes: 1 << 17})
 	})

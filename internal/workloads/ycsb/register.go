@@ -65,7 +65,7 @@ func init() {
 }
 
 // runScenario is the registered entry point; with a non-nil pc the load
-// phase goes through WarmLoad and can fork from a checkpoint.
+// phase goes through warmLoad and can fork from a checkpoint.
 func runScenario(m *sim.Machine, op string, p scenario.Params, pc *sim.PhaseControl) (scenario.Metrics, error) {
 	craft, err := craftFor(scenario.SiteOp(p, "craft", op))
 	if err != nil {
@@ -97,7 +97,7 @@ func runScenario(m *sim.Machine, op string, p scenario.Params, pc *sim.PhaseCont
 		Window:    window,
 		Seed:      p.Uint64("seed", 0),
 	}
-	if err := WarmLoad(m, store, heap, cfg, pc); err != nil {
+	if err := warmLoad(m, store, heap, cfg, pc); err != nil {
 		return nil, err
 	}
 	r := Run(m, store, heap, cfg)

@@ -16,9 +16,9 @@ type warmState interface {
 	RestoreState(r *snap.Reader) error
 }
 
-// WarmLoad populates the store like Load, but through the phase
+// warmLoad populates the store like Load, but through the phase
 // control: on a checkpoint hit the machine has already been restored by
-// pc and WarmLoad decodes the host-side heap and store state from the
+// pc and warmLoad decodes the host-side heap and store state from the
 // annex; on a miss it runs the cold Load and hands the end state —
 // machine implicit, heap and store serialized as the annex — to
 // pc.Save. The load is deterministic and RNG-free, so a restored state
@@ -28,7 +28,7 @@ type warmState interface {
 // A decode failure after the machine restore is an error, not a
 // fallback: the machine is already warm, so silently re-running the
 // cold load would corrupt the run.
-func WarmLoad(m *sim.Machine, store kv.Store, heap *kv.ValueHeap, cfg Config, pc *sim.PhaseControl) error {
+func warmLoad(m *sim.Machine, store kv.Store, heap *kv.ValueHeap, cfg Config, pc *sim.PhaseControl) error {
 	ws, ok := store.(warmState)
 	if !ok || pc == nil {
 		Load(m, store, heap, cfg)
