@@ -1,18 +1,32 @@
 // Package checkpoint provides the content-addressed warm-state store
 // behind checkpoint-aware sweeps: encoded sim.Checkpoint payloads keyed
-// by canonical warm-prefix keys, held in a byte-capped in-memory LRU
-// with an optional disk tier.
+// by warm-run keys (build, workload, machine config and warm params),
+// held in a byte-capped in-memory LRU with an optional disk tier.
 //
 // The store itself is dumb on purpose — it maps opaque keys to opaque
 // bytes. All semantics (what a key covers, build/config validation)
 // live with the producers: keys already encode the build version and
 // machine config hash, and consumers re-verify both when decoding, so
 // a stale disk tier can cause misses but never wrong results.
+//
+// Stored bytes are immutable: a slice passed to Put or returned by Get
+// is never modified, by the store or by its callers. Consumers rely on
+// this to restore warm state without copying it — a machine restored
+// from a Get result shares that slice's pages copy-on-write — so a live
+// fork keeps its checkpoint bytes reachable even after the LRU has
+// evicted the entry.
+//
+// Disk files carry a CRC-32C trailer, checked on every disk read; a
+// short or damaged file is a miss and is removed. The disk tier is the
+// only place bytes from outside the process enter, so the memory tier
+// never pays for a checksum.
 package checkpoint
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -26,8 +40,8 @@ import (
 const DefaultMaxBytes = 1 << 30 // 1 GiB
 
 // Build returns the running binary's version string — the VCS revision
-// when built from a checkout, "dev" otherwise. Warm-prefix keys embed
-// it so that checkpoints never survive a simulator change.
+// when built from a checkout, "dev" otherwise. Warm-run keys embed it
+// so that checkpoints never survive a simulator change.
 func Build() string {
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
@@ -98,9 +112,17 @@ func (s *Store) diskPath(key string) string {
 	return filepath.Join(s.dir, key+".ckpt")
 }
 
+// crcTable is the Castagnoli polynomial, hardware-accelerated on common
+// CPUs.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// trailerLen is the size of the CRC-32C trailer ending each disk file.
+const trailerLen = 4
+
 // Get returns the checkpoint stored under key. A memory miss consults
-// the disk tier (re-admitting a hit into memory). Hit/miss counters
-// cover the lookup as a whole, not the tiers.
+// the disk tier (re-admitting a hit into memory); a disk file that is
+// too short for its trailer or fails its checksum is a miss and is
+// removed. Hit/miss counters cover the lookup as a whole, not the tiers.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
@@ -112,7 +134,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	}
 	s.mu.Unlock()
 	if s.dir != "" {
-		if data, err := os.ReadFile(s.diskPath(key)); err == nil {
+		if data, ok := s.readDisk(key); ok {
 			s.admit(key, data)
 			s.hits.Add(1)
 			return data, true
@@ -122,10 +144,27 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return nil, false
 }
 
+// readDisk reads key's file and verifies and strips its trailer.
+func (s *Store) readDisk(key string) ([]byte, bool) {
+	path := s.diskPath(key)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false
+	}
+	n := len(file) - trailerLen
+	if n < 0 || crc32.Checksum(file[:n], crcTable) != binary.LittleEndian.Uint32(file[n:]) {
+		s.flight.Recordf("ckpt.corrupt", "", "", "%s (%d bytes on disk, removed)", shortKey(key), len(file))
+		os.Remove(path)
+		return nil, false
+	}
+	return file[:n:n], true
+}
+
 // Put stores data under key, evicting least-recently-used entries to
 // stay under the byte cap, and writes through to the disk tier if one
-// is configured. An entry larger than the whole cap is still kept (the
-// alternative — silently never caching — would hide every hit).
+// is configured, followed by data's CRC-32C. An entry larger than the
+// whole cap is still kept (the alternative — silently never caching —
+// would hide every hit).
 func (s *Store) Put(key string, data []byte) {
 	s.admit(key, data)
 	if s.dir != "" {
@@ -134,7 +173,11 @@ func (s *Store) Put(key string, data []byte) {
 			return // disk tier is best-effort; memory tier already has it
 		}
 		name := tmp.Name()
+		trailer := binary.LittleEndian.AppendUint32(nil, crc32.Checksum(data, crcTable))
 		_, werr := tmp.Write(data)
+		if werr == nil {
+			_, werr = tmp.Write(trailer)
+		}
 		cerr := tmp.Close()
 		if werr != nil || cerr != nil {
 			os.Remove(name)

@@ -95,6 +95,57 @@ func TestStoreDiskTier(t *testing.T) {
 	}
 }
 
+// TestStoreDiskTierRejectsDamage damages disk files in two ways — one
+// flipped payload byte, and a file cut shorter than its trailer — and
+// requires each to read as a miss that removes the file, never as a hit
+// carrying the wrong bytes.
+func TestStoreDiskTierRejectsDamage(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("PSCK warm state "), 64)
+	s.Put("flipped", payload)
+	s.Put("short", payload)
+	flipped := filepath.Join(dir, "flipped.ckpt")
+	data, err := os.ReadFile(flipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(payload)/2] ^= 0x01
+	if err := os.WriteFile(flipped, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	short := filepath.Join(dir, "short.ckpt")
+	if err := os.WriteFile(short, data[:3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := NewStore(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"flipped", "short"} {
+		if got, ok := fresh.Get(key); ok {
+			t.Fatalf("damaged %s file read as a hit (%d bytes)", key, len(got))
+		}
+		if _, err := os.Stat(filepath.Join(dir, key+".ckpt")); !os.IsNotExist(err) {
+			t.Fatalf("damaged %s file not removed: %v", key, err)
+		}
+	}
+	if fresh.Hits() != 0 || fresh.Misses() != 2 {
+		t.Fatalf("hits=%d misses=%d; want 0 and 2", fresh.Hits(), fresh.Misses())
+	}
+
+	// An intact file still round-trips, trailer stripped.
+	s.Put("intact", payload)
+	got, ok := fresh.Get("intact")
+	if !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("intact disk read = %d bytes, %v", len(got), ok)
+	}
+}
+
 func TestViewCounters(t *testing.T) {
 	s, err := NewStore(0, "")
 	if err != nil {

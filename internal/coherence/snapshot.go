@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"sort"
 
 	"prestores/internal/snap"
@@ -37,14 +38,23 @@ func (d *Directory) SnapshotState(w *snap.Writer) {
 // RestoreState replaces the directory's line-state table and counters
 // with the snapshot's. Insertion order into the flat map differs from
 // the snapshotted directory's history, but the map is order-insensitive
-// for all queries, so behaviour is unaffected.
+// for all queries, so behaviour is unaffected. Lines must be strictly
+// ascending, as SnapshotState writes them, and never the flat map's
+// reserved key.
 func (d *Directory) RestoreState(r *snap.Reader) error {
 	r.Section("CDIR")
 	d.lines.Clear()
 	n := r.U64()
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	for i, prev := uint64(0), uint64(0); i < n && r.Err() == nil; i++ {
 		k := r.U64()
 		s := lineState{sharers: r.U64(), exclusive: int8(r.U8())}
+		if r.Err() != nil {
+			break
+		}
+		if k == ^uint64(0) || (i > 0 && k <= prev) {
+			return fmt.Errorf("coherence: snapshot line %#x out of order", k)
+		}
+		prev = k
 		d.lines.Put(k, s)
 	}
 	d.stats.Reads = r.U64()

@@ -34,22 +34,49 @@ var zeroPage page
 
 // extent is a flat page table over one reserved address range: page
 // translation inside it is an array index instead of a map lookup.
-// Pages are still materialized lazily on first write.
+// Pages are still materialized lazily on first write. Bit i of shared
+// marks pages[i] as aliasing restored checkpoint bytes; shared stays nil
+// until a restore installs such a page.
 type extent struct {
 	startPN uint64
 	pages   []*page
+	shared  []uint64
+}
+
+func (e *extent) isShared(i uint64) bool {
+	return e.shared != nil && e.shared[i>>6]&(1<<(i&63)) != 0
+}
+
+func (e *extent) markShared(i uint64) {
+	if e.shared == nil {
+		e.shared = make([]uint64, (len(e.pages)+63)/64)
+	}
+	e.shared[i>>6] |= 1 << (i & 63)
 }
 
 // Store is a sparse byte-addressable memory. The zero value is empty
 // and ready to use; unwritten bytes read as zero.
+//
+// A restored store shares its pages with the checkpoint bytes it was
+// restored from (see RestoreState): a shared page is read in place and
+// copied into a private page on its first write, so the source bytes
+// are never modified and two stores restored from one buffer never see
+// each other's writes.
 type Store struct {
 	pages map[uint64]*page
+	// sharedPNs marks the map pages that alias checkpoint bytes.
+	sharedPNs map[uint64]struct{}
 
-	// Translation cache: the vast majority of accesses are sub-page
+	// Translation caches: the vast majority of accesses are sub-page
 	// sequential or re-touch the same page, so remembering the last
-	// translation turns the common case into two compares.
+	// translation turns the common case into two compares. lastPage is
+	// writable and never holds a shared page; reads that resolve to a
+	// shared page remember it in roPage instead, and copying that page
+	// on a write clears it.
 	lastPN   uint64
 	lastPage *page
+	roPN     uint64
+	roPage   *page
 
 	extents []extent // sorted by startPN, non-overlapping
 }
@@ -77,38 +104,75 @@ func (s *Store) extentIdx(pn uint64) int {
 	return -1
 }
 
+// pageFor translates addr to its page and the offset within it. With
+// create set the page is materialized if absent and is private to this
+// store, so the caller may write it; without, it may be nil (never
+// written) or shared, and the caller must only read it. A shared page is
+// copied before it is handed out for writing, and each translation
+// refills the matching translation cache.
 func (s *Store) pageFor(addr uint64, create bool) (*page, uint64) {
 	pn := addr >> pageShift
 	off := addr & (PageSize - 1)
 	if s.lastPage != nil && pn == s.lastPN {
 		return s.lastPage, off
 	}
+	if !create && s.roPage != nil && pn == s.roPN {
+		return s.roPage, off
+	}
 	var p *page
-	if i := s.extentIdx(pn); i >= 0 {
+	var shared bool
+	i := s.extentIdx(pn)
+	if i >= 0 {
 		e := &s.extents[i]
-		p = e.pages[pn-e.startPN]
-		if p == nil && create {
-			p = new(page)
-			e.pages[pn-e.startPN] = p
-		}
+		j := pn - e.startPN
+		p, shared = e.pages[j], e.isShared(j)
 	} else {
 		p = s.pages[pn]
-		if p == nil && create {
-			p = new(page)
-			s.pages[pn] = p
+		_, shared = s.sharedPNs[pn]
+	}
+	switch {
+	case p == nil && !create:
+		return nil, off
+	case shared && !create:
+		s.roPN, s.roPage = pn, p
+		return p, off
+	case p == nil:
+		p = new(page)
+		s.install(i, pn, p)
+	case shared:
+		c := new(page)
+		*c = *p
+		p = c
+		s.install(i, pn, p)
+		if s.roPN == pn {
+			s.roPage = nil
 		}
 	}
-	if p != nil {
-		s.lastPN, s.lastPage = pn, p
-	}
+	s.lastPN, s.lastPage = pn, p
 	return p, off
+}
+
+// install makes p the private page at pn, which lies in extent i (or in
+// the page map when i < 0), dropping any shared mark.
+func (s *Store) install(i int, pn uint64, p *page) {
+	if i < 0 {
+		s.pages[pn] = p
+		delete(s.sharedPNs, pn)
+		return
+	}
+	e := &s.extents[i]
+	j := pn - e.startPN
+	e.pages[j] = p
+	if e.shared != nil {
+		e.shared[j>>6] &^= 1 << (j & 63)
+	}
 }
 
 // Reserve installs a flat page index over [addr, addr+size) so that
 // translations inside the range bypass the page hash map. Reservations
 // are a pure performance hint: overlapping, huge, or zero-size requests
 // are served by the map instead. Existing pages in the range are
-// migrated into the index.
+// migrated into the index, shared marks included.
 func (s *Store) Reserve(addr, size uint64) {
 	if size == 0 || size > maxReserve {
 		return
@@ -125,10 +189,15 @@ func (s *Store) Reserve(addr, size uint64) {
 		}
 	}
 	ext := extent{startPN: first, pages: make([]*page, n)}
-	for pn := first; pn <= last; pn++ {
-		if p, ok := s.pages[pn]; ok {
-			ext.pages[pn-first] = p
-			delete(s.pages, pn)
+	for pn, p := range s.pages {
+		if pn < first || pn > last {
+			continue
+		}
+		ext.pages[pn-first] = p
+		delete(s.pages, pn)
+		if _, ok := s.sharedPNs[pn]; ok {
+			ext.markShared(pn - first)
+			delete(s.sharedPNs, pn)
 		}
 	}
 	s.extents = append(s.extents, ext)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"reflect"
+	"sync"
 	"testing"
 
 	"prestores/internal/checkpoint"
@@ -304,5 +305,64 @@ func TestTableLayoutSharesWarmStates(t *testing.T) {
 	}
 	if view.Misses() != 0 || view.Hits() != 4 {
 		t.Errorf("second spec: %d hits, %d misses; want all 4 runs to fork", view.Hits(), view.Misses())
+	}
+}
+
+// TestConcurrentForksShareCheckpoint forks one stored warm state from
+// two goroutines at once, as an autotune search with Parallel 2 does.
+// Both machines read the checkpoint's pages in place and write their
+// own copies: under -race this proves the shared bytes are only read,
+// and a fork made afterwards still matches the cold run, so neither
+// concurrent fork's writes reached the stored state.
+func TestConcurrentForksShareCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs several KV evaluations; skipped with -short")
+	}
+	store, err := checkpoint.NewStore(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := checkpoint.NewContext(context.Background(), store.View())
+	specs := []scenario.Spec{
+		ycsbSpec(map[string]any{"seed": 1, "mix": "A"}),
+		ycsbSpec(map[string]any{"seed": 1, "mix": "B"}),
+	}
+	if _, err := specs[0].EvalPoint(ctx, false); err != nil {
+		t.Fatal(err)
+	}
+	hits := store.Hits()
+
+	forked := make([]scenario.Metrics, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i, sp := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			forked[i], errs[i] = sp.EvalPoint(ctx, false)
+		}()
+	}
+	wg.Wait()
+	if got := store.Hits() - hits; got != uint64(len(specs)) {
+		t.Fatalf("%d checkpoint hits for %d concurrent forks", got, len(specs))
+	}
+	for i, sp := range specs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		cold, err := sp.EvalPoint(context.Background(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(forked[i], cold) {
+			t.Errorf("spec %d: concurrent fork %v, cold %v", i, forked[i], cold)
+		}
+		again, err := sp.EvalPoint(ctx, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, cold) {
+			t.Errorf("spec %d: fork after the concurrent pair %v, cold %v", i, again, cold)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // payload layout; the checkpoint version covers the outer envelope.
 const (
 	snapshotMagic   = "PSSN"
-	snapshotVersion = 1
+	snapshotVersion = 2 // 2: sparse MEMS extents, (index, page) pairs
 
 	checkpointMagic   = "PSCK"
 	checkpointVersion = 1
@@ -82,6 +82,11 @@ func (m *Machine) Snapshot() ([]byte, error) {
 // restore, every subsequent operation behaves — cycle for cycle,
 // byte for byte — as it would have on the machine the snapshot was
 // taken from.
+//
+// The restored backing store does not copy its pages: they alias data
+// and are copied one at a time on their first write, so data must not
+// be modified while the machine (or any machine restored from it) is
+// live, and the machine keeps data reachable until it is collected.
 //
 // On a decode error partway through, the machine's state is undefined;
 // callers must discard it.
@@ -234,13 +239,17 @@ func (c *Core) restoreState(r *snap.Reader) error {
 	c.sb = c.sb[:0]
 	c.sbHead = 0
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		c.sb = append(c.sb, sbEntry{
+		e := sbEntry{
 			line:    r.U64(),
 			started: r.Bool(),
 			cleaned: r.Bool(),
 			issued:  r.U64(),
 			readyAt: r.U64(),
-		})
+		}
+		if e.line == ^uint64(0) {
+			return fmt.Errorf("sim: core %d: bad store-buffer line %#x", c.id, e.line)
+		}
+		c.sb = append(c.sb, e)
 	}
 	c.sbBase = r.U64()
 	c.sbRebuildIndex()
@@ -303,7 +312,8 @@ func (q *wbQueue) snapshotState(w *snap.Writer) {
 	w.U64(q.stalls)
 }
 
-// restoreState overwrites the write-back queue's state from r.
+// restoreState overwrites the write-back queue's state from r. In-flight
+// lines must be strictly ascending, as snapshotState writes them.
 func (q *wbQueue) restoreState(r *snap.Reader) error {
 	r.Section("WBQ_")
 	n := r.U64()
@@ -313,9 +323,16 @@ func (q *wbQueue) restoreState(r *snap.Reader) error {
 	}
 	q.inflight.Clear()
 	ni := r.U64()
-	for i := uint64(0); i < ni && r.Err() == nil; i++ {
-		k := r.U64()
-		q.inflight.Put(k, r.U64())
+	for i, prev := uint64(0), uint64(0); i < ni && r.Err() == nil; i++ {
+		k, t := r.U64(), r.U64()
+		if r.Err() != nil {
+			break
+		}
+		if k == ^uint64(0) || (i > 0 && k <= prev) {
+			return fmt.Errorf("sim: write-back queue line %#x out of order", k)
+		}
+		prev = k
+		q.inflight.Put(k, t)
 	}
 	q.stalls = r.U64()
 	return r.Err()
@@ -363,6 +380,9 @@ func (c *Checkpoint) Encode() []byte {
 
 // DecodeCheckpoint parses a checkpoint envelope. The machine payload is
 // not validated here; Restore does that against a concrete machine.
+// Machine aliases data rather than copying it, and a machine restored
+// from it shares data's pages copy-on-write, so data must never be
+// modified afterwards; Annex is a copy.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	r := snap.NewReader(data)
 	var magic [4]byte
@@ -374,7 +394,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("sim: unsupported checkpoint version %d (want %d)", v, checkpointVersion)
 	}
 	c := &Checkpoint{Build: r.String(), ConfigHash: r.String()}
-	c.Machine = append([]byte(nil), r.Bytes()...)
+	c.Machine = r.Bytes()
 	c.Annex = append([]byte(nil), r.Bytes()...)
 	if err := r.Done(); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"prestores/internal/memspace"
 	"prestores/internal/xrand"
 )
 
@@ -321,5 +322,80 @@ func TestRestoredOpsAccounting(t *testing.T) {
 	}
 	if ops.Total() >= sum(m2) {
 		t.Fatal("run counter includes the restored warmup instructions")
+	}
+}
+
+// FuzzRestoreSnapshot feeds arbitrary bytes to a fresh Machine A. The
+// restore must never panic, and a restore that succeeds must have
+// accepted the canonical encoding: re-snapshotting reproduces the input
+// byte for byte (so, for example, a sparse MEMS extent with indexes out
+// of order is rejected rather than silently reordered).
+func FuzzRestoreSnapshot(f *testing.F) {
+	fresh, err := MachineA().Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fresh)
+	m := MachineA()
+	m.Alloc(WindowPMEM, "fuzz", 64*memspace.PageSize)
+	rng := xrand.New(7)
+	buf := make([]byte, 512)
+	for i := 0; i < 300; i++ {
+		snapStep(m, rng, buf)
+	}
+	m.Core(1).Write(m.Alloc(WindowPMEM, "fuzz2", 1<<16).Base+100, []byte("extent page"))
+	driven, err := m.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(driven)
+	f.Add([]byte("PSSN"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := MachineA()
+		if m.RestoreSnapshot(data) != nil {
+			return
+		}
+		out, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatalf("restored %d bytes but re-snapshot is %d bytes and differs", len(data), len(out))
+		}
+	})
+}
+
+// BenchmarkCheckpointRestore times the warm fork: decode an encoded
+// checkpoint of a machine with a few thousand written pages and restore
+// it onto a fresh machine whose workload made the same allocation.
+// Building that machine is untimed.
+func BenchmarkCheckpointRestore(b *testing.B) {
+	const pages = 4096
+	size := uint64(2 * pages * memspace.PageSize)
+	src := MachineA()
+	region := src.Alloc(WindowPMEM, "heap", size)
+	for i := uint64(0); i < pages; i++ {
+		src.Backing().WriteU64(region.Base+2*i*memspace.PageSize, i+1)
+	}
+	ck, err := src.NewCheckpoint("bench", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := ck.Encode()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := MachineA()
+		m.Alloc(WindowPMEM, "heap", size)
+		b.StartTimer()
+		dec, err := DecodeCheckpoint(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := dec.Restore(m); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -122,8 +122,18 @@ func (r *Reader) U8() uint8 {
 	return b[0]
 }
 
-// Bool reads a byte and reports whether it is nonzero.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
+// Bool reads a byte written by Writer.Bool. Any byte other than 0 or 1
+// latches an error: accepting it would decode a payload the encoder
+// never writes, and re-encoding would not reproduce it.
+func (r *Reader) Bool() bool {
+	v := r.U8()
+	if v > 1 {
+		r.off--
+		r.fail("bad bool byte %d", v)
+		return false
+	}
+	return v == 1
+}
 
 // U64 reads a little-endian uint64.
 func (r *Reader) U64() uint64 {
@@ -144,6 +154,12 @@ func (r *Reader) Raw(dst []byte) {
 		copy(dst, b)
 	}
 }
+
+// View returns the next n bytes without copying them, or nil after
+// latching a truncation error. The slice aliases the reader's buffer:
+// it is valid only as long as that buffer is, and callers must not
+// write through it.
+func (r *Reader) View(n int) []byte { return r.take(n) }
 
 // Bytes reads a length-prefixed byte slice. The returned slice aliases
 // the reader's buffer; callers that retain it must copy.
