@@ -21,10 +21,17 @@ const PageSize = 1 << 12
 
 const pageShift = 12
 
-// maxReserve caps the span a single Reserve call will index with a flat
-// page table (8 bytes of index per page). Larger reservations fall back
-// to the hash map, which costs lookups instead of memory.
+// maxReserve caps the span a single Reserve call will index with an
+// extent table (a directory of one 8-byte pointer per leafPages pages).
+// Larger reservations fall back to the hash map, which costs lookups
+// instead of memory.
 const maxReserve = 4 << 30
+
+// leafShift sets an extent leaf's span: 512 page slots, 2 MiB of
+// address space.
+const leafShift = 9
+
+const leafPages = 1 << leafShift
 
 type page [PageSize]byte
 
@@ -32,26 +39,63 @@ type page [PageSize]byte
 // copied from here instead of being zeroed one byte at a time.
 var zeroPage page
 
-// extent is a flat page table over one reserved address range: page
-// translation inside it is an array index instead of a map lookup.
-// Pages are still materialized lazily on first write. Bit i of shared
-// marks pages[i] as aliasing restored checkpoint bytes; shared stays nil
-// until a restore installs such a page.
+// leaf holds leafPages consecutive page slots of an extent. shared[k]
+// marks pages[k] as aliasing restored checkpoint bytes.
+type leaf struct {
+	pages  [leafPages]*page
+	shared [leafPages]bool
+}
+
+// extent is a two-level page table over one reserved address range:
+// page translation inside it is two array indexes instead of a map
+// lookup. Slot j lives in leaves[j>>leafShift], and a leaf is allocated
+// only when a page in its span is installed, so an untouched 4 GiB
+// reservation costs a 16 KiB directory. Pages are still materialized
+// lazily on first write.
 type extent struct {
 	startPN uint64
-	pages   []*page
-	shared  []uint64
+	n       uint64 // page slots spanned
+	leaves  []*leaf
 }
 
-func (e *extent) isShared(i uint64) bool {
-	return e.shared != nil && e.shared[i>>6]&(1<<(i&63)) != 0
+func newExtent(startPN, n uint64) extent {
+	return extent{startPN: startPN, n: n, leaves: make([]*leaf, (n+leafPages-1)>>leafShift)}
 }
 
-func (e *extent) markShared(i uint64) {
-	if e.shared == nil {
-		e.shared = make([]uint64, (len(e.pages)+63)/64)
+// slot returns the page at slot j (nil if absent) and its shared mark.
+func (e *extent) slot(j uint64) (*page, bool) {
+	l := e.leaves[j>>leafShift]
+	if l == nil {
+		return nil, false
 	}
-	e.shared[i>>6] |= 1 << (i & 63)
+	k := j & (leafPages - 1)
+	return l.pages[k], l.shared[k]
+}
+
+// set installs p at slot j with the given shared mark, allocating the
+// slot's leaf on first use.
+func (e *extent) set(j uint64, p *page, shared bool) {
+	l := e.leaves[j>>leafShift]
+	if l == nil {
+		l = new(leaf)
+		e.leaves[j>>leafShift] = l
+	}
+	k := j & (leafPages - 1)
+	l.pages[k], l.shared[k] = p, shared
+}
+
+// present calls fn for each materialized page in ascending slot order.
+func (e *extent) present(fn func(j uint64, p *page)) {
+	for li, l := range e.leaves {
+		if l == nil {
+			continue
+		}
+		for k, p := range l.pages {
+			if p != nil {
+				fn(uint64(li)<<leafShift|uint64(k), p)
+			}
+		}
+	}
 }
 
 // Store is a sparse byte-addressable memory. The zero value is empty
@@ -95,7 +139,7 @@ func (s *Store) extentIdx(pn uint64) int {
 		switch {
 		case pn < e.startPN:
 			hi = mid
-		case pn >= e.startPN+uint64(len(e.pages)):
+		case pn >= e.startPN+e.n:
 			lo = mid + 1
 		default:
 			return mid
@@ -124,8 +168,7 @@ func (s *Store) pageFor(addr uint64, create bool) (*page, uint64) {
 	i := s.extentIdx(pn)
 	if i >= 0 {
 		e := &s.extents[i]
-		j := pn - e.startPN
-		p, shared = e.pages[j], e.isShared(j)
+		p, shared = e.slot(pn - e.startPN)
 	} else {
 		p = s.pages[pn]
 		_, shared = s.sharedPNs[pn]
@@ -161,18 +204,14 @@ func (s *Store) install(i int, pn uint64, p *page) {
 		return
 	}
 	e := &s.extents[i]
-	j := pn - e.startPN
-	e.pages[j] = p
-	if e.shared != nil {
-		e.shared[j>>6] &^= 1 << (j & 63)
-	}
+	e.set(pn-e.startPN, p, false)
 }
 
-// Reserve installs a flat page index over [addr, addr+size) so that
+// Reserve installs an extent page table over [addr, addr+size) so that
 // translations inside the range bypass the page hash map. Reservations
 // are a pure performance hint: overlapping, huge, or zero-size requests
 // are served by the map instead. Existing pages in the range are
-// migrated into the index, shared marks included.
+// migrated into the table, shared marks included.
 func (s *Store) Reserve(addr, size uint64) {
 	if size == 0 || size > maxReserve {
 		return
@@ -184,21 +223,19 @@ func (s *Store) Reserve(addr, size uint64) {
 	// already-indexed range, e.g. after an arena reset, is a no-op).
 	for i := range s.extents {
 		e := &s.extents[i]
-		if first < e.startPN+uint64(len(e.pages)) && e.startPN <= last {
+		if first < e.startPN+e.n && e.startPN <= last {
 			return
 		}
 	}
-	ext := extent{startPN: first, pages: make([]*page, n)}
+	ext := newExtent(first, n)
 	for pn, p := range s.pages {
 		if pn < first || pn > last {
 			continue
 		}
-		ext.pages[pn-first] = p
+		_, shared := s.sharedPNs[pn]
+		ext.set(pn-first, p, shared)
 		delete(s.pages, pn)
-		if _, ok := s.sharedPNs[pn]; ok {
-			ext.markShared(pn - first)
-			delete(s.sharedPNs, pn)
-		}
+		delete(s.sharedPNs, pn)
 	}
 	s.extents = append(s.extents, ext)
 	sort.Slice(s.extents, func(i, j int) bool { return s.extents[i].startPN < s.extents[j].startPN })
@@ -280,11 +317,7 @@ func (s *Store) Fill(addr uint64, n uint64, v byte) {
 func (s *Store) PagesAllocated() int {
 	n := len(s.pages)
 	for i := range s.extents {
-		for _, p := range s.extents[i].pages {
-			if p != nil {
-				n++
-			}
-		}
+		s.extents[i].present(func(uint64, *page) { n++ })
 	}
 	return n
 }

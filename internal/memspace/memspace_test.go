@@ -247,7 +247,7 @@ func TestRegionContains(t *testing.T) {
 func TestReservePreservesExistingPages(t *testing.T) {
 	s := NewStore()
 	// Materialize pages through the map first, then reserve over them:
-	// the data must survive migration into the flat extent index.
+	// the data must survive migration into the extent table.
 	s.WriteU64(0x10_0000, 0xdeadbeef)
 	s.WriteU64(0x10_2000, 42)
 	s.Reserve(0x10_0000, 4*PageSize)

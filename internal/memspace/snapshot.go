@@ -7,11 +7,10 @@ import (
 	"prestores/internal/snap"
 )
 
-// maxRestoreSlots caps the flat-table slots a restore may allocate for
-// extents the target store has not reserved itself (four full-size
-// reservations), so a damaged extent header cannot demand gigabytes.
-// A restore onto a store built by the same Reserve calls allocates none.
-const maxRestoreSlots = 4 * (maxReserve >> pageShift)
+// maxRestoreSlots caps the page slots a restore's extents may span in
+// total (sixteen full-size reservations, a 256 KiB directory), so
+// damaged extent headers cannot demand large directories.
+const maxRestoreSlots = 16 * (maxReserve >> pageShift)
 
 // SnapshotState serializes the store's reserved extents and every
 // materialized page. Each extent is written as its start page, its
@@ -27,20 +26,14 @@ func (s *Store) SnapshotState(w *snap.Writer) {
 	for i := range s.extents {
 		e := &s.extents[i]
 		w.U64(e.startPN)
-		w.U64(uint64(len(e.pages)))
+		w.U64(e.n)
 		present := 0
-		for _, p := range e.pages {
-			if p != nil {
-				present++
-			}
-		}
+		e.present(func(uint64, *page) { present++ })
 		w.U64(uint64(present))
-		for j, p := range e.pages {
-			if p != nil {
-				w.U64(uint64(j))
-				w.Raw(p[:])
-			}
-		}
+		e.present(func(j uint64, p *page) {
+			w.U64(j)
+			w.Raw(p[:])
+		})
 	}
 	pns := make([]uint64, 0, len(s.pages))
 	for pn := range s.pages {
@@ -63,9 +56,9 @@ func (s *Store) SnapshotState(w *snap.Writer) {
 // reader's buffer and is marked shared, and the store copies it on its
 // first write (see Store). The buffer must therefore stay unmodified
 // for as long as the store lives; the store's references keep it
-// reachable. An extent whose start and length match one this store
-// already reserved reuses that page table instead of allocating a new
-// one.
+// reachable. Each extent gets a fresh directory whose leaves exist only
+// where restored pages are; the tables the store held before are
+// dropped.
 //
 // The decoder accepts only the canonical encoding SnapshotState
 // produces: extents sorted and disjoint, page indexes and map page
@@ -75,7 +68,7 @@ func (s *Store) RestoreState(r *snap.Reader) error {
 	r.Section("MEMS")
 	nExt := r.U64()
 	var extents []extent
-	var newSlots, end uint64
+	var slots, end uint64
 	for i := uint64(0); i < nExt && r.Err() == nil; i++ {
 		start, n, present := r.U64(), r.U64(), r.U64()
 		if r.Err() != nil {
@@ -85,13 +78,10 @@ func (s *Store) RestoreState(r *snap.Reader) error {
 			return fmt.Errorf("memspace: bad extent %d: start page %#x, %d pages, %d present", i, start, n, present)
 		}
 		end = start + n
-		e := s.reservedExtent(start, n)
-		if e.pages == nil {
-			if newSlots += n; newSlots > maxRestoreSlots {
-				return fmt.Errorf("memspace: snapshot extents exceed %d unreserved pages", maxRestoreSlots)
-			}
-			e.pages = make([]*page, n)
+		if slots += n; slots > maxRestoreSlots {
+			return fmt.Errorf("memspace: snapshot extents exceed %d pages", maxRestoreSlots)
 		}
+		e := newExtent(start, n)
 		for k, next := uint64(0), uint64(0); k < present; k++ {
 			j := r.U64()
 			b := r.View(PageSize)
@@ -102,8 +92,7 @@ func (s *Store) RestoreState(r *snap.Reader) error {
 				return fmt.Errorf("memspace: extent %d: page index %d out of order or range", i, j)
 			}
 			next = j + 1
-			e.pages[j] = (*page)(b)
-			e.markShared(j)
+			e.set(j, (*page)(b), true)
 		}
 		extents = append(extents, e)
 	}
@@ -129,19 +118,4 @@ func (s *Store) RestoreState(r *snap.Reader) error {
 	}
 	*s = Store{pages: pages, sharedPNs: shared, extents: extents}
 	return nil
-}
-
-// reservedExtent returns the store's extent over exactly [start,
-// start+n) with its page table and shared marks cleared for reuse, or a
-// bare extent without a table when the store has none.
-func (s *Store) reservedExtent(start, n uint64) extent {
-	if i := s.extentIdx(start); i >= 0 {
-		e := s.extents[i]
-		if e.startPN == start && uint64(len(e.pages)) == n {
-			clear(e.pages)
-			clear(e.shared)
-			return e
-		}
-	}
-	return extent{startPN: start}
 }

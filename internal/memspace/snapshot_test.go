@@ -2,6 +2,7 @@ package memspace
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"prestores/internal/snap"
@@ -25,19 +26,25 @@ func restoreBytes(t *testing.T, s *Store, buf []byte) {
 }
 
 const (
-	cowExtent = uint64(0x10_0000) // reserved: 16 pages
+	cowExtent = uint64(0x10_0000) // reserved: cowSlots pages
+	cowSlots  = 2*leafPages + 76  // two full leaves and a partial third
 	cowMap    = uint64(0x90_0000) // unreserved: hash-map pages
 )
+
+// cowPage returns the address of slot j of the reserved extent.
+func cowPage(j uint64) uint64 { return cowExtent + j*PageSize }
 
 // pattern is the value cowSource stores at addr.
 func pattern(addr uint64) uint64 { return addr * 0x9e3779b97f4a7c15 }
 
 // cowSource returns a store holding pages in a reserved extent and in
-// the page map, with every page's bytes distinct.
+// the page map, with every page's bytes distinct. The extent's pages sit
+// on both sides of the first leaf boundary and in the last slot of its
+// partial final leaf.
 func cowSource() *Store {
 	s := NewStore()
-	s.Reserve(cowExtent, 16*PageSize)
-	for _, base := range []uint64{cowExtent, cowExtent + PageSize, cowExtent + 5*PageSize, cowMap, cowMap + PageSize} {
+	s.Reserve(cowExtent, cowSlots*PageSize)
+	for _, base := range cowPages {
 		for off := uint64(0); off < PageSize; off += 8 {
 			s.WriteU64(base+off, pattern(base+off))
 		}
@@ -45,11 +52,30 @@ func cowSource() *Store {
 	return s
 }
 
+// cowPages are the pages cowSource writes.
+var cowPages = []uint64{
+	cowPage(0), cowPage(1), cowPage(5), cowPage(leafPages - 1), cowPage(leafPages), cowPage(cowSlots - 1),
+	cowMap, cowMap + PageSize,
+}
+
+// checkPattern fails unless every cowSource page of s reads back its
+// pattern.
+func checkPattern(t *testing.T, s *Store) {
+	t.Helper()
+	for _, base := range cowPages {
+		for off := uint64(0); off < PageSize; off += 8 {
+			if v := s.ReadU64(base + off); v != pattern(base+off) {
+				t.Fatalf("%#x reads %#x; want %#x", base+off, v, pattern(base+off))
+			}
+		}
+	}
+}
+
 // cowWrites writes every shared page kind through each write entry
 // point: a read-then-write of one page (re-read after another page's
 // write has evicted it from the writable translation cache), WriteU64
-// inside a page, Write across an extent page boundary, and Fill across
-// a map page boundary.
+// inside a page, Write across an extent page boundary and across a leaf
+// boundary, and Fill across a map page boundary.
 func cowWrites(t *testing.T, s *Store) {
 	t.Helper()
 	if v := s.ReadU64(cowExtent + 128); v != pattern(cowExtent+128) {
@@ -61,6 +87,8 @@ func cowWrites(t *testing.T, s *Store) {
 		t.Fatalf("read after write = %d; want 2 (stale shared page cached)", v)
 	}
 	s.Write(cowExtent+PageSize-3, []byte("straddle"))
+	s.Write(cowPage(leafPages)-3, []byte("leaf edge"))
+	s.WriteU64(cowPage(cowSlots)-8, 4)
 	s.Fill(cowMap+PageSize-100, 200, 0xab)
 }
 
@@ -73,14 +101,15 @@ func TestRestoreCopyOnWrite(t *testing.T) {
 	orig := bytes.Clone(buf)
 
 	a := NewStore()
-	a.Reserve(cowExtent, 16*PageSize) // reused page table
+	a.Reserve(cowExtent, cowSlots*PageSize) // a table the restore replaces
 	restoreBytes(t, a, buf)
-	b := NewStore() // freshly allocated page table
+	b := NewStore() // no table before the restore
 	restoreBytes(t, b, buf)
 	pages := src.PagesAllocated()
 	if a.PagesAllocated() != pages || b.PagesAllocated() != pages {
 		t.Fatalf("restored PagesAllocated = %d, %d; want %d", a.PagesAllocated(), b.PagesAllocated(), pages)
 	}
+	checkPattern(t, a)
 
 	cowWrites(t, a)
 	cowWrites(t, src) // the same writes on private pages: the reference
@@ -93,11 +122,50 @@ func TestRestoreCopyOnWrite(t *testing.T) {
 	if a.PagesAllocated() != pages {
 		t.Fatalf("PagesAllocated after copy-on-write = %d; want %d", a.PagesAllocated(), pages)
 	}
+	checkPattern(t, b)
 	if !bytes.Equal(snapshotBytes(a), snapshotBytes(src)) {
 		t.Fatal("re-snapshot of the written store does not encode what it holds")
 	}
 	if !bytes.Equal(snapshotBytes(b), orig) {
 		t.Fatal("re-snapshot of the untouched sibling differs from its source")
+	}
+	// A copied page is private: writing it again, after another page's
+	// write has evicted it from the translation cache, copies nothing.
+	if n := testing.AllocsPerRun(10, func() {
+		a.WriteU64(cowExtent+128, 5)
+		a.WriteU64(cowPage(leafPages)+8, 6)
+	}); n != 0 {
+		t.Fatalf("rewriting copied pages allocates %v times per run", n)
+	}
+}
+
+// TestRestoreTableMemory forks onto a 4 GiB reservation, as a warm
+// ycsb eval does with its value heap: Reserve then RestoreState of a few
+// scattered pages must allocate well under the 8 MiB that one pointer
+// per page slot would take.
+func TestRestoreTableMemory(t *testing.T) {
+	const base, heap = uint64(1) << 40, uint64(4 << 30)
+	src := NewStore()
+	src.Reserve(base, heap)
+	for _, off := range []uint64{0, 1 << 20, heap / 2, heap - PageSize} {
+		src.WriteU64(base+off, off+1)
+	}
+	buf := snapshotBytes(src)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewStore()
+	s.Reserve(base, heap)
+	restoreBytes(t, s, buf)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("reserve and restore of a 4 GiB extent allocated %d bytes; want under 1 MiB", got)
+	}
+	if v := s.ReadU64(base + heap/2); v != heap/2+1 {
+		t.Fatalf("restored page reads %#x", v)
+	}
+	if !bytes.Equal(snapshotBytes(s), buf) {
+		t.Fatal("re-snapshot differs from its source")
 	}
 }
 

@@ -118,6 +118,11 @@ type Workload struct {
 	Params      []ParamDef // accepted parameters, for validation + registry
 	Ops         []string   // supported pre-store ops (e.g. none, clean, skip, demote)
 	MetricNames []string   // metric names Run reports, for column validation
+	// Window is the memory window the workload places its data in when
+	// a run names none; empty for workloads without a "window" param.
+	// The runner passes it to Run as that param, and Validate checks it
+	// against the machine like an explicit window.
+	Window string
 	// Run executes the workload once on a fresh machine under the given
 	// pre-store op and returns its metrics. Implementations must be
 	// deterministic for fixed (machine config, op, params).

@@ -238,6 +238,12 @@ func runOp(ctx context.Context, wl Workload, m *sim.Machine, op string, p Params
 	if warm {
 		key = warmKey(checkpoint.Build(), wl, m.ConfigHash(), p)
 	}
+	if wl.Window != "" && p.Str("window", "") == "" {
+		// Filled in after the warm key is taken: the key covers the
+		// params as the spec gave them.
+		p = p.clone()
+		p["window"] = wl.Window
+	}
 	var metrics Metrics
 	var err error
 	if key != "" {

@@ -367,7 +367,7 @@ func (s *Spec) Validate() error {
 		}
 	}
 
-	if err := s.validateWindows(); err != nil {
+	if err := s.validateWindows(w); err != nil {
 		return err
 	}
 
@@ -586,12 +586,13 @@ func (s *Spec) validateDevicePatches() error {
 	return nil
 }
 
-// validateWindows checks every explicit window value — policy.window,
-// workload.params.window, run.quick.window and a "window" axis's values
-// — against the windows of every machine the spec can run on, so a
-// placement the machine lacks is a validation error instead of a
-// failure mid-run. Workload default windows are not checked.
-func (s *Spec) validateWindows() error {
+// validateWindows checks every window a run can place data in —
+// policy.window, workload.params.window, run.quick.window, a "window"
+// axis's values, and the workload's default window when none of those
+// replaces it — against the windows of every machine the spec can run
+// on, so a placement the machine lacks is a validation error instead of
+// a failure mid-run.
+func (s *Spec) validateWindows(w Workload) error {
 	type use struct {
 		path string
 		v    any
@@ -617,12 +618,20 @@ func (s *Spec) validateWindows() error {
 			uses = append(uses, use{fmt.Sprintf("policy.axes[%d].quick[%d]", i, vi), v})
 		}
 	}
+	// The default applies to every run that nothing above places;
+	// run.quick.window places only the quick runs.
+	param, _ := s.Workload.Params["window"].(string)
+	defaulted := w.Window != "" && param == "" && s.Policy.Window == "" && !s.hasAxis("window")
 	for _, base := range s.machineConfigs() {
 		names := windowNames(base)
 		for _, u := range uses {
 			if name, _ := u.v.(string); name != "" && !containsStr(names, name) {
 				return fmt.Errorf("%s: unknown window %q (machine %s has %v)", u.path, name, base.Name, names)
 			}
+		}
+		if defaulted && !containsStr(names, w.Window) {
+			return fmt.Errorf("workload.params.window: required: workload %s's default window %q is not on machine %s (has %v)",
+				w.Name, w.Window, base.Name, names)
 		}
 	}
 	return nil

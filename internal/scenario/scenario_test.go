@@ -9,6 +9,7 @@ import (
 	"prestores/internal/scenario"
 
 	_ "prestores/internal/workloads/micro" // registers listing1/2/3
+	_ "prestores/internal/workloads/x9"    // registers x9
 )
 
 // smallSpec returns a valid spec cheap enough to execute in unit tests.
@@ -75,6 +76,21 @@ func TestValidateErrorFieldPaths(t *testing.T) {
 			s.Policy.Axes = append(s.Policy.Axes,
 				scenario.Axis{Param: "machine", Values: []any{"machine-a", "machine-b-fast"}})
 		}, `policy.window: unknown window "pmem" (machine machine-B-fast`},
+		{"default window missing", func(s *scenario.Spec) {
+			s.Workload.Name = "listing1"
+			s.Machine.Preset = "machine-b-fast"
+		}, `workload.params.window: required: workload listing1's default window "pmem" is not on machine machine-B-fast`},
+		{"fpga default on machine-a", func(s *scenario.Spec) { s.Workload.Name = "listing2" },
+			`workload.params.window: required: workload listing2's default window "fpga" is not on machine machine-A`},
+		{"x9 fpga default on machine-a", func(s *scenario.Spec) {
+			s.Workload = scenario.WorkloadSpec{Name: "x9", Params: map[string]any{}}
+		}, `workload.params.window: required: workload x9's default window "fpga" is not on machine machine-A`},
+		{"default window missing on an axis machine", func(s *scenario.Spec) {
+			s.Machine.Preset = ""
+			s.Run.Quick = map[string]any{"window": "dram"}
+			s.Policy.Axes = append(s.Policy.Axes,
+				scenario.Axis{Param: "machine", Values: []any{"machine-a", "machine-b-fast"}})
+		}, `workload.params.window: required: workload listing3's default window "pmem" is not on machine machine-B-fast`},
 		{"unknown axis", func(s *scenario.Spec) {
 			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "zoom", Values: []any{1}})
 		}, `policy.axes[0].param: unknown axis "zoom"`},

@@ -197,7 +197,7 @@ func (m *Machine) Device(window string) memdev.Device {
 }
 
 // Alloc carves a line-aligned region from the named window. The
-// backing store installs a flat page index over the region so that
+// backing store installs an extent page table over the region so that
 // address translation inside it skips the page hash map.
 func (m *Machine) Alloc(window, name string, size uint64) memspace.Region {
 	r := m.arena.MustAlloc(window, name, size, m.cfg.LineSize)

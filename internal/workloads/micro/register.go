@@ -32,6 +32,7 @@ func init() {
 	scenario.Register(scenario.Workload{
 		Name:        "listing1",
 		Description: "Listing 1 §4.1 microbenchmark: threads write elements to a tiered window, optionally re-reading one field",
+		Window:      sim.WindowPMEM,
 		Params: []scenario.ParamDef{
 			{Name: "elem_size", Kind: scenario.KindInt, Help: "element size in bytes (64B random .. 4KiB sequential)"},
 			{Name: "footprint", Kind: scenario.KindInt, Help: "array footprint in bytes; elements = footprint/elem_size (default 32 MiB)"},
@@ -86,6 +87,7 @@ func init() {
 	scenario.Register(scenario.Workload{
 		Name:        "listing2",
 		Description: "Listing 2 §4.2 microbenchmark: write, do unrelated reads, fence — measures fence drain stalls on weak machines",
+		Window:      sim.WindowRemote,
 		Params: []scenario.ParamDef{
 			{Name: "elements", Kind: scenario.KindInt, Help: "one-line elements in remote memory (default 100000)"},
 			{Name: "reads", Kind: scenario.KindInt, Help: "L1 reads between the write and the fence"},
@@ -119,6 +121,7 @@ func init() {
 	scenario.Register(scenario.Workload{
 		Name:        "listing3",
 		Description: "Listing 3 §5 microbenchmark: cleaning a constantly re-written line",
+		Window:      sim.WindowPMEM,
 		Params: []scenario.ParamDef{
 			{Name: "iters", Kind: scenario.KindInt, Help: "rewrites (default 200000)"},
 			{Name: "window", Kind: scenario.KindString, Help: "memory window (default pmem)"},

@@ -23,6 +23,7 @@ func init() {
 	scenario.Register(scenario.Workload{
 		Name:        "nas",
 		Description: "NAS parallel benchmark kernels (Table 2) with DirtBuster's recommended cleans",
+		Window:      sim.WindowPMEM,
 		Params: []scenario.ParamDef{
 			{Name: "kernel", Kind: scenario.KindString, Help: "kernel name: mg ft sp ua bt is lu ep cg"},
 			{Name: "scale", Kind: scenario.KindInt, Help: "grid edge; 0 picks the kernel default"},

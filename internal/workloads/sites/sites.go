@@ -133,6 +133,7 @@ func init() {
 	scenario.Register(scenario.Workload{
 		Name:        "sites",
 		Description: "synthetic two-site policy workload: a hot cross-core set (demote wins) and a write-once stream (clean wins)",
+		Window:      sim.WindowPMEM,
 		Params: []scenario.ParamDef{
 			{Name: "hot_lines", Kind: scenario.KindInt, Help: "hot lines rewritten and cross-core read per round (default 64)"},
 			{Name: "once_lines", Kind: scenario.KindInt, Help: "write-once lines appended per round (default 8192)"},
@@ -152,7 +153,7 @@ func init() {
 				OnceLines: p.Int("once_lines", 8192),
 				Rounds:    p.Int("rounds", 16),
 				Stride:    p.Int("stride", 4),
-				Window:    p.Str("window", sim.WindowPMEM),
+				Window:    p.Str("window", ""),
 				HotOp:     scenario.SiteOp(p, "hot", op),
 				OnceOp:    scenario.SiteOp(p, "once", op),
 			})

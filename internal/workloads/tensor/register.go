@@ -23,6 +23,7 @@ func init() {
 	scenario.Register(scenario.Workload{
 		Name:        "tensor-train",
 		Description: "x9lib tensor training loop (§7.3): per-batch activations written once, consumed next layer",
+		Window:      sim.WindowPMEM,
 		Params: []scenario.ParamDef{
 			{Name: "batch", Kind: scenario.KindInt, Help: "samples per step (paper sweeps 1..250)"},
 			{Name: "features", Kind: scenario.KindInt, Help: "activation width per sample"},

@@ -21,6 +21,7 @@ func init() {
 	scenario.Register(scenario.Workload{
 		Name:        "x9",
 		Description: "X9 message passing (Listing 8): producer fills slab-allocated messages, consumer polls; demote publishes the payload early",
+		Window:      sim.WindowRemote,
 		Params: []scenario.ParamDef{
 			{Name: "slots", Kind: scenario.KindInt, Help: "ring capacity (default 8)"},
 			{Name: "msg_size", Kind: scenario.KindInt, Help: "payload bytes (default 512)"},

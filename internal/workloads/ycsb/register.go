@@ -36,6 +36,7 @@ func init() {
 	scenario.Register(scenario.Workload{
 		Name:        "ycsb",
 		Description: "YCSB mixes A-F over a registered key-value store with value crafting in the tiered window",
+		Window:      sim.WindowPMEM,
 		Params: []scenario.ParamDef{
 			{Name: "store", Kind: scenario.KindString, Help: "store implementation (see kv.Stores; default clht)"},
 			{Name: "records", Kind: scenario.KindInt, Help: "keys loaded before the measured phase (default 400000)"},
@@ -79,7 +80,7 @@ func runScenario(m *sim.Machine, op string, p scenario.Params, pc *sim.PhaseCont
 	if threads <= 0 || threads > m.Cores() {
 		return nil, fmt.Errorf("threads: must be in 1..%d for %s", m.Cores(), m.Name())
 	}
-	window := p.Str("window", sim.WindowPMEM)
+	window := p.Str("window", "")
 	storeName := p.Str("store", "clht")
 	store, ok := kv.NewStore(storeName, m, window)
 	if !ok {
