@@ -79,7 +79,7 @@ func writeTelemetry(rec *telemetry.Recorder, timelinePath, lineReportPath string
 			rec.Events(), rec.Dropped(), timelinePath)
 	}
 	if lineReportPath != "" {
-		rep := rec.LineReport(256)
+		rep := rec.LineReport(telemetry.ReportLines)
 		f, err := os.Create(lineReportPath)
 		if err != nil {
 			return err

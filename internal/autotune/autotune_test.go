@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"prestores/internal/core"
 	"prestores/internal/scenario"
 	"prestores/internal/telemetry"
 	_ "prestores/internal/workloads/micro"
@@ -143,11 +144,11 @@ func TestSeedPlanRules(t *testing.T) {
 		op, rule string
 	}{
 		{"empty", report(), all, "none", "no-writes"},
-		{"far rewrites", report(telemetry.LineStat{Writes: 100, Rewrites: 50, NearRewrites: 10}), all, "demote", "far-rewrites"},
+		{"far rewrites", report(telemetry.LineStat{Writes: 100, Reuse: core.Reuse{Rewrites: 50, NearRewrites: 10}}), all, "demote", "far-rewrites"},
 		{"no rereads", report(telemetry.LineStat{Writes: 100}), all, "clean", "far-rereads"},
-		{"far rereads", report(telemetry.LineStat{Writes: 100, Rereads: 40, NearRereads: 5}), all, "clean", "far-rereads"},
-		{"near everything", report(telemetry.LineStat{Writes: 100, Rewrites: 50, NearRewrites: 45, Rereads: 80, NearRereads: 70}), all, "skip", "near-rereads"},
-		{"unsupported op", report(telemetry.LineStat{Writes: 100, Rewrites: 50, NearRewrites: 10}),
+		{"far rereads", report(telemetry.LineStat{Writes: 100, Reuse: core.Reuse{Rereads: 40, NearRereads: 5}}), all, "clean", "far-rereads"},
+		{"near everything", report(telemetry.LineStat{Writes: 100, Reuse: core.Reuse{Rewrites: 50, NearRewrites: 45, Rereads: 80, NearRereads: 70}}), all, "skip", "near-rereads"},
+		{"unsupported op", report(telemetry.LineStat{Writes: 100, Reuse: core.Reuse{Rewrites: 50, NearRewrites: 10}}),
 			func(op string) bool { return op != "demote" }, "none", "far-rewrites-unsupported"},
 	}
 	for _, tc := range cases {

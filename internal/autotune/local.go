@@ -7,12 +7,6 @@ import (
 	"prestores/internal/telemetry"
 )
 
-// ProbeMaxLines caps the per-line list a probe's report carries. It
-// matches the cap the daemon applies to its linereport job artifact, so
-// a probe run locally and a probe fetched from a remote shard aggregate
-// identical totals.
-const ProbeMaxLines = 256
-
 // Evaluator measures candidate plans for the search engine. The local
 // implementation runs specs in process; the cluster coordinator
 // substitutes one that fans candidates out across worker shards. Both
@@ -41,5 +35,5 @@ func (Local) Probe(ctx context.Context, sp scenario.Spec, quick bool) (*telemetr
 	if _, err := sp.EvalPoint(ctx, quick); err != nil {
 		return nil, err
 	}
-	return rec.LineReport(ProbeMaxLines), nil
+	return rec.LineReport(telemetry.ReportLines), nil
 }

@@ -10,13 +10,17 @@ import (
 // TestTelemetryLineStatsAgree pins the telemetry recorder's per-line
 // attribution to DirtBuster's step-3 analysis on the same workload.
 //
-// The two differ in exactly one rule: DirtBuster does not count a write
-// that continues the same sequentiality context as a rewrite. The
-// workload below writes single 8-byte words at a 256-byte stride, so no
-// write ever lands within SeqGap of a context's end — every context
-// stays an unpromoted singleton (ctx id 0) and the exclusion never
-// fires. With that rule neutralized the two implementations must
-// produce identical rewrite/re-read counts and distance sums per line.
+// Both keep each line's reuse in a core.LineReuse and update it by its
+// one rule, so what this checks is the two event feeds: the recorder's
+// op hook and DirtBuster's instrumentation must hand each line the same
+// writes and reads at the same instruction counts. The one argument
+// that differs is DirtBuster's streak exclusion (a write continuing the
+// same sequentiality context is not a rewrite). The workload below
+// writes single 8-byte words at a 256-byte stride, so no write ever
+// lands within SeqGap of a context's end: every context stays an
+// unpromoted singleton (ctx id 0) and the exclusion never fires. The
+// two must then produce identical rewrite/re-read counts and distance
+// sums per line.
 func TestTelemetryLineStatsAgree(t *testing.T) {
 	const (
 		fn     = "agree.writer"
@@ -76,16 +80,11 @@ func TestTelemetryLineStatsAgree(t *testing.T) {
 		if li.ctxID != 0 {
 			t.Errorf("line %#x got context %d; the workload must not form sequential contexts", line, li.ctxID)
 		}
-		if s.Rewrites != li.rewrites || s.RewriteDistSum != li.rewriteSum || s.NearRewrites != li.nearRewrites {
-			t.Errorf("line %#x rewrites: telemetry (%d, sum %d, near %d) != dirtbuster (%d, sum %d, near %d)",
-				line, s.Rewrites, s.RewriteDistSum, s.NearRewrites, li.rewrites, li.rewriteSum, li.nearRewrites)
+		if s.Reuse != li.Reuse {
+			t.Errorf("line %#x: telemetry %+v != dirtbuster %+v", line, s.Reuse, li.Reuse)
 		}
-		if s.Rereads != li.rereads || s.RereadDistSum != li.rereadSum || s.NearRereads != li.nearRereads {
-			t.Errorf("line %#x rereads: telemetry (%d, sum %d, near %d) != dirtbuster (%d, sum %d, near %d)",
-				line, s.Rereads, s.RereadDistSum, s.NearRereads, li.rereads, li.rereadSum, li.nearRereads)
-		}
-		if s.Writes != li.rewrites+1 {
-			t.Errorf("line %#x writes = %d, want rewrites+1 = %d", line, s.Writes, li.rewrites+1)
+		if s.Writes != li.Rewrites+1 {
+			t.Errorf("line %#x writes = %d, want rewrites+1 = %d", line, s.Writes, li.Rewrites+1)
 		}
 		return true
 	})

@@ -75,10 +75,10 @@ func (c *Config) fillDefaults() {
 		c.SeqGap = 64
 	}
 	if c.NearRewrite == 0 {
-		c.NearRewrite = 4000
+		c.NearRewrite = core.NearRewrite
 	}
 	if c.NearReread == 0 {
-		c.NearReread = 100_000
+		c.NearReread = core.NearReread
 	}
 	if c.NearFence == 0 {
 		c.NearFence = 400
@@ -198,14 +198,9 @@ type fnState struct {
 
 // bucketAgg aggregates sequential contexts of one size class.
 type bucketAgg struct {
-	contexts     uint64
-	writes       uint64
-	rereads      uint64
-	rereadSum    uint64
-	nearRereads  uint64
-	rewrites     uint64
-	rewriteSum   uint64
-	nearRewrites uint64
+	contexts uint64
+	writes   uint64
+	core.Reuse
 }
 
 // seqCtx is an open sequentiality context: a region being written
@@ -247,15 +242,8 @@ type coreState struct {
 
 // lineInfo is the per-cache-line record (stored in a B-tree, §6.2.3).
 type lineInfo struct {
-	lastWrite    uint64 // instruction count at last write
-	ctxID        uint32 // context of the last write (0 = non-sequential)
-	written      bool
-	rereads      uint64
-	rereadSum    uint64
-	nearRereads  uint64 // re-reads within NearReread instructions
-	rewrites     uint64
-	rewriteSum   uint64
-	nearRewrites uint64 // re-writes within NearRewrite instructions
+	core.LineReuse
+	ctxID uint32 // context of the last write (0 = non-sequential)
 }
 
 type analysis struct {
@@ -333,17 +321,7 @@ func (a *analysis) onWrite(st *fnState, ev sim.Event) {
 		id := ctx.id
 		instr := ev.Instr
 		a.lines.Update(line, func(li *lineInfo) {
-			// Distances are per-core instruction counts; a touch from a
-			// different core (smaller counter) carries no distance.
-			if li.written && instr >= li.lastWrite && (id == 0 || li.ctxID != id) {
-				li.rewrites++
-				li.rewriteSum += instr - li.lastWrite
-				if instr-li.lastWrite <= a.cfg.NearRewrite {
-					li.nearRewrites++
-				}
-			}
-			li.written = true
-			li.lastWrite = instr
+			li.Write(instr, a.cfg.NearRewrite, id == 0 || li.ctxID != id)
 			li.ctxID = id
 		})
 	}
@@ -362,15 +340,7 @@ func (a *analysis) onRead(ev sim.Event) {
 		if _, ok := a.lines.Get(line); !ok {
 			continue // never written by a monitored function
 		}
-		a.lines.Update(line, func(li *lineInfo) {
-			if li.written && instr >= li.lastWrite {
-				li.rereads++
-				li.rereadSum += instr - li.lastWrite
-				if instr-li.lastWrite <= a.cfg.NearReread {
-					li.nearRereads++
-				}
-			}
-		})
+		a.lines.Update(line, func(li *lineInfo) { li.Read(instr, a.cfg.NearReread) })
 	}
 }
 
@@ -427,13 +397,8 @@ func (a *analysis) finish() {
 		}
 		// Weight by write events (first write plus every rewrite), so
 		// bucket shares are comparable to the function's write counts.
-		b.writes += li.rewrites + 1
-		b.rereads += li.rereads
-		b.rereadSum += li.rereadSum
-		b.nearRereads += li.nearRereads
-		b.rewrites += li.rewrites
-		b.rewriteSum += li.rewriteSum
-		b.nearRewrites += li.nearRewrites
+		b.writes += li.Rewrites + 1
+		b.Add(li.Reuse)
 		return true
 	})
 	// Count contexts per bucket.

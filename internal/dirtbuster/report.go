@@ -71,22 +71,16 @@ func (st *fnState) report(cfg Config) FuncReport {
 	for _, b := range st.buckets {
 		totalSeq += b.writes
 	}
-	var wReread, wRewrite float64 // write-weighted average distances
-	var rereadW, rewriteW float64
 	for size, b := range st.buckets {
 		cc := ContextClass{Size: size, RereadDist: math.Inf(1), RewriteDist: math.Inf(1)}
 		if totalSeq > 0 {
 			cc.WriteShare = float64(b.writes) / float64(totalSeq)
 		}
-		if b.rereads > 0 {
-			cc.RereadDist = float64(b.rereadSum) / float64(b.rereads)
-			wReread += cc.RereadDist * float64(b.rereads)
-			rereadW += float64(b.rereads)
+		if b.Rereads > 0 {
+			cc.RereadDist = b.AvgRereadDist()
 		}
-		if b.rewrites > 0 {
-			cc.RewriteDist = float64(b.rewriteSum) / float64(b.rewrites)
-			wRewrite += cc.RewriteDist * float64(b.rewrites)
-			rewriteW += float64(b.rewrites)
+		if b.Rewrites > 0 {
+			cc.RewriteDist = b.AvgRewriteDist()
 		}
 		fr.Contexts = append(fr.Contexts, cc)
 	}
@@ -112,13 +106,13 @@ func (st *fnState) report(cfg Config) FuncReport {
 		if st.seqWrites == 0 || b.writes*50 < st.seqWrites {
 			continue // insignificant class (<2% of sequential writes)
 		}
-		if b.nearRewrites*8 >= b.writes {
+		if b.NearRewrites*8 >= b.writes {
 			rewritten = true
 		}
 		// Re-reads often touch only one line of a written region
 		// (Listing 1 re-reads a single field), so this gate is
 		// deliberately permissive.
-		if b.nearRereads*32 >= b.writes {
+		if b.NearRereads*32 >= b.writes {
 			reread = true
 		}
 	}

@@ -19,5 +19,5 @@ func (s Spec) FirstWarmKey(build string, quick bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return warmKey(build, wl, m.ConfigHash(), p), nil
+	return warmKey(build, wl, m.ConfigHash(), wl.runParams(p)), nil
 }

@@ -48,6 +48,10 @@ var fuzzSeeds = []string{
 	    "windows":[{"name":"dram","base":0,"size":1073741824,"device":{"kind":"dram"}},
 	      {"name":"pmem","base":1073741824,"size":1073741824,"device":{"kind":"pmem","read_lat":300}}]}},
 	  "policy":{"ops":["none"],"columns":[{"title":"c","op":"none","metric":"elapsed"}]}}`,
+	// ways*line_size wraps to 0: the config check must not divide by it.
+	`{"version":1,"workload":{"name":"listing3"},
+	  "machine":{"config":{"l1":{"size":64,"ways":288230376151711744,"line_size":64},"windows":[]}},
+	  "policy":{"ops":["none"],"columns":[{"title":"c","op":"none","metric":"elapsed"}]}}`,
 }
 
 // FuzzDecode throws arbitrary JSON at the spec decoder: it must return

@@ -219,6 +219,19 @@ func (s *Spec) renderCell(c Column, axes []Axis, idx []int, ops []string, result
 	return formatCell(c.Format, num)
 }
 
+// runParams returns p with the workload's default window filled in
+// when p names none: the params the run and its warm key both see, so
+// a spec that names the default window shares warm state with one that
+// leaves it unset.
+func (w Workload) runParams(p Params) Params {
+	if w.Window == "" || p.Str("window", "") != "" {
+		return p
+	}
+	p = p.clone()
+	p["window"] = w.Window
+	return p
+}
+
 // runOp runs one op of wl on a freshly built machine. It is the one run
 // path behind EvalPoint and Exec: it attaches the context's op sink,
 // observer and recorder, and when warm it routes the workload's warm
@@ -234,15 +247,10 @@ func runOp(ctx context.Context, wl Workload, m *sim.Machine, op string, p Params
 			warm = false // a timeline records every event: load cold
 		}
 	}
+	p = wl.runParams(p)
 	var key string
 	if warm {
 		key = warmKey(checkpoint.Build(), wl, m.ConfigHash(), p)
-	}
-	if wl.Window != "" && p.Str("window", "") == "" {
-		// Filled in after the warm key is taken: the key covers the
-		// params as the spec gave them.
-		p = p.clone()
-		p["window"] = wl.Window
 	}
 	var metrics Metrics
 	var err error

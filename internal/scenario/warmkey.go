@@ -9,8 +9,8 @@ import (
 // warmKey is the content-addressed identity of one run's warm state:
 // the SHA-256 of the build, the workload, the machine's config hash and
 // the run's effective values of the workload's WarmParams (after quick
-// overrides, policy.window and axis values; an absent parameter counts
-// as null). Two runs with equal keys load the same post-warmup state,
+// overrides, policy.window, axis values and the workload's default
+// window; an absent parameter counts as null). Two runs with equal keys load the same post-warmup state,
 // so the second forks from the first's checkpoint, whichever spec, grid
 // point, op, seed or table layout each came from.
 //

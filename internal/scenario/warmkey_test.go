@@ -125,6 +125,9 @@ func TestWarmPrefixKeyInvariants(t *testing.T) {
 		"warm value written as a JSON number": func(s *scenario.Spec) {
 			s.Workload.Params["records"] = float64(400000)
 		},
+		"default window named explicitly": func(s *scenario.Spec) {
+			s.Workload.Params["window"] = "pmem"
+		},
 	}
 	for name, mutate := range same {
 		s := warmSpec()

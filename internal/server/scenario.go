@@ -90,7 +90,7 @@ func (s *Server) scenarioRun(sp scenario.Spec, quick bool) func(context.Context,
 				}
 			}
 			if t.LineReport {
-				rep := rec.LineReport(256)
+				rep := rec.LineReport(telemetry.ReportLines)
 				var b bytes.Buffer
 				if werr := rep.WriteJSON(&b); werr == nil {
 					j.setArtifact("linereport", b.Bytes())

@@ -188,7 +188,9 @@ func validateCacheConfig(level string, c cache.Config) error {
 	if line&(line-1) != 0 {
 		return fmt.Errorf("%s.line_size: must be a power of two (got %d)", level, line)
 	}
-	if c.Size%(uint64(c.Ways)*line) != 0 {
+	// Size must be a multiple of ways*line_size; dividing in two steps
+	// never forms the product, which can wrap to 0.
+	if c.Size%line != 0 || (c.Size/line)%uint64(c.Ways) != 0 {
 		return fmt.Errorf("%s.size: must be a multiple of ways*line_size (got %d with %d ways of %d B lines)",
 			level, c.Size, c.Ways, line)
 	}

@@ -98,6 +98,9 @@ func TestConfigUnmarshalErrors(t *testing.T) {
 		{`{"windows":[{"name":"dram","base":0,"size":1024,"device":{"kind":"flash"}}]}`,
 			`windows[0].device.kind: unknown device kind "flash" (one of [cxlssd dram pmem remote])`},
 		{`{"windows":[]}`, "windows: at least one window is required"},
+		// ways*line_size wraps to 0 in 64 bits: an error, not a divide by zero.
+		{`{"l1":{"size":64,"ways":288230376151711744,"line_size":64},"windows":[]}`,
+			"l1.size: must be a multiple of ways*line_size (got 64 with 288230376151711744 ways of 64 B lines)"},
 	}
 	for _, tc := range cases {
 		var c Config
@@ -106,6 +109,51 @@ func TestConfigUnmarshalErrors(t *testing.T) {
 			t.Errorf("Unmarshal(%s) error = %v, want %q", tc.json, err, tc.want)
 		}
 	}
+}
+
+// FuzzConfigJSON throws arbitrary bytes at the machine-config decoder,
+// which every scenario spec with a custom machine reaches: no input may
+// panic, and a config that decodes must re-marshal to JSON that decodes
+// again and re-marshals to the same bytes.
+func FuzzConfigJSON(f *testing.F) {
+	for _, p := range Presets() {
+		cfg, _ := PresetConfig(p.Name)
+		data, err := json.Marshal(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, s := range []string{
+		``, `null`, `{}`, `{"windows":[]}`,
+		`{"drain":"lazy","l1":{"size":32768,"ways":8,"policy":"PLRU"},
+		  "windows":[{"name":"dram","base":0,"size":1024,"device":{"kind":"dram"}}]}`,
+		`{"l1":{"size":64,"ways":288230376151711744,"line_size":64},"windows":[]}`,
+		`{"l1":{"size":18446744073709551615,"ways":-1},"windows":[]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c Config
+		if err := json.Unmarshal(data, &c); err != nil {
+			return
+		}
+		first, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("a decoded config does not marshal: %v", err)
+		}
+		var again Config
+		if err := json.Unmarshal(first, &again); err != nil {
+			t.Fatalf("a re-marshaled config does not decode: %v\njson: %s", err, first)
+		}
+		second, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(first) != string(second) {
+			t.Fatalf("round trip changed the config:\n first: %s\nsecond: %s", first, second)
+		}
+	})
 }
 
 // TestConfigBNaming locks the satellite bugfix: preset tunings keep

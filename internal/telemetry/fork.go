@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"slices"
 
+	"prestores/internal/core"
 	"prestores/internal/sim"
 	"prestores/internal/snap"
 )
@@ -42,7 +43,7 @@ func (r *Recorder) AttachFork(m *sim.Machine) *Fork {
 // saved under one key restores only into a recorder with the same key.
 func (f *Fork) Key() string {
 	c := f.r.cfg
-	return fmt.Sprintf("linereport\x00%d\x00%d\x00%d\x00%d", c.BucketBytes, c.MaxLines, c.NearRewrite, c.NearReread)
+	return fmt.Sprintf("linereport\x00%d\x00%d\x00%d\x00%d", c.BucketBytes, c.MaxLines, core.NearRewrite, core.NearReread)
 }
 
 // Save encodes the machine's line and bucket state so far. It reports
@@ -56,7 +57,7 @@ func (f *Fork) Save() ([]byte, bool) {
 	}
 	st := &forkState{
 		lineSize: f.ms.lineSize, bucketBytes: f.r.cfg.BucketBytes, maxLines: uint64(f.r.cfg.MaxLines),
-		nearRewrite: f.r.cfg.NearRewrite, nearReread: f.r.cfg.NearReread,
+		nearRewrite: core.NearRewrite, nearReread: core.NearReread,
 		lines: f.ms.lines, buckets: f.ms.buckets,
 	}
 	return st.encode(), true
@@ -77,7 +78,7 @@ func (f *Fork) Restore(data []byte) error {
 	defer r.mu.Unlock()
 	c := r.cfg
 	if st.lineSize != f.ms.lineSize || st.bucketBytes != c.BucketBytes || st.maxLines != uint64(c.MaxLines) ||
-		st.nearRewrite != c.NearRewrite || st.nearReread != c.NearReread {
+		st.nearRewrite != core.NearRewrite || st.nearReread != core.NearReread {
 		return errors.New("telemetry: recorder state was saved under other settings")
 	}
 	n := r.nlines - len(f.ms.lines) + len(st.lines)
@@ -127,11 +128,11 @@ func (st *forkState) encode() []byte {
 	w.U64(uint64(len(addrs)))
 	for _, a := range addrs {
 		li := st.lines[a]
-		for _, v := range []uint64{a, li.writes, li.rewrites, li.rewriteSum, li.nearRewrites,
-			li.rereads, li.rereadSum, li.nearRereads, li.lastWrite} {
+		for _, v := range []uint64{a, li.writes, li.Rewrites, li.RewriteDistSum, li.NearRewrites,
+			li.Rereads, li.RereadDistSum, li.NearRereads, li.LastWrite} {
 			w.U64(v)
 		}
-		w.Bool(li.written)
+		w.Bool(li.Written)
 	}
 	bases := make([]uint64, 0, len(st.buckets))
 	for b := range st.buckets {
@@ -194,10 +195,10 @@ func decodeState(data []byte) (*forkState, error) {
 	for i := range recs {
 		li := &recs[i]
 		a := r.U64()
-		li.writes, li.rewrites, li.rewriteSum, li.nearRewrites = r.U64(), r.U64(), r.U64(), r.U64()
-		li.rereads, li.rereadSum, li.nearRereads, li.lastWrite = r.U64(), r.U64(), r.U64(), r.U64()
+		li.writes, li.Rewrites, li.RewriteDistSum, li.NearRewrites = r.U64(), r.U64(), r.U64(), r.U64()
+		li.Rereads, li.RereadDistSum, li.NearRereads, li.LastWrite = r.U64(), r.U64(), r.U64(), r.U64()
 		flag := r.U8()
-		li.written = flag == 1
+		li.Written = flag == 1
 		if r.Err() != nil {
 			return nil, fmt.Errorf("telemetry: recorder state: %w", r.Err())
 		}

@@ -37,7 +37,9 @@ func TestLineReportTopMatchesFullSort(t *testing.T) {
 			if _, ok := ms.lines[addr]; ok {
 				continue
 			}
-			ms.lines[addr] = &lineRec{writes: uint64(rng.Intn(4)), rewrites: uint64(i), written: true}
+			li := &lineRec{writes: uint64(rng.Intn(4))}
+			li.Rewrites, li.Written = uint64(i), true
+			ms.lines[addr] = li
 			r.nlines++
 		}
 	}
@@ -195,7 +197,12 @@ func TestForkRestoreRejectsWithoutChange(t *testing.T) {
 		check("bit flip", cfg, bad)
 	}
 	check("other bucket size", Config{LineReport: true, BucketBytes: 4096}, state)
-	check("other near-rewrite threshold", Config{LineReport: true, NearRewrite: 10}, state)
+	other, err := decodeState(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.nearRewrite = 10
+	check("saved under another near-rewrite threshold", cfg, other.encode())
 	check("over the line cap", Config{LineReport: true, MaxLines: 50}, state)
 }
 

@@ -7,6 +7,8 @@ import (
 	"io"
 	"sort"
 	"text/tabwriter"
+
+	"prestores/internal/core"
 )
 
 // LineStat is one cache line's attribution record.
@@ -14,30 +16,7 @@ type LineStat struct {
 	Machine int    `json:"machine"`
 	Addr    uint64 `json:"addr"`
 	Writes  uint64 `json:"writes"`
-	// Rewrites counts writes to an already-written line; the distance
-	// sums are in instructions, DirtBuster's distance unit.
-	Rewrites       uint64 `json:"rewrites"`
-	RewriteDistSum uint64 `json:"rewrite_dist_sum"`
-	NearRewrites   uint64 `json:"near_rewrites"`
-	Rereads        uint64 `json:"rereads"`
-	RereadDistSum  uint64 `json:"reread_dist_sum"`
-	NearRereads    uint64 `json:"near_rereads"`
-}
-
-// AvgRewriteDist returns the mean re-write distance in instructions.
-func (s LineStat) AvgRewriteDist() float64 {
-	if s.Rewrites == 0 {
-		return 0
-	}
-	return float64(s.RewriteDistSum) / float64(s.Rewrites)
-}
-
-// AvgRereadDist returns the mean re-read distance in instructions.
-func (s LineStat) AvgRereadDist() float64 {
-	if s.Rereads == 0 {
-		return 0
-	}
-	return float64(s.RereadDistSum) / float64(s.Rereads)
+	core.Reuse
 }
 
 // BucketStat aggregates device-level traffic for one address bucket.
@@ -71,6 +50,12 @@ type LineReport struct {
 	// Buckets is sorted by machine then base address.
 	Buckets []BucketStat `json:"buckets"`
 }
+
+// ReportLines caps the per-line list of every report the tools render
+// or ship: a daemon's linereport job artifact, prestore-bench
+// -linereport and an autotune probe's report. One cap keeps a probe run
+// locally and one fetched from a remote shard summing the same totals.
+const ReportLines = 256
 
 // LineReport builds the attribution report. maxLines caps the per-line
 // list to the most-written lines (<= 0 keeps every tracked line).
@@ -199,17 +184,7 @@ func (t *topLines) stats() []LineStat {
 		out = make([]LineStat, 0, len(t.heap))
 	}
 	for _, x := range t.heap {
-		out = append(out, LineStat{
-			Machine:        int(x.mach),
-			Addr:           x.addr,
-			Writes:         x.li.writes,
-			Rewrites:       x.li.rewrites,
-			RewriteDistSum: x.li.rewriteSum,
-			NearRewrites:   x.li.nearRewrites,
-			Rereads:        x.li.rereads,
-			RereadDistSum:  x.li.rereadSum,
-			NearRereads:    x.li.nearRereads,
-		})
+		out = append(out, LineStat{Machine: int(x.mach), Addr: x.addr, Writes: x.li.writes, Reuse: x.li.Reuse})
 	}
 	return out
 }
@@ -244,29 +219,8 @@ func DecodeLineReport(data []byte) (*LineReport, error) {
 // directly (rewrite/re-read frequency and nearness) instead of
 // re-deriving them from the raw line list.
 type LineTotals struct {
-	Writes         uint64 `json:"writes"`
-	Rewrites       uint64 `json:"rewrites"`
-	RewriteDistSum uint64 `json:"rewrite_dist_sum"`
-	NearRewrites   uint64 `json:"near_rewrites"`
-	Rereads        uint64 `json:"rereads"`
-	RereadDistSum  uint64 `json:"reread_dist_sum"`
-	NearRereads    uint64 `json:"near_rereads"`
-}
-
-// AvgRewriteDist returns the mean re-write distance in instructions.
-func (t LineTotals) AvgRewriteDist() float64 {
-	if t.Rewrites == 0 {
-		return 0
-	}
-	return float64(t.RewriteDistSum) / float64(t.Rewrites)
-}
-
-// AvgRereadDist returns the mean re-read distance in instructions.
-func (t LineTotals) AvgRereadDist() float64 {
-	if t.Rereads == 0 {
-		return 0
-	}
-	return float64(t.RereadDistSum) / float64(t.Rereads)
+	Writes uint64 `json:"writes"`
+	core.Reuse
 }
 
 // Totals sums the attribution columns over rep.Lines.
@@ -274,12 +228,7 @@ func (rep *LineReport) Totals() LineTotals {
 	var t LineTotals
 	for _, s := range rep.Lines {
 		t.Writes += s.Writes
-		t.Rewrites += s.Rewrites
-		t.RewriteDistSum += s.RewriteDistSum
-		t.NearRewrites += s.NearRewrites
-		t.Rereads += s.Rereads
-		t.RereadDistSum += s.RereadDistSum
-		t.NearRereads += s.NearRereads
+		t.Add(s.Reuse)
 	}
 	return t
 }

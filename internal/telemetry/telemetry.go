@@ -22,6 +22,7 @@ package telemetry
 import (
 	"sync"
 
+	"prestores/internal/core"
 	"prestores/internal/sim"
 )
 
@@ -40,12 +41,6 @@ type Config struct {
 	// MaxLines caps the line table (default 1<<20). Further lines are
 	// dropped and counted.
 	MaxLines int
-	// NearRewrite / NearReread are the distance thresholds (in
-	// instructions) under which a re-write / re-read counts as "near" —
-	// DirtBuster's pre-store decision inputs. Defaults match its
-	// thresholds (4000 / 100000).
-	NearRewrite uint64
-	NearReread  uint64
 }
 
 func (c *Config) fillDefaults() {
@@ -57,12 +52,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxLines == 0 {
 		c.MaxLines = 1 << 20
-	}
-	if c.NearRewrite == 0 {
-		c.NearRewrite = 4000
-	}
-	if c.NearReread == 0 {
-		c.NearReread = 100_000
 	}
 }
 
@@ -95,20 +84,14 @@ type machineState struct {
 	droppedLines uint64
 }
 
-// lineRec mirrors DirtBuster's per-line record (its lineInfo), minus
-// the sequentiality-context exclusion: telemetry has no notion of a
-// write continuing a sequential streak, so streak-internal re-writes
-// are counted here and excluded there.
+// lineRec is one line's write count and DirtBuster's per-line reuse
+// record, at the default near thresholds. Telemetry has no notion of a
+// write continuing a sequential streak, so every write to a written
+// line counts as a re-write here; DirtBuster excludes streak-internal
+// ones.
 type lineRec struct {
-	writes       uint64
-	rewrites     uint64
-	rewriteSum   uint64
-	nearRewrites uint64
-	rereads      uint64
-	rereadSum    uint64
-	nearRereads  uint64
-	lastWrite    uint64
-	written      bool
+	writes uint64
+	core.LineReuse
 }
 
 type bucketRec struct {
@@ -278,9 +261,7 @@ func (r *Recorder) intern(fn string) uint32 {
 	return id
 }
 
-// noteWrite updates per-line write records, mirroring DirtBuster's
-// onWrite: distances are instruction counts, a touch with a smaller
-// counter (another core) carries no distance, and the event's Instr is
+// noteWrite updates per-line write records; the event's Instr is
 // applied to every line a multi-line write spans.
 func (r *Recorder) noteWrite(ms *machineState, ev sim.Event) {
 	end := ev.Addr + ev.Size
@@ -289,17 +270,8 @@ func (r *Recorder) noteWrite(ms *machineState, ev sim.Event) {
 		if li == nil {
 			continue
 		}
-		if li.written && ev.Instr >= li.lastWrite {
-			d := ev.Instr - li.lastWrite
-			li.rewrites++
-			li.rewriteSum += d
-			if d <= r.cfg.NearRewrite {
-				li.nearRewrites++
-			}
-		}
 		li.writes++
-		li.written = true
-		li.lastWrite = ev.Instr
+		li.Write(ev.Instr, core.NearRewrite, true)
 
 		// Write-amplification numerator: bytes the program wrote into
 		// this line (vs. whole lines the device will receive).
@@ -314,22 +286,13 @@ func (r *Recorder) noteWrite(ms *machineState, ev sim.Event) {
 	}
 }
 
-// noteRead updates re-read distances for previously written lines,
-// mirroring DirtBuster's onRead (lines never written are not tracked).
+// noteRead updates re-read distances for previously written lines
+// (lines never written are not tracked).
 func (r *Recorder) noteRead(ms *machineState, ev sim.Event) {
 	end := ev.Addr + ev.Size
 	for line := ev.Addr &^ (ms.lineSize - 1); line < end; line += ms.lineSize {
-		li, ok := ms.lines[line]
-		if !ok {
-			continue
-		}
-		if li.written && ev.Instr >= li.lastWrite {
-			d := ev.Instr - li.lastWrite
-			li.rereads++
-			li.rereadSum += d
-			if d <= r.cfg.NearReread {
-				li.nearRereads++
-			}
+		if li, ok := ms.lines[line]; ok {
+			li.Read(ev.Instr, core.NearReread)
 		}
 	}
 }
