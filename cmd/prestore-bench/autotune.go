@@ -4,13 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
 
 	"prestores/internal/autotune"
 	"prestores/internal/scenario"
+	"prestores/internal/server"
 )
 
 // autotuneOpts carries the -autotune flag set into the driver.
@@ -78,57 +78,25 @@ func runAutotuneRemote(ctx context.Context, sp scenario.Spec, o autotuneOpts) er
 		return err
 	}
 	base := strings.TrimRight(o.server, "/")
-	rc := newRemoteClient()
-	st, err := submitJob(ctx, rc, base, "/v1/autotune", body)
+	st, res, err := runJob(ctx, os.Stdout, base, "/v1/autotune", body)
 	if err != nil {
-		return err
-	}
-	res := st.Result
-	if res == nil {
-		r, err := streamRemote(ctx, rc, os.Stdout, base, st.ID)
-		if err != nil {
-			cancelRemote(rc, base, []handle{{id: st.ID}})
-			return err
-		}
-		res = r
-	} else if _, err := io.WriteString(os.Stdout, res.Output); err != nil {
 		return err
 	}
 	if res.Failed() {
 		return fmt.Errorf("autotune failed: %s", res.Err)
 	}
-
-	raw, err := fetchArtifact(ctx, rc, base, st.ID, "trajectory")
+	resp, err := newClient().Do(ctx, "GET", base+"/v1/jobs/"+st.ID+"/trajectory", "", nil)
 	if err != nil {
 		return err
 	}
-	traj, err := autotune.DecodeTrajectory(raw)
+	if resp.Code != http.StatusOK {
+		return fmt.Errorf("fetching the trajectory of job %s: %w", st.ID, &server.StatusError{Code: resp.Code, Body: resp.Body})
+	}
+	traj, err := autotune.DecodeTrajectory(resp.Body)
 	if err != nil {
 		return fmt.Errorf("daemon returned a bad trajectory artifact: %v", err)
 	}
 	return finishAutotune(traj, o.trajectory)
-}
-
-// fetchArtifact GETs one finished job artifact from the daemon.
-func fetchArtifact(ctx context.Context, rc *remoteClient, base, id, name string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, "GET", base+"/v1/jobs/"+id+"/"+name, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rc.api.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fetching %s for job %s: daemon returned %s: %s",
-			name, id, resp.Status, strings.TrimSpace(string(data)))
-	}
-	return data, nil
 }
 
 // finishAutotune writes the trajectory file when asked and prints the

@@ -1,62 +1,26 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"prestores/internal/bench"
 	"prestores/internal/obs"
-	"prestores/internal/server/cluster"
+	"prestores/internal/server"
 )
 
-// jobStatus and streamEvent mirror the prestored daemon's wire types
-// (internal/server.JobStatus and its NDJSON stream events). A cluster
-// coordinator speaks the identical surface, so the client is unaware
-// whether it is talking to one daemon or a fleet.
-type jobStatus struct {
-	ID     string        `json:"id"`
-	State  string        `json:"state"`
-	Cached bool          `json:"cached"`
-	Error  string        `json:"error"`
-	Result *bench.Result `json:"result"`
-}
-
-type streamEvent struct {
-	Event string     `json:"event"`
-	Data  string     `json:"data"`
-	Job   *jobStatus `json:"job"`
-}
-
-// remoteClient bundles the two HTTP clients a sweep needs: a timed one
-// for unary calls — a hung daemon must fail a submit or cancel, not
-// hang the sweep forever — and an untimed one for the long-lived NDJSON
-// streams, whose legitimate lifetime is the experiment's runtime.
-// Backoff paces 429 retries and stream reconnects; a fleet of clients
-// facing one full queue spreads out instead of thundering in lockstep.
-type remoteClient struct {
-	api    *http.Client
-	stream *http.Client
-	bo     cluster.Backoff
-}
-
-// requestTimeout bounds one unary call (submit, cancel) end to end.
-const requestTimeout = 30 * time.Second
-
-func newRemoteClient() *remoteClient {
-	return &remoteClient{
-		api:    &http.Client{Timeout: requestTimeout},
-		stream: &http.Client{},
-		bo:     cluster.Backoff{Base: 100 * time.Millisecond, Cap: 10 * time.Second},
-	}
+// newClient builds the job-API client a sweep uses: unary calls time
+// out after 30 s — a hung daemon must fail a submit or cancel, not hang
+// the sweep forever — while streams live as long as their job. The
+// backoff paces 429 retries and stream reconnects.
+func newClient() *server.Client {
+	return server.NewClient(30*time.Second, nil, server.Backoff{Base: 100 * time.Millisecond, Cap: 10 * time.Second})
 }
 
 // handle tracks one submitted experiment: the job ID to follow, or the
@@ -79,18 +43,18 @@ type handle struct {
 // are identical to a local bench.Run over the same experiments.
 func runRemote(ctx context.Context, w io.Writer, base string, exps []bench.Experiment, quick bool, spans *spanCollector) ([]bench.Result, error) {
 	base = strings.TrimRight(base, "/")
-	rc := newRemoteClient()
+	c := newClient()
 	results := make([]bench.Result, 0, len(exps))
 
 	handles := make([]handle, len(exps))
 	for i, e := range exps {
 		sctx, root := spans.begin(ctx, e.ID)
 		subCtx, sub := obs.Start(sctx, "submit")
-		st, err := submitRemote(subCtx, rc, base, e.ID, quick)
+		st, err := submitRemote(subCtx, c, base, e.ID, quick)
 		sub.End()
 		if err != nil {
 			root.End()
-			cancelRemote(rc, base, handles)
+			cancelRemote(c, base, handles)
 			return results, fmt.Errorf("submitting %s: %w", e.ID, err)
 		}
 		if st.Cached {
@@ -106,21 +70,21 @@ func runRemote(ctx context.Context, w io.Writer, base string, exps []bench.Exper
 		res := h.res
 		if res == nil {
 			strCtx, str := obs.Start(h.ctx, "stream", obs.KV("job", h.id))
-			r, err := streamRemote(strCtx, rc, w, base, h.id)
+			r, err := streamRemote(strCtx, c, w, base, h.id)
 			str.End()
 			h.root.End()
 			if err != nil {
-				cancelRemote(rc, base, handles[i:])
+				cancelRemote(c, base, handles[i:])
 				return results, fmt.Errorf("streaming %s (%s): %w", exps[i].ID, h.id, err)
 			}
 			res = r
 			// The job is terminal: its server-side spans are complete
 			// and safe to merge into the artifact.
-			spans.fetch(ctx, rc, base, h.id)
+			spans.fetch(ctx, c, base, h.id)
 			// The stream already carried the output bytes; only the
 			// failure trailer is local (it matches bench.Run's).
 		} else if _, err := io.WriteString(w, res.Output); err != nil {
-			cancelRemote(rc, base, handles[i:])
+			cancelRemote(c, base, handles[i:])
 			return results, err
 		}
 		if res.Failed() {
@@ -131,50 +95,34 @@ func runRemote(ctx context.Context, w io.Writer, base string, exps []bench.Exper
 	return results, nil
 }
 
-// submitRemote posts one experiment, retrying while the daemon's queue
-// is full (429): queued jobs drain as the sweep progresses.
-func submitRemote(ctx context.Context, rc *remoteClient, base, id string, quick bool) (*jobStatus, error) {
+// submitRemote posts one experiment; the client retries while the
+// daemon's queue is full (429), since queued jobs drain as the sweep
+// progresses.
+func submitRemote(ctx context.Context, c *server.Client, base, id string, quick bool) (*server.JobStatus, error) {
 	body, _ := json.Marshal(map[string]any{"id": id, "quick": quick})
-	return submitJob(ctx, rc, base, "/v1/experiments", body)
+	var st server.JobStatus
+	return &st, c.Submit(ctx, base+"/v1/experiments", body, &st)
 }
 
-// submitJob posts a job body to one of the daemon's submit endpoints.
-// 429s (queue full) are retried with capped exponential backoff and
-// jitter; ctx is the total retry budget — its deadline or cancellation
-// ends the loop mid-pause.
-func submitJob(ctx context.Context, rc *remoteClient, base, path string, body []byte) (*jobStatus, error) {
-	for attempt := 0; ; {
-		req, err := http.NewRequestWithContext(ctx, "POST", base+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		obs.InjectContext(ctx, req.Header)
-		resp, err := rc.api.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		switch resp.StatusCode {
-		case http.StatusOK, http.StatusAccepted:
-			var st jobStatus
-			if err := json.Unmarshal(data, &st); err != nil {
-				return nil, fmt.Errorf("bad job handle: %v", err)
-			}
-			return &st, nil
-		case http.StatusTooManyRequests:
-			if err := rc.bo.Sleep(ctx, attempt); err != nil {
-				return nil, err
-			}
-			attempt++
-		default:
-			return nil, fmt.Errorf("daemon returned %s: %s", resp.Status, strings.TrimSpace(string(data)))
-		}
+// runJob submits body to the daemon's submit path and writes the job's
+// output to w — streamed as it is produced, or the cached result's —
+// returning the job handle and its final result. A job that cannot be
+// followed to the end is cancelled.
+func runJob(ctx context.Context, w io.Writer, base, path string, body []byte) (*server.JobStatus, *bench.Result, error) {
+	c := newClient()
+	var st server.JobStatus
+	if err := c.Submit(ctx, base+path, body, &st); err != nil {
+		return nil, nil, err
 	}
+	if st.Result != nil {
+		_, err := io.WriteString(w, st.Result.Output)
+		return &st, st.Result, err
+	}
+	res, err := streamRemote(ctx, c, w, base, st.ID)
+	if err != nil {
+		cancelRemote(c, base, []handle{{id: st.ID}})
+	}
+	return &st, res, err
 }
 
 // maxStreamReconnects bounds consecutive fruitless reconnect attempts;
@@ -184,89 +132,50 @@ const maxStreamReconnects = 5
 // streamRemote follows one job's NDJSON stream, copying output chunks
 // to w as they arrive, and returns the final result. A mid-job
 // disconnect is not fatal: the client tracks the bytes it has
-// consumed and reconnects with ?offset=N, so the daemon replays only
-// what is missing and no output byte is ever written twice.
-func streamRemote(ctx context.Context, rc *remoteClient, w io.Writer, base, id string) (*bench.Result, error) {
-	consumed := 0
-	attempts := 0
-	var lastErr error
+// consumed and reconnects with ?offset=N to the same daemon, so it
+// replays only what is missing and no output byte is ever written
+// twice. A definitive answer — an HTTP error status, a local write
+// failure, cancellation — ends the stream without a retry.
+func streamRemote(ctx context.Context, c *server.Client, w io.Writer, base, id string) (*bench.Result, error) {
+	consumed, attempts := 0, 0
 	for {
 		before := consumed
-		res, retry, err := streamOnce(ctx, rc, w, base, id, &consumed)
-		if err == nil {
+		var res *bench.Result
+		var writeErr error
+		err := c.Stream(ctx, base, id, consumed, func(ev server.StreamEvent) error {
+			switch ev.Event {
+			case "output":
+				if _, writeErr = io.WriteString(w, ev.Data); writeErr != nil {
+					return writeErr
+				}
+				consumed += len(ev.Data)
+			case "done":
+				res = ev.Job.Result
+			}
+			return nil
+		})
+		var se *server.StatusError
+		switch {
+		case err == nil && res == nil:
+			return nil, fmt.Errorf("done event without result")
+		case err == nil:
 			return res, nil
-		}
-		if !retry {
+		case writeErr != nil || errors.As(err, &se):
 			return nil, err
+		case ctx.Err() != nil:
+			return nil, ctx.Err()
 		}
-		lastErr = err
 		if consumed > before {
 			attempts = 0 // the connection was productive; fresh budget
 		}
 		if attempts >= maxStreamReconnects {
-			return nil, fmt.Errorf("stream broken after %d reconnect attempts: %w", attempts, lastErr)
+			return nil, fmt.Errorf("stream broken after %d reconnect attempts: %w", attempts, err)
 		}
-		if serr := rc.bo.Sleep(ctx, attempts); serr != nil {
+		if serr := c.Backoff.Sleep(ctx, attempts); serr != nil {
 			return nil, serr
 		}
 		attempts++
 	}
-}
-
-// streamOnce attaches to the job's stream at the current offset and
-// copies until the done event. retry reports whether the failure was a
-// transport loss worth reconnecting through (connection drop, truncated
-// stream) as opposed to a definitive answer (HTTP error status, a local
-// write failure, cancellation).
-func streamOnce(ctx context.Context, rc *remoteClient, w io.Writer, base, id string, consumed *int) (res *bench.Result, retry bool, err error) {
-	url := base + "/v1/jobs/" + id + "/stream"
-	if *consumed > 0 {
-		url += "?offset=" + strconv.Itoa(*consumed)
-	}
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	obs.InjectContext(ctx, req.Header)
-	resp, err := rc.stream.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, false, ctx.Err()
-		}
-		return nil, true, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, false, fmt.Errorf("daemon returned %s: %s", resp.Status, strings.TrimSpace(string(data)))
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		var ev streamEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, false, fmt.Errorf("bad stream line: %v", err)
-		}
-		switch ev.Event {
-		case "output":
-			if _, err := io.WriteString(w, ev.Data); err != nil {
-				return nil, false, err
-			}
-			*consumed += len(ev.Data)
-		case "done":
-			if ev.Job == nil || ev.Job.Result == nil {
-				return nil, false, fmt.Errorf("done event without result")
-			}
-			return ev.Job.Result, false, nil
-		}
-	}
-	if ctx.Err() != nil {
-		return nil, false, ctx.Err()
-	}
-	if err := sc.Err(); err != nil {
-		return nil, true, err
-	}
-	return nil, true, fmt.Errorf("stream ended without a done event")
 }
 
 // cancelRemote best-effort cancels jobs the client will no longer
@@ -274,7 +183,7 @@ func streamOnce(ctx context.Context, rc *remoteClient, w io.Writer, base, id str
 // for nobody. Detached jobs need the explicit DELETE. The DELETEs run
 // concurrently, each under its own short deadline: aborting a wide
 // sweep must take one round-trip, not one per outstanding job.
-func cancelRemote(rc *remoteClient, base string, handles []handle) {
+func cancelRemote(c *server.Client, base string, handles []handle) {
 	var wg sync.WaitGroup
 	for _, h := range handles {
 		if h.id == "" {
@@ -285,12 +194,7 @@ func cancelRemote(rc *remoteClient, base string, handles []handle) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, "DELETE", base+"/v1/jobs/"+id, nil)
-			if err == nil {
-				if resp, err := rc.api.Do(req); err == nil {
-					resp.Body.Close()
-				}
-			}
+			c.Cancel(ctx, base, id)
 		}(h.id)
 	}
 	wg.Wait()

@@ -13,23 +13,26 @@ import (
 	"time"
 
 	"prestores/internal/bench"
-	"prestores/internal/server/cluster"
+	"prestores/internal/server"
 )
 
-// testClient is a remoteClient with a near-instant backoff so retry
-// tests run in milliseconds.
-func testClient() *remoteClient {
-	rc := newRemoteClient()
-	rc.bo = cluster.Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond}
-	return rc
+// The sweep's policy sits on the shared job-API client: these tests
+// drive it through the CLI's functions against scripted servers.
+
+// testClient is the sweep's client with a near-instant backoff so
+// retry tests run in milliseconds.
+func testClient() *server.Client {
+	c := newClient()
+	c.Backoff = server.Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond}
+	return c
 }
 
-func writeEvent(w http.ResponseWriter, ev streamEvent) {
+func writeEvent(w http.ResponseWriter, ev server.StreamEvent) {
 	json.NewEncoder(w).Encode(ev)
 }
 
-// TestSubmitJobBacksOffThrough429 proves the 429 retry loop converges
-// once the queue drains and counts every attempt (so the backoff is
+// TestSubmitJobBacksOffThrough429 proves the client's 429 retry loop
+// converges once the queue drains and counts every attempt (so the backoff is
 // actually pacing, not spinning).
 func TestSubmitJobBacksOffThrough429(t *testing.T) {
 	var calls atomic.Int64
@@ -44,7 +47,7 @@ func TestSubmitJobBacksOffThrough429(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	st, err := submitJob(context.Background(), testClient(), ts.URL, "/v1/experiments", []byte(`{}`))
+	st, err := submitRemote(context.Background(), testClient(), ts.URL, "e", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +69,7 @@ func TestSubmitJobHonorsContextBudget(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := submitJob(ctx, testClient(), ts.URL, "/v1/experiments", []byte(`{}`))
+	_, err := submitRemote(ctx, testClient(), ts.URL, "e", true)
 	if err == nil || ctx.Err() == nil {
 		t.Fatalf("submit against a stuck queue returned %v, want context deadline", err)
 	}
@@ -88,13 +91,13 @@ func TestStreamRemoteReconnectsWithOffset(t *testing.T) {
 		}
 		switch attempts.Add(1) {
 		case 1:
-			writeEvent(w, streamEvent{Event: "status", Job: &jobStatus{ID: "job-1", State: "running"}})
-			writeEvent(w, streamEvent{Event: "output", Data: part1})
+			writeEvent(w, server.StreamEvent{Event: "status", Job: &server.JobStatus{ID: "job-1", State: "running"}})
+			writeEvent(w, server.StreamEvent{Event: "output", Data: part1})
 			// connection ends without a done event: transport loss
 		default:
 			gotOffset.Store(r.URL.Query().Get("offset"))
-			writeEvent(w, streamEvent{Event: "output", Data: part2})
-			writeEvent(w, streamEvent{Event: "done", Job: &jobStatus{
+			writeEvent(w, server.StreamEvent{Event: "output", Data: part2})
+			writeEvent(w, server.StreamEvent{Event: "done", Job: &server.JobStatus{
 				ID: "job-1", State: "done",
 				Result: &bench.Result{ID: "e", Output: part1 + part2},
 			}})

@@ -2,14 +2,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"sync"
 
 	"prestores/internal/obs"
+	"prestores/internal/server"
 	"prestores/internal/telemetry"
 )
 
@@ -39,8 +37,8 @@ func newSpanCollector() *spanCollector {
 }
 
 // begin opens the client root span for one submission. The returned
-// context carries the tracer and the span, so submitJob and streamOnce
-// inject it as a traceparent header on every request they make. Nil
+// context carries the tracer and the span, so the job-API client
+// injects it as a traceparent header on every request it makes. Nil
 // collectors (no -spans) return the context untouched.
 func (c *spanCollector) begin(ctx context.Context, id string) (context.Context, *obs.ActiveSpan) {
 	if c == nil {
@@ -54,35 +52,17 @@ func (c *spanCollector) begin(ctx context.Context, id string) (context.Context, 
 // merges its raw spans into the artifact. Best-effort: a daemon
 // without the endpoint or an unreachable shard degrades the artifact
 // to the client's side of the story, never the sweep.
-func (c *spanCollector) fetch(ctx context.Context, rc *remoteClient, base, id string) {
+func (c *spanCollector) fetch(ctx context.Context, client *server.Client, base, id string) {
 	if c == nil || id == "" {
 		return
 	}
-	req, err := http.NewRequestWithContext(ctx, "GET", base+"/v1/jobs/"+id+"/spans", nil)
+	spans, dropped, err := client.Spans(ctx, base, id)
 	if err != nil {
-		return
-	}
-	resp, err := rc.api.Do(req)
-	if err != nil {
-		return
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return
-	}
-	var remote struct {
-		OtherData struct {
-			Dropped int `json:"droppedSpans"`
-		} `json:"otherData"`
-		Spans []obs.Span `json:"spans"`
-	}
-	if json.Unmarshal(data, &remote) != nil {
 		return
 	}
 	c.mu.Lock()
-	c.remote = append(c.remote, remote.Spans...)
-	c.dropped += remote.OtherData.Dropped
+	c.remote = append(c.remote, spans...)
+	c.dropped += dropped
 	c.mu.Unlock()
 }
 

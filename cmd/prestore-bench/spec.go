@@ -78,21 +78,8 @@ func runSpecRemote(ctx context.Context, w io.Writer, base string, sp scenario.Sp
 	if err != nil {
 		return err
 	}
-	base = strings.TrimRight(base, "/")
-	rc := newRemoteClient()
-	st, err := submitJob(ctx, rc, base, "/v1/scenarios", body)
+	_, res, err := runJob(ctx, w, strings.TrimRight(base, "/"), "/v1/scenarios", body)
 	if err != nil {
-		return err
-	}
-	res := st.Result
-	if res == nil {
-		r, err := streamRemote(ctx, rc, w, base, st.ID)
-		if err != nil {
-			cancelRemote(rc, base, []handle{{id: st.ID}})
-			return err
-		}
-		res = r
-	} else if _, err := io.WriteString(w, res.Output); err != nil {
 		return err
 	}
 	if res.Failed() {

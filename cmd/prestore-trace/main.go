@@ -29,7 +29,7 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -43,6 +43,7 @@ import (
 	"prestores/internal/dirtbuster"
 	"prestores/internal/obs"
 	"prestores/internal/pmcheck"
+	"prestores/internal/server"
 	"prestores/internal/trace"
 )
 
@@ -100,7 +101,10 @@ func main() {
 		}
 		fmt.Println(rep.Render())
 	case *upload != "" && *serverURL != "":
-		doUpload(*serverURL, *upload, *name, *lineSize)
+		c := server.NewClient(30*time.Second, nil, server.Backoff{})
+		if err := doUpload(context.Background(), c, os.Stdout, *serverURL, *upload, *name, *lineSize); err != nil {
+			fatal(err)
+		}
 	case *workload == "all":
 		for _, w := range bench.Table2Workloads(*quick) {
 			fmt.Println(dirtbuster.Analyze(w, dirtbuster.Config{}).Render())
@@ -179,14 +183,16 @@ const uploadPart = 4 << 20
 
 // doUpload ships a recording to a prestored daemon (or cluster
 // coordinator) with the resumable upload protocol, submits a chunked
-// analysis of it and prints the report. Offset mismatches (409) are
-// resumed from the server's offset, so a retried or interrupted upload
-// never re-sends bytes the server already has.
-func doUpload(base, path, app string, lineSize uint64) {
+// analysis of it and writes the report to w. The job-API client
+// retries 429s on open, commit and submit, and bounds each unary call
+// with its request timeout. Offset mismatches (409) are resumed from
+// the server's offset, so a retried or interrupted upload never
+// re-sends bytes the server already has.
+func doUpload(ctx context.Context, c *server.Client, w io.Writer, base, path, app string, lineSize uint64) error {
 	base = strings.TrimRight(base, "/")
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 
@@ -194,25 +200,37 @@ func doUpload(base, path, app string, lineSize uint64) {
 		Upload string `json:"upload"`
 		Offset int64  `json:"offset"`
 	}
-	if err := postJSON(base+"/v1/traces?resume=1", nil, &opened); err != nil {
-		fatal(err)
+	if err := c.Submit(ctx, base+"/v1/traces?resume=1", nil, &opened); err != nil {
+		return err
 	}
 	off := opened.Offset
 	buf := make([]byte, uploadPart)
 	for {
 		n, rerr := f.ReadAt(buf, off)
 		if n > 0 {
-			newOff, err := putPart(base, opened.Upload, off, buf[:n])
+			url := fmt.Sprintf("%s/v1/traces/uploads/%s?offset=%d", base, opened.Upload, off)
+			resp, err := c.Do(ctx, http.MethodPut, url, "application/octet-stream", buf[:n])
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			off = newOff
+			// A 409 carries the server's offset too: following it
+			// resolves a disagreement in one extra round trip.
+			if resp.Code != http.StatusOK && resp.Code != http.StatusConflict {
+				return fmt.Errorf("upload part at %d: %w", off, &server.StatusError{Code: resp.Code, Body: resp.Body})
+			}
+			var ack struct {
+				Offset int64 `json:"offset"`
+			}
+			if err := json.Unmarshal(resp.Body, &ack); err != nil {
+				return err
+			}
+			off = ack.Offset
 		}
 		if rerr == io.EOF {
 			break
 		}
 		if rerr != nil {
-			fatal(rerr)
+			return rerr
 		}
 	}
 	var info struct {
@@ -220,102 +238,37 @@ func doUpload(base, path, app string, lineSize uint64) {
 		Chunks  int    `json:"chunks"`
 		Records uint64 `json:"records"`
 	}
-	if err := postJSON(base+"/v1/traces/uploads/"+opened.Upload+"/commit", nil, &info); err != nil {
-		fatal(err)
+	if err := c.Submit(ctx, base+"/v1/traces/uploads/"+opened.Upload+"/commit", nil, &info); err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "uploaded %d bytes as %s (%d chunks, %d records)\n",
 		off, info.Address, info.Chunks, info.Records)
 
-	spec := map[string]any{"trace": info.Address, "app": app, "line_size": lineSize}
-	var st struct {
-		ID     string `json:"id"`
-		State  string `json:"state"`
-		Result *struct {
-			Err    string `json:"err,omitempty"`
-			Output string `json:"output,omitempty"`
-		} `json:"result,omitempty"`
+	spec, _ := json.Marshal(map[string]any{"trace": info.Address, "app": app, "line_size": lineSize})
+	var st server.JobStatus
+	if err := c.Submit(ctx, base+"/v1/analyses", spec, &st); err != nil {
+		return err
 	}
-	if err := postJSON(base+"/v1/analyses", spec, &st); err != nil {
-		fatal(err)
-	}
-	for st.State != "done" && st.State != "failed" && st.State != "cancelled" {
-		time.Sleep(100 * time.Millisecond)
-		if err := getJSON(base+"/v1/jobs/"+st.ID, &st); err != nil {
-			fatal(err)
+	if st.Result == nil { // not a cache hit: follow the job to its end
+		err := c.Stream(ctx, base, st.ID, 0, func(ev server.StreamEvent) error {
+			if ev.Event == "done" {
+				st = *ev.Job
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
-	if st.State != "done" {
+	if st.State != "done" || st.Result == nil {
 		msg := st.State
 		if st.Result != nil && st.Result.Err != "" {
 			msg += ": " + st.Result.Err
 		}
-		fatal(fmt.Errorf("remote analysis %s", msg))
+		return fmt.Errorf("remote analysis %s", msg)
 	}
-	fmt.Print(st.Result.Output)
-}
-
-// putPart uploads one part, following a 409's offset so a disagreement
-// with the server resolves in one extra round trip.
-func putPart(base, id string, off int64, part []byte) (int64, error) {
-	url := fmt.Sprintf("%s/v1/traces/uploads/%s?offset=%d", base, id, off)
-	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(part))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	var ack struct {
-		Offset int64  `json:"offset"`
-		Error  string `json:"error,omitempty"`
-	}
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusConflict:
-		if err := json.Unmarshal(body, &ack); err != nil {
-			return 0, err
-		}
-		return ack.Offset, nil
-	default:
-		return 0, fmt.Errorf("upload part at %d: %d %s", off, resp.StatusCode, bytes.TrimSpace(body))
-	}
-}
-
-func postJSON(url string, body any, out any) error {
-	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(b)
-	}
-	resp, err := http.Post(url, "application/json", rd)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("POST %s: %d %s", url, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	return json.Unmarshal(data, out)
-}
-
-func getJSON(url string, out any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("GET %s: %d %s", url, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	return json.Unmarshal(data, out)
+	_, err = io.WriteString(w, st.Result.Output)
+	return err
 }
 
 func fatal(err error) {

@@ -1,0 +1,81 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"prestores/internal/bench"
+	"prestores/internal/server"
+)
+
+// TestUploadRetriesBusyAnalysisSubmit drives -upload against a scripted
+// server whose first POST /v1/analyses answers 429 (queue full): the
+// client backs off and resubmits instead of failing, then follows the
+// accepted job's stream and writes exactly the report to stdout.
+func TestUploadRetriesBusyAnalysisSubmit(t *testing.T) {
+	const report = "synthetic report\n"
+	recording := bytes.Repeat([]byte("trace-bytes"), 1000)
+	var analyses atomic.Int64
+	var received bytes.Buffer
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/traces", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusCreated)
+		fmt.Fprint(w, `{"upload":"u1","offset":0}`)
+	})
+	mux.HandleFunc("PUT /v1/traces/uploads/u1", func(w http.ResponseWriter, r *http.Request) {
+		part, _ := io.ReadAll(r.Body)
+		received.Write(part)
+		fmt.Fprintf(w, `{"upload":"u1","offset":%d}`, received.Len())
+	})
+	mux.HandleFunc("POST /v1/traces/uploads/u1/commit", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusCreated)
+		fmt.Fprint(w, `{"address":"abc","chunks":1,"records":7}`)
+	})
+	mux.HandleFunc("POST /v1/analyses", func(w http.ResponseWriter, r *http.Request) {
+		if analyses.Add(1) == 1 {
+			w.WriteHeader(http.StatusTooManyRequests)
+			fmt.Fprint(w, `{"error":"job queue full"}`)
+			return
+		}
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprint(w, `{"id":"job-1","state":"queued"}`)
+	})
+	mux.HandleFunc("GET /v1/jobs/job-1/stream", func(w http.ResponseWriter, r *http.Request) {
+		enc := json.NewEncoder(w)
+		enc.Encode(server.StreamEvent{Event: "status", Job: &server.JobStatus{ID: "job-1", State: "running"}})
+		enc.Encode(server.StreamEvent{Event: "output", Data: "pass 1: progress\n" + report})
+		enc.Encode(server.StreamEvent{Event: "done", Job: &server.JobStatus{ID: "job-1", State: "done",
+			Result: &bench.Result{ID: "analysis/abc", Output: report}}})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	path := filepath.Join(t.TempDir(), "rec.trace")
+	if err := os.WriteFile(path, recording, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := server.NewClient(5*time.Second, nil, server.Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond})
+	var out bytes.Buffer
+	if err := doUpload(context.Background(), c, &out, ts.URL, path, "app", 64); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != report {
+		t.Fatalf("stdout = %q, want exactly the report %q", out.String(), report)
+	}
+	if n := analyses.Load(); n != 2 {
+		t.Fatalf("server saw %d analysis submits, want 2 (429, then accepted)", n)
+	}
+	if !bytes.Equal(received.Bytes(), recording) {
+		t.Fatalf("server received %d bytes, want the %d-byte recording", received.Len(), len(recording))
+	}
+}

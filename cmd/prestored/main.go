@@ -9,7 +9,7 @@
 //	prestored -addr :9000 -workers 4   # custom listen address and pool
 //	prestored -queue 16 -job-timeout 10m
 //	prestored -log-level debug         # structured logs (slog) to stderr
-//	prestored -pprof                   # expose /debug/pprof on the same mux
+//	prestored -pprof                   # expose /debug/pprof on the same listener (either mode)
 //
 // Cluster mode: a coordinator exposes the identical HTTP surface but
 // runs no simulations itself — it routes each submit to a worker shard
@@ -26,7 +26,8 @@
 //
 // Quick start against a running daemon:
 //
-//	curl -s localhost:8344/v1/experiments                      # registry
+//	curl -s localhost:8344/v1/experiments                      # experiment listing
+//	curl -s localhost:8344/v1/registry                         # scenario blocks, DirtBuster workloads
 //	curl -s -X POST localhost:8344/v1/experiments \
 //	     -d '{"id":"fig3","quick":true}'                       # submit
 //	curl -s localhost:8344/v1/jobs/job-1                       # poll
@@ -95,16 +96,7 @@ func main() {
 	}
 
 	var level slog.Level
-	switch strings.ToLower(*logLevel) {
-	case "debug":
-		level = slog.LevelDebug
-	case "info":
-		level = slog.LevelInfo
-	case "warn":
-		level = slog.LevelWarn
-	case "error":
-		level = slog.LevelError
-	default:
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		slog.New(slog.NewTextHandler(os.Stderr, nil)).
 			Error("invalid -log-level (want debug, info, warn or error)", "got", *logLevel)
 		os.Exit(2)
@@ -157,12 +149,14 @@ func main() {
 			CheckpointBytes: *checkpointBytes,
 			CheckpointDir:   *checkpointDir,
 			Logger:          log,
-			EnablePprof:     *pprofFlag,
 			Instance:        *addr,
 			Flight:          flight,
 		})
 		handler = srv.Handler()
 		shutdown = srv.Shutdown
+	}
+	if *pprofFlag {
+		handler = server.WithPprof(handler)
 	}
 	hs := &http.Server{Addr: *addr, Handler: handler}
 

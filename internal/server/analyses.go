@@ -72,7 +72,7 @@ func (s *Server) handleSubmitAnalysis(w http.ResponseWriter, r *http.Request) {
 	}
 	info, ok := s.traces.info(spec.Trace)
 	if !ok {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			"unknown trace %q; upload it first (POST /v1/traces) — GET /v1/traces lists stored traces", spec.Trace)
 		return
 	}
@@ -83,8 +83,7 @@ func (s *Server) handleSubmitAnalysis(w http.ResponseWriter, r *http.Request) {
 	if spec.LineSize == 0 {
 		spec.LineSize = 64
 	}
-	st, j, err := s.submit("analysis", spec, !streamRequested(r), parentFrom(r), s.analysisJob(spec, info))
-	s.respondSubmit(w, r, st, j, err)
+	s.accept(w, r, "analysis", spec, s.analysisJob(spec, info))
 }
 
 func shortAddr(addr string) string {
@@ -102,8 +101,8 @@ func (s *Server) analysisJob(spec analysisSpec, info TraceInfo) func(context.Con
 	id := "analysis/" + shortAddr(spec.Trace)
 	title := fmt.Sprintf("chunked DirtBuster analysis of trace %s (%d chunks, %d records)",
 		shortAddr(spec.Trace), info.Chunks, info.Records)
-	return analysisRun(id, title, s.cfg.JobTimeout,
-		func(ctx context.Context, j *job, out *bytes.Buffer) error {
+	return s.guarded(id, title,
+		func(ctx context.Context, j *job, out io.Writer) error {
 			data, ok := s.traces.get(spec.Trace)
 			if !ok {
 				return fmt.Errorf("trace %s no longer in the store", spec.Trace)
@@ -289,30 +288,30 @@ func (s *Server) handleAnalyzeChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadPart+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	if len(body) > maxUploadPart {
-		writeError(w, http.StatusRequestEntityTooLarge, "chunk request exceeds %d bytes", maxUploadPart)
+		WriteError(w, http.StatusRequestEntityTooLarge, "chunk request exceeds %d bytes", maxUploadPart)
 		return
 	}
 	if len(body) < 4 {
-		writeError(w, http.StatusBadRequest, "truncated chunk request")
+		WriteError(w, http.StatusBadRequest, "truncated chunk request")
 		return
 	}
 	hdrLen := binary.LittleEndian.Uint32(body)
 	if int(hdrLen) > len(body)-4 {
-		writeError(w, http.StatusBadRequest, "chunk request header length %d exceeds body", hdrLen)
+		WriteError(w, http.StatusBadRequest, "chunk request header length %d exceeds body", hdrLen)
 		return
 	}
 	var hdr chunkJobHeader
 	if err := json.Unmarshal(body[4:4+hdrLen], &hdr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad chunk request header: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad chunk request header: %v", err)
 		return
 	}
 	c, err := trace.DecodeChunk(bytes.NewReader(body[4+hdrLen:]))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad chunk payload: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad chunk payload: %v", err)
 		return
 	}
 	s.m.traceChunks.Add(1)
@@ -330,29 +329,29 @@ func (s *Server) handleAnalyzeChunk(w http.ResponseWriter, r *http.Request) {
 	case "stats":
 		st, err := localAnalyzer{}.Stats(ctx, c)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	case "partial":
 		if hdr.Plan == nil {
-			writeError(w, http.StatusBadRequest, "partial phase needs a plan")
+			WriteError(w, http.StatusBadRequest, "partial phase needs a plan")
 			return
 		}
 		pt, err := localAnalyzer{}.Partial(ctx, hdr.Plan, c)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		var buf bytes.Buffer
 		if err := pt.Encode(&buf); err != nil {
-			writeError(w, http.StatusInternalServerError, "encoding partial: %v", err)
+			WriteError(w, http.StatusInternalServerError, "encoding partial: %v", err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(buf.Bytes())
 	default:
-		writeError(w, http.StatusBadRequest, "unknown chunk phase %q (want stats or partial)", hdr.Phase)
+		WriteError(w, http.StatusBadRequest, "unknown chunk phase %q (want stats or partial)", hdr.Phase)
 	}
 }
 

@@ -1,18 +1,14 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"prestores/internal/autotune"
 	"prestores/internal/bench"
 	"prestores/internal/scenario"
-	"prestores/internal/sim"
 )
 
 // evalSpec is the POST /v1/eval body: a single-point scenario spec
@@ -30,26 +26,25 @@ func (s *Server) handleSubmitEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(body.Spec) == 0 {
-		writeError(w, http.StatusBadRequest, "spec: required (a single-point scenario spec object)")
+		WriteError(w, http.StatusBadRequest, "spec: required (a single-point scenario spec object)")
 		return
 	}
 	sp, err := scenario.Decode(body.Spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
 		return
 	}
 	if err := sp.CheckSinglePoint(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid eval spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid eval spec: %v", err)
 		return
 	}
 	canon, err := sp.Canonical()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
 		return
 	}
 	key := evalSpec{Spec: canon, Quick: body.Quick}
-	st, j, err := s.submit("eval", key, !streamRequested(r), parentFrom(r), s.evalRun(sp, body.Quick))
-	s.respondSubmit(w, r, st, j, err)
+	s.accept(w, r, "eval", key, s.evalRun(sp, body.Quick))
 }
 
 // evalRun builds the run function for an eval job. The result's Output
@@ -57,8 +52,8 @@ func (s *Server) handleSubmitEval(w http.ResponseWriter, r *http.Request) {
 // newline — machine-consumable, byte-stable, cache-friendly.
 func (s *Server) evalRun(sp scenario.Spec, quick bool) func(context.Context, *job) bench.Result {
 	name := sp.Workload.Name
-	return analysisRun("eval/"+name, "single-point evaluation of "+name, s.cfg.JobTimeout,
-		func(ctx context.Context, _ *job, out *bytes.Buffer) error {
+	return s.guarded("eval/"+name, "single-point evaluation of "+name,
+		func(ctx context.Context, _ *job, out io.Writer) error {
 			m, err := sp.EvalPoint(ctx, quick)
 			if err != nil {
 				return err
@@ -67,9 +62,8 @@ func (s *Server) evalRun(sp scenario.Spec, quick bool) func(context.Context, *jo
 			if err != nil {
 				return err
 			}
-			out.Write(b)
-			out.WriteByte('\n')
-			return nil
+			_, err = out.Write(append(b, '\n'))
+			return err
 		})
 }
 
@@ -95,68 +89,50 @@ func (s *Server) handleSubmitAutotune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(body.Spec) == 0 {
-		writeError(w, http.StatusBadRequest, "spec: required (a single-point scenario spec object; the search varies policy.window and policy.table)")
+		WriteError(w, http.StatusBadRequest, "spec: required (a single-point scenario spec object; the search varies policy.window and policy.table)")
 		return
 	}
 	sp, err := scenario.Decode(body.Spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
 		return
 	}
 	par, err := autotune.Normalize(&sp, body.Params)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid autotune request: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid autotune request: %v", err)
 		return
 	}
 	canon, err := sp.Canonical()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
 		return
 	}
 	keyPar := par
 	keyPar.Parallel = 0
 	key := autotuneKey{Spec: canon, Params: keyPar}
-	st, j, err := s.submit("autotune", key, !streamRequested(r), parentFrom(r), s.autotuneRun(sp, par))
-	s.respondSubmit(w, r, st, j, err)
+	s.accept(w, r, "autotune", key, s.autotuneRun(sp, par))
 }
 
 // autotuneRun builds the run function for an autotuning search job.
-// Unlike analysisRun it streams as it goes: each NDJSON progress event
-// the engine emits reaches the job's progress log (and any attached
-// stream) immediately, not at job completion. The full trajectory and
-// the winner summary become job artifacts.
+// Each NDJSON progress event the engine emits reaches the job's
+// progress log (and any attached stream) as it is written. The full
+// trajectory and the winner summary become job artifacts.
 func (s *Server) autotuneRun(sp scenario.Spec, par autotune.Params) func(context.Context, *job) bench.Result {
 	name := sp.Workload.Name
-	return func(ctx context.Context, j *job) bench.Result {
-		if s.cfg.JobTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
-			defer cancel()
-		}
-		var ops sim.OpsCounter
-		ctx = sim.WithOpsSink(ctx, &ops)
-		var out bytes.Buffer
-		progress := io.MultiWriter(&out, j.out)
-		start := time.Now()
-
-		errText := func() (errText string) {
-			defer func() {
-				if r := recover(); r != nil {
-					errText = fmt.Sprintf("panic: %v", r)
-				}
-			}()
-			res, err := autotune.Run(ctx, sp, par, s.evaluator(), progress)
+	return s.guarded("autotune/"+name, "autotuning search over "+name,
+		func(ctx context.Context, j *job, out io.Writer) error {
+			res, err := autotune.Run(ctx, sp, par, s.evaluator(), out)
 			if err != nil {
-				return err.Error()
+				return err
 			}
 			traj, err := res.Trajectory.JSON()
 			if err != nil {
-				return err.Error()
+				return err
 			}
 			j.setArtifact("trajectory", traj)
 			winner, err := json.MarshalIndent(res.Trajectory.Winner, "", "  ")
 			if err != nil {
-				return err.Error()
+				return err
 			}
 			j.setArtifact("winner", append(winner, '\n'))
 			s.m.autotuneSearches.Add(1)
@@ -164,18 +140,8 @@ func (s *Server) autotuneRun(sp scenario.Spec, par autotune.Params) func(context
 			if res.Trajectory.Converged {
 				s.m.autotuneConverged.Add(1)
 			}
-			return ""
-		}()
-
-		res := bench.Result{ID: "autotune/" + name, Title: "autotuning search over " + name, Err: errText}
-		res.WallTime = time.Since(start)
-		res.SimOps = ops.Total()
-		if sec := res.WallTime.Seconds(); sec > 0 {
-			res.SimOpsPerSec = float64(res.SimOps) / sec
-		}
-		res.Output = out.String()
-		return res
-	}
+			return nil
+		})
 }
 
 // evaluator returns the measurement backend autotune jobs use: the

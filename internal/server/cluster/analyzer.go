@@ -94,11 +94,11 @@ func (a clusterAnalyzer) dispatch(ctx context.Context, ch *trace.Chunk, body []b
 		return nil, err
 	}
 	var visited []int
-	shard, sr, err := c.dispatch(ctx, "chunk", addr, -1, func(ctx context.Context, shard int) (*shardResponse, error) {
+	shard, sr, err := c.dispatch(ctx, "chunk", addr, -1, func(ctx context.Context, shard int) (*server.Response, error) {
 		if len(visited) == 0 || visited[len(visited)-1] != shard {
 			visited = append(visited, shard)
 		}
-		return c.sc.do(ctx, "POST", c.cfg.Shards[shard]+"/v1/analyses/chunks", chunkType, body, chunkCap)
+		return c.client.Do(ctx, "POST", c.cfg.Shards[shard]+"/v1/analyses/chunks", "application/octet-stream", body)
 	})
 	for _, s := range visited {
 		if s != shard {
@@ -108,10 +108,10 @@ func (a clusterAnalyzer) dispatch(ctx context.Context, ch *trace.Chunk, body []b
 	if err != nil {
 		return nil, fmt.Errorf("chunk %d: %w", ch.Index, err)
 	}
-	if sr.code != http.StatusOK {
+	if sr.Code != http.StatusOK {
 		return nil, fmt.Errorf("shard %s rejected chunk %d: %d %s",
-			c.cfg.Shards[shard], ch.Index, sr.code, bytes.TrimSpace(sr.body))
+			c.cfg.Shards[shard], ch.Index, sr.Code, bytes.TrimSpace(sr.Body))
 	}
 	c.m.chunks.Inc(c.cfg.Shards[shard])
-	return sr.body, nil
+	return sr.Body, nil
 }

@@ -126,15 +126,16 @@ func TestClusterAnalysisSurvivesShardDeath(t *testing.T) {
 	// mid-connection and every later call is refused, exactly like a
 	// crashed worker whose port is still bound.
 	victim := shards[1]
-	inner := victim.kill.h
+	inner := *victim.kill.h.Load()
 	var chunkCalls atomic.Int64
-	victim.kill.h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	var wrapped http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/analyses/chunks" && chunkCalls.Add(1) == 3 {
 			victim.die()
 			panic(http.ErrAbortHandler)
 		}
 		inner.ServeHTTP(w, r)
 	})
+	victim.kill.h.Store(&wrapped)
 
 	want := dirtbuster.AnalyzeTrace("clusterwl", tb, line, dirtbuster.Config{}).Render() + "\n"
 	if got := runClusterAnalysis(t, cts.URL, addr, "clusterwl"); got != want {

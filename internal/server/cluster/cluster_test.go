@@ -21,16 +21,24 @@ import (
 // killSwitch simulates a worker daemon dying without unbinding its
 // port: once flipped, every new request is aborted mid-connection.
 // Combined with CloseClientConnections it severs live streams too.
+// The handler is swapped atomically: health probes reach it while a
+// test wraps it.
 type killSwitch struct {
 	dead atomic.Bool
-	h    http.Handler
+	h    atomic.Pointer[http.Handler]
+}
+
+func newKillSwitch(h http.Handler) *killSwitch {
+	k := &killSwitch{}
+	k.h.Store(&h)
+	return k
 }
 
 func (k *killSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if k.dead.Load() {
 		panic(http.ErrAbortHandler)
 	}
-	k.h.ServeHTTP(w, r)
+	(*k.h.Load()).ServeHTTP(w, r)
 }
 
 // shardFixture is one worker daemon under test.
@@ -78,7 +86,7 @@ func newClusterWith(t *testing.T, n int, tune func(*Config), exps ...bench.Exper
 			return e, true
 		}
 		f.srv = server.New(server.Config{Workers: 2, Lookup: lookup})
-		f.kill = &killSwitch{h: f.srv.Handler()}
+		f.kill = newKillSwitch(f.srv.Handler())
 		f.ts = httptest.NewServer(f.kill)
 		shards[i] = f
 		urls[i] = f.ts.URL
@@ -95,7 +103,7 @@ func newClusterWith(t *testing.T, n int, tune func(*Config), exps ...bench.Exper
 		ProbeInterval:  50 * time.Millisecond,
 		ProbeTimeout:   time.Second,
 		RequestTimeout: 5 * time.Second,
-		Backoff:        Backoff{Base: 2 * time.Millisecond, Cap: 20 * time.Millisecond},
+		Backoff:        server.Backoff{Base: 2 * time.Millisecond, Cap: 20 * time.Millisecond},
 	}
 	if tune != nil {
 		tune(&cfg)
@@ -226,13 +234,13 @@ func TestClusterRoutingAndDistributedCache(t *testing.T) {
 }
 
 // readEvent reads one NDJSON event from a live stream.
-func readEvent(t *testing.T, br *bufio.Reader) streamEvent {
+func readEvent(t *testing.T, br *bufio.Reader) server.StreamEvent {
 	t.Helper()
 	line, err := br.ReadBytes('\n')
 	if err != nil {
 		t.Fatalf("reading stream: %v", err)
 	}
-	var ev streamEvent
+	var ev server.StreamEvent
 	if err := json.Unmarshal(line, &ev); err != nil {
 		t.Fatalf("bad stream line %q: %v", line, err)
 	}
@@ -408,7 +416,7 @@ func TestClusterHealthzAndPassthrough(t *testing.T) {
 		t.Fatalf("healthz: %d %q", hz.StatusCode, body)
 	}
 
-	// Listings proxy to a worker.
+	// Listings are answered by the embedded host, in process.
 	lr, err := http.Get(cts.URL + "/v1/experiments")
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +424,7 @@ func TestClusterHealthzAndPassthrough(t *testing.T) {
 	ldata, _ := io.ReadAll(lr.Body)
 	lr.Body.Close()
 	if lr.StatusCode != http.StatusOK {
-		t.Fatalf("listing passthrough: %d %s", lr.StatusCode, ldata)
+		t.Fatalf("listing: %d %s", lr.StatusCode, ldata)
 	}
 
 	// Unknown jobs are 404s, bad offsets 400s.

@@ -1,7 +1,20 @@
+// Package cluster scales prestored horizontally: a coordinator fronts
+// a fleet of worker daemons, routing each submitted job to a shard by
+// consistent hashing of its content-address routing key (so the
+// workers' content-addressed result caches compose into a distributed
+// cache with stable key→shard placement), proxying status, stream and
+// artifact requests to the owning shard, and requeuing jobs to the
+// next ring position when a shard dies. Because every job's output is
+// deterministic (the golden byte-identity guard), a requeued job
+// re-produces the exact bytes the dead shard would have produced, and
+// the coordinator resumes the client's stream at the byte offset it
+// had already forwarded — the cluster boundary is invisible to
+// clients, exactly as the single-daemon boundary is.
+//
+// Everything here is stdlib-only, like the rest of the daemon.
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -28,9 +41,6 @@ type Config struct {
 	// Shards are the worker daemons' base URLs (e.g. http://w1:8344).
 	// At least one is required.
 	Shards []string
-	// Replicas is the virtual-node count per shard on the hash ring;
-	// <= 0 means the package default (128).
-	Replicas int
 	// RequestTimeout bounds each unary proxied call (submit, status,
 	// cancel, listings); <= 0 means 30 s. Streams are never timed.
 	RequestTimeout time.Duration
@@ -38,22 +48,13 @@ type Config struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one /healthz probe; <= 0 means 2 s.
 	ProbeTimeout time.Duration
-	// MaxRequeues bounds how many times one job may be rerouted after
-	// shard loss; <= 0 means 2 × len(Shards).
-	MaxRequeues int
-	// MaxJobs bounds tracked job mappings, oldest evicted first;
-	// <= 0 means 4096.
-	MaxJobs int
-	// AutotuneWorkers sizes the embedded autotune host's worker pool —
-	// the number of concurrent autotuning searches (each search fans its
-	// candidate evaluations out across the shards); <= 0 means 2.
-	AutotuneWorkers int
 	// Backoff paces retries against a shard answering 429. The zero
 	// value is the shared default schedule.
-	Backoff Backoff
+	Backoff server.Backoff
 	// Logger receives structured logs; nil discards them.
 	Logger *slog.Logger
-	// Transport overrides the HTTP transport (tests); nil means default.
+	// Transport overrides the HTTP transport, shared by unary calls and
+	// streams (tests); nil means default.
 	Transport http.RoundTripper
 	// Instance labels the coordinator's spans, typically its listen
 	// address. Empty is fine for tests.
@@ -63,12 +64,23 @@ type Config struct {
 	Flight *obs.FlightRecorder
 }
 
+const (
+	// maxJobs bounds tracked job mappings, oldest evicted first.
+	maxJobs = 4096
+	// autotuneWorkers sizes the embedded host's worker pool: the number
+	// of concurrent autotuning searches and trace analyses (each fans
+	// its work out across the shards).
+	autotuneWorkers = 2
+)
+
 // Coordinator fronts a fleet of prestored worker shards with the same
 // HTTP surface a single daemon exposes. Submits are routed by
 // consistent hashing of the request's content-address routing key, so
 // identical work always lands on the same shard and the shards' result
 // caches compose into a distributed cache. Status, stream, artifact
-// and cancel requests are proxied to the owning shard. When a shard
+// and cancel requests are proxied to the owning shard. Its mux is
+// built from the daemon's route table (server.Routes), so the two
+// surfaces cannot drift apart. When a shard
 // dies, its jobs are requeued to the next ring position and client
 // streams resume at the exact byte offset already forwarded — output
 // determinism (the golden byte-identity guard) makes the re-run's
@@ -76,19 +88,20 @@ type Config struct {
 type Coordinator struct {
 	cfg    Config
 	ring   *Ring
-	sc     *shardClient
+	client *server.Client
 	prober *prober
 	mux    *http.ServeMux
 	log    *slog.Logger
+	paths  map[string]string // routed job kind → submit path, from the route table
 
 	// tuner is the embedded host: a full worker daemon that runs the
 	// coordinator-resident jobs — POST /v1/autotune searches whose
 	// candidate evaluations fan out across the shards through
 	// clusterEvaluator, and POST /v1/analyses trace analyses whose
 	// per-chunk map steps fan out through clusterAnalyzer (the trace
-	// store lives on the coordinator too). Its job IDs ("job-N") are
-	// disjoint from routed ones ("cjob-N"), which is how /v1/jobs
-	// dispatch tells them apart.
+	// store lives on the coordinator too); it also answers the
+	// listings. Its job IDs ("job-N") are disjoint from routed ones
+	// ("cjob-N"), which is how /v1/jobs dispatch tells them apart.
 	tuner *server.Server
 
 	mu     sync.Mutex
@@ -152,13 +165,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, errors.New("cluster: at least one worker shard is required")
 	}
 	for i, s := range cfg.Shards {
-		cfg.Shards[i] = trimSlash(s)
-	}
-	if cfg.MaxRequeues <= 0 {
-		cfg.MaxRequeues = 2 * len(cfg.Shards)
-	}
-	if cfg.MaxJobs <= 0 {
-		cfg.MaxJobs = 4096
+		cfg.Shards[i] = strings.TrimRight(s, "/")
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -168,8 +175,8 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:    cfg,
-		ring:   NewRing(cfg.Shards, cfg.Replicas),
-		sc:     newShardClient(cfg.RequestTimeout, cfg.Backoff, cfg.Transport),
+		ring:   NewRing(cfg.Shards),
+		client: server.NewClient(cfg.RequestTimeout, cfg.Transport, cfg.Backoff),
 		log:    cfg.Logger,
 		jobs:   map[string]*cjob{},
 		spans:  obs.NewStore(0, 0),
@@ -178,7 +185,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.tracer = &obs.Tracer{Service: "coordinator", Instance: cfg.Instance, Store: c.spans}
 	c.initMetrics()
-	c.prober = newProber(cfg.Shards, c.sc, cfg.ProbeInterval, cfg.ProbeTimeout, c.log,
+	c.prober = newProber(cfg.Shards, c.client, cfg.ProbeInterval, cfg.ProbeTimeout, c.log,
 		func(shard int, healthy bool) {
 			if !healthy {
 				c.m.probeDowns.Inc(cfg.Shards[shard])
@@ -187,12 +194,8 @@ func New(cfg Config) (*Coordinator, error) {
 				c.flight.Record("shard.up", "", "", cfg.Shards[shard])
 			}
 		})
-	tuneWorkers := cfg.AutotuneWorkers
-	if tuneWorkers <= 0 {
-		tuneWorkers = 2
-	}
 	c.tuner = server.New(server.Config{
-		Workers:           tuneWorkers,
+		Workers:           autotuneWorkers,
 		AutotuneEvaluator: clusterEvaluator{c: c},
 		ChunkAnalyzer:     clusterAnalyzer{c: c},
 		Logger:            cfg.Logger,
@@ -202,13 +205,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c.routes()
 	go c.prober.run()
 	return c, nil
-}
-
-func trimSlash(s string) string {
-	for len(s) > 0 && s[len(s)-1] == '/' {
-		s = s[:len(s)-1]
-	}
-	return s
 }
 
 // Handler returns the coordinator's HTTP surface.
@@ -262,66 +258,60 @@ func routeKey(kind string, body []byte) (string, error) {
 
 // ---- HTTP surface ----
 
+// routes builds the mux from the daemon's route table: submits are
+// routed to shards, embedded routes go to the embedded host in
+// process, job routes to the job's owner, and the process-local routes
+// answer for the fleet. Worker-only routes are not served.
 func (c *Coordinator) routes() {
 	c.mux = http.NewServeMux()
-	for kind, path := range submitPaths {
-		c.mux.HandleFunc("POST "+path, c.submitHandler(kind))
+	c.paths = map[string]string{}
+	for _, rt := range c.tuner.Routes() {
+		h := rt.Handler
+		switch rt.Place {
+		case server.Routed:
+			_, c.paths[rt.Name], _ = strings.Cut(rt.Pattern, " ")
+			h = c.submitHandler(rt.Name)
+		case server.Embedded:
+			h = c.embedded(rt.Handler)
+		case server.JobScoped:
+			h = c.jobHandler(rt.Handler, c.jobOp(rt.Name))
+		case server.WorkerOnly:
+			continue
+		case server.Local:
+			// The flight recorder is the process's, shared with the
+			// embedded host, so its handler already answers for both.
+			switch rt.Name {
+			case "metrics":
+				h = c.handleMetrics
+			case "healthz":
+				h = c.handleHealthz
+			}
+		}
+		c.mux.HandleFunc(rt.Pattern, h)
 	}
-	c.mux.HandleFunc("POST /v1/autotune", c.embedded)
-	c.mux.HandleFunc("POST /v1/traces", c.embedded)
-	c.mux.HandleFunc("GET /v1/traces", c.embedded)
-	c.mux.HandleFunc("PUT /v1/traces/uploads/{id}", c.embedded)
-	c.mux.HandleFunc("POST /v1/traces/uploads/{id}/commit", c.embedded)
-	c.mux.HandleFunc("DELETE /v1/traces/uploads/{id}", c.embedded)
-	c.mux.HandleFunc("GET /v1/traces/{address}", c.embedded)
-	c.mux.HandleFunc("DELETE /v1/traces/{address}", c.embedded)
-	c.mux.HandleFunc("POST /v1/analyses", c.embedded)
-	c.mux.HandleFunc("GET /v1/experiments", c.passthrough("/v1/experiments"))
-	c.mux.HandleFunc("GET /v1/registry", c.passthrough("/v1/registry"))
-	c.mux.HandleFunc("GET /v1/workloads", c.passthrough("/v1/workloads"))
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.jobHandler(c.handleGetJob))
-	c.mux.HandleFunc("GET /v1/jobs/{id}/stream", c.jobHandler(c.handleStreamJob))
-	for _, name := range []string{"timeline", "linereport", "trajectory", "winner"} {
-		c.mux.HandleFunc("GET /v1/jobs/{id}/"+name, c.jobHandler(c.artifactHandler(name)))
+}
+
+// jobOp is the coordinator's handler for the routed-job endpoint name
+// (a server.JobScoped route's Name).
+func (c *Coordinator) jobOp(name string) func(http.ResponseWriter, *http.Request, *cjob) {
+	switch name {
+	case "status":
+		return c.handleGetJob
+	case "stream":
+		return c.handleStreamJob
+	case "spans":
+		return c.handleJobSpans
+	case "cancel":
+		return c.handleCancelJob
 	}
-	c.mux.HandleFunc("GET /v1/jobs/{id}/spans", c.jobHandler(c.handleJobSpans))
-	c.mux.HandleFunc("DELETE /v1/jobs/{id}", c.jobHandler(c.handleCancelJob))
-	c.mux.HandleFunc("GET /v1/debug/flightrecorder", c.handleFlightRecorder)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-}
-
-// submitPaths maps each routed job kind to its submit endpoint.
-var submitPaths = map[string]string{
-	"experiment": "/v1/experiments",
-	"dirtbuster": "/v1/dirtbuster",
-	"trace":      "/v1/trace",
-	"scenario":   "/v1/scenarios",
-	"eval":       "/v1/eval",
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	return c.artifactHandler(name)
 }
 
 // relay passes a shard's answer through to the client verbatim.
-func relay(w http.ResponseWriter, sr *shardResponse) {
+func relay(w http.ResponseWriter, sr *server.Response) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(sr.code)
-	w.Write(sr.body)
-}
-
-func streamRequested(r *http.Request) bool {
-	v := r.URL.Query().Get("stream")
-	return v == "1" || v == "true"
+	w.WriteHeader(sr.Code)
+	w.Write(sr.Body)
 }
 
 // ---- routing ----
@@ -346,9 +336,9 @@ const maxBusyRetries = 8
 // as final; when none answered at all, the last transport error is.
 // op names the call in logs and the flight recorder.
 func (c *Coordinator) dispatch(ctx context.Context, op, key string, skip int,
-	call func(ctx context.Context, shard int) (*shardResponse, error)) (int, *shardResponse, error) {
+	call func(ctx context.Context, shard int) (*server.Response, error)) (int, *server.Response, error) {
 	tried, lastShard := 0, -1
-	var last *shardResponse
+	var last *server.Response
 	var lastErr error
 	for _, shard := range c.ring.Sequence(key) {
 		if shard == skip || !c.prober.healthy(shard) {
@@ -360,23 +350,23 @@ func (c *Coordinator) dispatch(ctx context.Context, op, key string, skip int,
 			if err != nil && ctx.Err() != nil {
 				return -1, nil, ctx.Err()
 			}
-			if err == nil && sr.code == http.StatusServiceUnavailable {
+			if err == nil && sr.Code == http.StatusServiceUnavailable {
 				last, lastShard = sr, shard
-				err = fmt.Errorf("refused with 503: %s", bytes.TrimSpace(sr.body))
+				err = fmt.Errorf("refused with 503: %s", bytes.TrimSpace(sr.Body))
 			}
 			if err != nil {
 				c.shardFailed(shard, op, err)
 				lastErr = err
 				break
 			}
-			if sr.code != http.StatusTooManyRequests {
+			if sr.Code != http.StatusTooManyRequests {
 				return shard, sr, nil
 			}
 			last, lastShard = sr, shard
 			if attempt == maxBusyRetries {
 				break
 			}
-			if err := c.sc.bo.Sleep(ctx, attempt); err != nil {
+			if err := c.client.Backoff.Sleep(ctx, attempt); err != nil {
 				return -1, nil, err
 			}
 		}
@@ -399,7 +389,7 @@ func (c *Coordinator) dispatch(ctx context.Context, op, key string, skip int,
 // trace ID. A shard's application-level answer (400 bad spec, 404
 // unknown experiment, 429 when every shard stayed busy) comes back as
 // a nil job with the response, for the caller to relay.
-func (c *Coordinator) submit(ctx context.Context, kind string, body []byte) (*cjob, *shardResponse, error) {
+func (c *Coordinator) submit(ctx context.Context, kind string, body []byte) (*cjob, *server.Response, error) {
 	if c.isClosed() {
 		return nil, nil, errClosed
 	}
@@ -407,18 +397,18 @@ func (c *Coordinator) submit(ctx context.Context, kind string, body []byte) (*cj
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", errBadBody, err)
 	}
-	path := submitPaths[kind]
+	path := c.paths[kind]
 	parent, _ := obs.SpanFromContext(ctx)
 	sc := c.tracer.Child(parent)
 	submitted := time.Now()
 	ctx = obs.ContextWithSpan(ctx, sc)
 
-	shard, sr, err := c.dispatch(ctx, "submit", key, -1, func(ctx context.Context, shard int) (*shardResponse, error) {
+	shard, sr, err := c.dispatch(ctx, "submit", key, -1, func(ctx context.Context, shard int) (*server.Response, error) {
 		attempt := time.Now()
-		sr, err := c.sc.do(ctx, "POST", c.cfg.Shards[shard]+path, jsonType, body, unaryCap)
+		sr, err := c.client.Do(ctx, "POST", c.cfg.Shards[shard]+path, "application/json", body)
 		outcome := "shard-failed"
 		if err == nil {
-			outcome = strconv.Itoa(sr.code) // 200 is a shard cache hit
+			outcome = strconv.Itoa(sr.Code) // 200 is a shard cache hit
 		}
 		c.tracer.Record(sc, "route", attempt, time.Now(),
 			obs.KV("shard", c.cfg.Shards[shard]), obs.KV("kind", kind), obs.KV("outcome", outcome))
@@ -431,7 +421,7 @@ func (c *Coordinator) submit(ctx context.Context, kind string, body []byte) (*cj
 		}
 		return nil, nil, err
 	}
-	st := sr.job()
+	st := sr.Job()
 	if st == nil {
 		return nil, sr, nil
 	}
@@ -439,7 +429,7 @@ func (c *Coordinator) submit(ctx context.Context, kind string, body []byte) (*cj
 	j := &cjob{kind: kind, key: key, body: body,
 		shard: shard, remoteID: st.ID,
 		sc: sc, parentSpan: parent.Span, submitted: submitted}
-	cached := sr.code == http.StatusOK
+	cached := sr.Code == http.StatusOK
 	c.addJob(j)
 	if cached { // shard cache hit: born terminal
 		c.m.cacheHits.Inc(url)
@@ -464,7 +454,7 @@ func (c *Coordinator) submitHandler(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "reading body: %v", err)
+			server.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 			return
 		}
 		ctx := r.Context()
@@ -476,52 +466,56 @@ func (c *Coordinator) submitHandler(kind string) http.HandlerFunc {
 		case r.Context().Err() != nil:
 			// client gone; nothing to answer
 		case errors.Is(err, errClosed):
-			writeError(w, http.StatusServiceUnavailable, "shutting down")
+			server.WriteError(w, http.StatusServiceUnavailable, "shutting down")
 		case errors.Is(err, errBadBody):
-			writeError(w, http.StatusBadRequest, "%v", err)
+			server.WriteError(w, http.StatusBadRequest, "%v", err)
 		case errors.Is(err, errNoHealthyShard):
-			writeError(w, http.StatusServiceUnavailable, "%v (of %d)", errNoHealthyShard, len(c.cfg.Shards))
+			server.WriteError(w, http.StatusServiceUnavailable, "%v (of %d)", errNoHealthyShard, len(c.cfg.Shards))
 		case err != nil:
-			writeError(w, http.StatusBadGateway, "every healthy shard failed to accept the job")
+			server.WriteError(w, http.StatusBadGateway, "every healthy shard failed to accept the job")
 		case j == nil:
 			relay(w, sr)
-		case streamRequested(r):
-			c.streamProxy(w, r, j, 0)
+		case server.StreamRequested(r):
+			c.handleStreamJob(w, r, j)
 		default:
-			writeJSON(w, sr.code, j.rewrite(*sr.job()))
+			server.WriteJSON(w, sr.Code, j.rewrite(*sr.Job()))
 		}
 	}
 }
 
-// embedded delegates a request to the embedded host: autotuning
-// searches (whose candidate evaluations are submitted through the
-// coordinator and routed to shards like any other eval) and the trace
-// pipeline (uploads land in the embedded host's trace store; analysis
-// jobs run there with per-chunk work fanned out across the shards by
-// chunk content-address).
-func (c *Coordinator) embedded(w http.ResponseWriter, r *http.Request) {
-	if c.isClosed() {
-		writeError(w, http.StatusServiceUnavailable, "shutting down")
-		return
+// embedded serves a route with the embedded host's handler (h) until
+// shutdown: autotuning searches (whose candidate evaluations are
+// submitted through the coordinator and routed to shards like any
+// other eval), the trace pipeline (uploads land in the embedded host's
+// trace store; analysis jobs run there with per-chunk work fanned out
+// across the shards by chunk content-address) and the listings, which
+// every process of the same binary answers alike.
+func (c *Coordinator) embedded(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if c.isClosed() {
+			server.WriteError(w, http.StatusServiceUnavailable, "shutting down")
+			return
+		}
+		h(w, r)
 	}
-	c.tuner.Handler().ServeHTTP(w, r)
 }
 
 // jobHandler wraps a /v1/jobs/{id}… handler in the prologue they share:
-// IDs outside the routed "cjob-" namespace belong to the embedded host
-// and are answered by it directly; unknown routed IDs are 404s.
-func (c *Coordinator) jobHandler(h func(http.ResponseWriter, *http.Request, *cjob)) http.HandlerFunc {
+// IDs outside the routed "cjob-" namespace belong to the embedded host,
+// whose handler (embedded) answers them directly; unknown routed IDs
+// are 404s.
+func (c *Coordinator) jobHandler(embedded http.HandlerFunc, h func(http.ResponseWriter, *http.Request, *cjob)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		if !strings.HasPrefix(id, "cjob-") {
-			c.tuner.Handler().ServeHTTP(w, r)
+			embedded(w, r)
 			return
 		}
 		c.mu.Lock()
 		j := c.jobs[id]
 		c.mu.Unlock()
 		if j == nil {
-			writeError(w, http.StatusNotFound, "unknown job %q", id)
+			server.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 			return
 		}
 		h(w, r, j)
@@ -538,7 +532,7 @@ func (c *Coordinator) addJob(j *cjob) {
 	j.id = fmt.Sprintf("cjob-%d", c.seq)
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
-	for len(c.order) > c.cfg.MaxJobs {
+	for len(c.order) > maxJobs {
 		delete(c.jobs, c.order[0])
 		c.order = c.order[1:]
 	}
@@ -603,14 +597,16 @@ func (c *Coordinator) requeue(ctx context.Context, j *cjob, failedShard int, fai
 	if shard != failedShard || remoteID != failedRemoteID {
 		return nil // a concurrent proxy already moved it
 	}
+	// Each job may move at most twice per shard in the fleet.
+	maxRequeues := 2 * len(c.cfg.Shards)
 	j.mu.Lock()
-	over := j.requeues >= c.cfg.MaxRequeues
+	over := j.requeues >= maxRequeues
 	if !over {
 		j.requeues++
 	}
 	j.mu.Unlock()
 	if over {
-		return fmt.Errorf("job %s exceeded %d requeues", j.id, c.cfg.MaxRequeues)
+		return fmt.Errorf("job %s exceeded %d requeues", j.id, maxRequeues)
 	}
 
 	// The resubmit continues the job's trace: the replacement shard's
@@ -618,18 +614,18 @@ func (c *Coordinator) requeue(ctx context.Context, j *cjob, failedShard int, fai
 	// merged span tree shows the whole failover.
 	ctx = obs.ContextWithSpan(ctx, j.sc)
 	rqStart := time.Now()
-	target, sr, err := c.dispatch(ctx, "requeue", j.key, failedShard, func(ctx context.Context, shard int) (*shardResponse, error) {
-		return c.sc.do(ctx, "POST", c.cfg.Shards[shard]+submitPaths[j.kind], jsonType, j.body, unaryCap)
+	target, sr, err := c.dispatch(ctx, "requeue", j.key, failedShard, func(ctx context.Context, shard int) (*server.Response, error) {
+		return c.client.Do(ctx, "POST", c.cfg.Shards[shard]+c.paths[j.kind], "application/json", j.body)
 	})
 	if err != nil {
 		return err
 	}
 	from, to := c.cfg.Shards[failedShard], c.cfg.Shards[target]
-	st := sr.job()
+	st := sr.Job()
 	if st == nil {
-		return fmt.Errorf("shard %s rejected requeued job: %d %s", to, sr.code, bytes.TrimSpace(sr.body))
+		return fmt.Errorf("shard %s rejected requeued job: %d %s", to, sr.Code, bytes.TrimSpace(sr.Body))
 	}
-	cached := sr.code == http.StatusOK
+	cached := sr.Code == http.StatusOK
 	c.m.requeued.Inc(from)
 	if cached {
 		c.m.cacheHits.Inc(to)
@@ -652,9 +648,9 @@ func (c *Coordinator) requeue(ctx context.Context, j *cjob, failedShard int, fai
 // jobCall calls a routed job's endpoint on its owning shard: suffix ""
 // is the job itself, "/linereport" one of its artifacts. A shard that
 // fails to answer is demoted.
-func (c *Coordinator) jobCall(ctx context.Context, j *cjob, method, suffix string) (shard int, remoteID string, sr *shardResponse, err error) {
+func (c *Coordinator) jobCall(ctx context.Context, j *cjob, method, suffix string) (shard int, remoteID string, sr *server.Response, err error) {
 	shard, remoteID, _ = j.placement()
-	sr, err = c.sc.do(ctx, method, c.cfg.Shards[shard]+"/v1/jobs/"+remoteID+suffix, "", nil, unaryCap)
+	sr, err = c.client.Do(ctx, method, c.cfg.Shards[shard]+"/v1/jobs/"+remoteID+suffix, "", nil)
 	if err != nil && ctx.Err() == nil {
 		c.shardFailed(shard, method+" job"+suffix, err)
 	}
@@ -663,35 +659,35 @@ func (c *Coordinator) jobCall(ctx context.Context, j *cjob, method, suffix strin
 
 func (c *Coordinator) handleGetJob(w http.ResponseWriter, r *http.Request, j *cjob) {
 	if _, _, res := j.placement(); res != nil {
-		writeJSON(w, http.StatusOK, *res)
+		server.WriteJSON(w, http.StatusOK, *res)
 		return
 	}
 	shard, remoteID, sr, err := c.jobCall(r.Context(), j, "GET", "")
 	switch {
 	case r.Context().Err() != nil:
-	case err != nil || sr.code == http.StatusNotFound: // shard lost, or restarted and lost its jobs
+	case err != nil || sr.Code == http.StatusNotFound: // shard lost, or restarted and lost its jobs
 		if err := c.requeue(r.Context(), j, shard, remoteID); err != nil {
-			writeError(w, http.StatusBadGateway, "shard lost and requeue failed: %v", err)
+			server.WriteError(w, http.StatusBadGateway, "shard lost and requeue failed: %v", err)
 		} else if _, _, res := j.placement(); res != nil {
-			writeJSON(w, http.StatusOK, *res)
+			server.WriteJSON(w, http.StatusOK, *res)
 		} else {
-			writeJSON(w, http.StatusOK, server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "queued"})
+			server.WriteJSON(w, http.StatusOK, server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "queued"})
 		}
-	case sr.job() == nil:
+	case sr.Job() == nil:
 		relay(w, sr)
 	default:
-		st := j.rewrite(*sr.job())
+		st := j.rewrite(*sr.Job())
 		switch st.State {
 		case "done", "failed", "cancelled":
 			c.setResult(j, st)
 		}
-		writeJSON(w, http.StatusOK, st)
+		server.WriteJSON(w, http.StatusOK, st)
 	}
 }
 
 func (c *Coordinator) handleCancelJob(w http.ResponseWriter, r *http.Request, j *cjob) {
 	if _, _, res := j.placement(); res != nil {
-		writeJSON(w, http.StatusOK, *res)
+		server.WriteJSON(w, http.StatusOK, *res)
 		return
 	}
 	_, _, sr, err := c.jobCall(r.Context(), j, "DELETE", "")
@@ -702,11 +698,11 @@ func (c *Coordinator) handleCancelJob(w http.ResponseWriter, r *http.Request, j 
 		// rather than requeuing work nobody wants anymore.
 		st := server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "cancelled"}
 		c.setResult(j, st)
-		writeJSON(w, http.StatusOK, st)
-	case sr.job() == nil:
+		server.WriteJSON(w, http.StatusOK, st)
+	case sr.Job() == nil:
 		relay(w, sr)
 	default:
-		writeJSON(w, sr.code, j.rewrite(*sr.job()))
+		server.WriteJSON(w, sr.Code, j.rewrite(*sr.Job()))
 	}
 }
 
@@ -717,24 +713,7 @@ func (c *Coordinator) artifactHandler(name string) func(http.ResponseWriter, *ht
 		switch {
 		case r.Context().Err() != nil:
 		case err != nil:
-			writeError(w, http.StatusBadGateway, "owning shard unreachable: %v", err)
-		default:
-			relay(w, sr)
-		}
-	}
-}
-
-// passthrough proxies a read-only listing to a healthy shard: every
-// worker runs the same binary, so any of them can answer.
-func (c *Coordinator) passthrough(path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		_, sr, err := c.dispatch(r.Context(), "passthrough", path, -1, func(ctx context.Context, shard int) (*shardResponse, error) {
-			return c.sc.do(ctx, "GET", c.cfg.Shards[shard]+path, "", nil, unaryCap)
-		})
-		switch {
-		case r.Context().Err() != nil:
-		case err != nil:
-			writeError(w, http.StatusServiceUnavailable, "%v (of %d)", err, len(c.cfg.Shards))
+			server.WriteError(w, http.StatusBadGateway, "owning shard unreachable: %v", err)
 		default:
 			relay(w, sr)
 		}
@@ -762,67 +741,35 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // coordinator's side of the story rather than failing the request.
 func (c *Coordinator) handleJobSpans(w http.ResponseWriter, r *http.Request, j *cjob) {
 	spans, dropped := c.spans.Spans(j.sc.Trace)
-	if _, _, sr, err := c.jobCall(r.Context(), j, "GET", "/spans"); err == nil && sr.code == http.StatusOK {
-		var remote struct {
-			OtherData struct {
-				Dropped int `json:"droppedSpans"`
-			} `json:"otherData"`
-			Spans []obs.Span `json:"spans"`
-		}
-		if json.Unmarshal(sr.body, &remote) == nil {
-			spans = append(spans, remote.Spans...)
-			dropped += remote.OtherData.Dropped
-		}
+	shard, remoteID, _ := j.placement()
+	if remote, d, err := c.client.Spans(r.Context(), c.cfg.Shards[shard], remoteID); err == nil {
+		spans = append(spans, remote...)
+		dropped += d
 	}
 	w.Header().Set("Content-Type", "application/json")
 	telemetry.WriteSpanTimeline(w, spans, dropped)
 }
 
-// handleFlightRecorder dumps the coordinator process's flight recorder
-// (shared with the embedded host, so routing decisions, shard health
-// transitions and embedded-job events interleave in one timeline).
-func (c *Coordinator) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	c.flight.WriteJSON(w)
-}
-
 // ---- stream following ----
 
-// streamEvent mirrors the worker daemon's NDJSON stream line.
-type streamEvent struct {
-	Event string            `json:"event"`
-	Data  string            `json:"data,omitempty"`
-	Job   *server.JobStatus `json:"job,omitempty"`
-}
-
+// handleStreamJob follows a routed job for an HTTP client as NDJSON,
+// from ?offset=N; a submit with ?stream=1 is answered the same way.
 func (c *Coordinator) handleStreamJob(w http.ResponseWriter, r *http.Request, j *cjob) {
-	off := 0
-	if v := r.URL.Query().Get("offset"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad offset %q (want a non-negative integer)", v)
-			return
-		}
-		off = n
+	if off, ok := server.StreamOffset(w, r); ok {
+		c.follow(r.Context(), j, off, server.NDJSON(w))
 	}
-	c.streamProxy(w, r, j, off)
-}
-
-// streamProxy serves a job's events to an HTTP client as NDJSON.
-func (c *Coordinator) streamProxy(w http.ResponseWriter, r *http.Request, j *cjob, offset int) {
-	emit := server.NDJSON(w)
-	c.follow(r.Context(), j, offset, func(ev streamEvent) error { return emit(ev) })
 }
 
 // follow delivers a job's stream events to emit across shard failures,
 // until the done event, ctx's end, or emit failing (the consumer is
 // gone). It tracks the output byte offset already delivered; every
 // (re)attach replays from that offset, so the consumer sees each
-// output byte exactly once no matter how many times the job moves. A
-// broken stream first reattaches to the same shard when it still looks
+// output byte exactly once no matter how many times the job moves.
+// Duplicate status events from reattaches are suppressed. A broken
+// stream first reattaches to the same shard when it still looks
 // healthy (a transient drop must not forfeit its cache placement); a
 // dead or amnesiac shard triggers a requeue.
-func (c *Coordinator) follow(ctx context.Context, j *cjob, offset int, emit func(streamEvent) error) {
+func (c *Coordinator) follow(ctx context.Context, j *cjob, offset int, emit func(server.StreamEvent) error) {
 	c.m.streamsUp.Add(1)
 	defer c.m.streamsUp.Add(-1)
 
@@ -836,31 +783,44 @@ func (c *Coordinator) follow(ctx context.Context, j *cjob, offset int, emit func
 			return
 		}
 
-		body, code, err := c.sc.openStream(ctx, c.cfg.Shards[shard], remoteID, forwarded)
-		progressed := false
-		if err == nil {
-			var done bool
-			done, progressed = c.copyStream(ctx, emit, j, body, &forwarded, &sentStatus)
-			body.Close()
-			if done {
-				return
+		progressed, gone := false, false
+		err := c.client.Stream(ctx, c.cfg.Shards[shard], remoteID, forwarded, func(ev server.StreamEvent) error {
+			switch ev.Event {
+			case "status":
+				if sentStatus {
+					return nil
+				}
+				sentStatus = true
+				if ev.Job != nil {
+					st := j.rewrite(*ev.Job)
+					ev.Job = &st
+				}
+			case "output":
+				forwarded += len(ev.Data)
+				progressed = true
+			case "done":
+				st := j.rewrite(*ev.Job)
+				c.setResult(j, st)
+				ev.Job = &st
 			}
-		}
-		if ctx.Err() != nil {
+			err := emit(ev)
+			gone = err != nil
+			return err
+		})
+		if err == nil || gone || ctx.Err() != nil {
 			return
 		}
 		if progressed {
-			reconnects = 0
+			reconnects = 0 // the attach was productive; fresh budget
 		}
 
 		// The stream broke (or never attached). Decide: same-shard
 		// reconnect, or requeue.
-		lostJob := code == http.StatusNotFound
-		sameShardOK := !lostJob && reconnects < 3 &&
-			c.sc.healthy(ctx, c.cfg.Shards[shard], c.prober.timeout)
-		if sameShardOK {
+		var se *server.StatusError
+		lostJob := errors.As(err, &se) && se.Code == http.StatusNotFound
+		if !lostJob && reconnects < 3 && c.prober.probe(ctx, shard) {
 			reconnects++
-			if c.sc.bo.Sleep(ctx, reconnects-1) != nil {
+			if c.client.Backoff.Sleep(ctx, reconnects-1) != nil {
 				return
 			}
 			continue
@@ -876,75 +836,24 @@ func (c *Coordinator) follow(ctx context.Context, j *cjob, offset int, emit func
 				Error:  rqErr.Error(),
 				Result: &bench.Result{ID: j.kind, Title: "lost to shard failure", Err: rqErr.Error()}}
 			c.setResult(j, st)
-			emit(streamEvent{Event: "done", Job: &st})
+			emit(server.StreamEvent{Event: "done", Job: &st})
 			return
 		}
 		reconnects = 0
 	}
 }
 
-// copyStream forwards one attached shard stream to emit until it ends.
-// Returns done=true when the terminal event was delivered (or the
-// consumer is gone), and whether any output bytes were forwarded
-// (progress resets the reconnect budget). Duplicate status events from
-// reattaches are suppressed; output offsets are accounted so reattaches
-// never repeat a byte.
-func (c *Coordinator) copyStream(ctx context.Context, emit func(streamEvent) error, j *cjob,
-	body io.Reader, forwarded *int, sentStatus *bool) (done, progressed bool) {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		var ev streamEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return false, progressed // treat like transport loss
-		}
-		switch ev.Event {
-		case "status":
-			if *sentStatus {
-				continue
-			}
-			if ev.Job != nil {
-				st := j.rewrite(*ev.Job)
-				ev.Job = &st
-			}
-			if emit(ev) != nil {
-				return true, progressed
-			}
-			*sentStatus = true
-		case "output":
-			*forwarded += len(ev.Data)
-			progressed = true
-			if emit(ev) != nil {
-				return true, progressed
-			}
-		case "done":
-			if ev.Job == nil {
-				return false, progressed
-			}
-			st := j.rewrite(*ev.Job)
-			c.setResult(j, st)
-			ev.Job = &st
-			emit(ev)
-			return true, progressed
-		}
-		if ctx.Err() != nil {
-			return true, progressed
-		}
-	}
-	return false, progressed
-}
-
 // emitTerminal serves the events of a job whose terminal status the
 // coordinator already holds (shard cache hit, or a requeue that
 // resolved to a cached result): the remaining output bytes and the
 // done event. Deterministic output makes the suffix exact.
-func emitTerminal(emit func(streamEvent) error, st server.JobStatus, forwarded int, sentStatus bool) {
-	if !sentStatus && emit(streamEvent{Event: "status", Job: &st}) != nil {
+func emitTerminal(emit func(server.StreamEvent) error, st server.JobStatus, forwarded int, sentStatus bool) {
+	if !sentStatus && emit(server.StreamEvent{Event: "status", Job: &st}) != nil {
 		return
 	}
 	if st.Result != nil && forwarded < len(st.Result.Output) &&
-		emit(streamEvent{Event: "output", Data: st.Result.Output[forwarded:]}) != nil {
+		emit(server.StreamEvent{Event: "output", Data: st.Result.Output[forwarded:]}) != nil {
 		return
 	}
-	emit(streamEvent{Event: "done", Job: &st})
+	emit(server.StreamEvent{Event: "done", Job: &st})
 }

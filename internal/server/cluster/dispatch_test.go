@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"prestores/internal/server"
 )
 
 // countingTransport counts the /healthz answers the prober received.
@@ -118,12 +120,12 @@ func TestDispatchRule(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			urls := []string{"http://s0", "http://s1"}
-			seq := NewRing(urls, 0).Sequence(key)
+			seq := NewRing(urls).Sequence(key)
 			hosts := [2]string{strings.TrimPrefix(urls[seq[0]], "http://"), strings.TrimPrefix(urls[seq[1]], "http://")}
 			fake := &fakeShards{calls: map[string]int{},
 				script: map[string][]int{hosts[0]: tc.first, hosts[1]: tc.next}}
 			c, err := New(Config{Shards: urls, Transport: fake, ProbeInterval: time.Hour,
-				Backoff: Backoff{Base: time.Nanosecond, Cap: time.Nanosecond, Jitter: -1}})
+				Backoff: server.Backoff{Base: time.Nanosecond, Cap: time.Nanosecond, Jitter: -1}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,8 +139,8 @@ func TestDispatchRule(t *testing.T) {
 			}
 
 			shard, sr, err := c.dispatch(context.Background(), "test", key, -1,
-				func(ctx context.Context, shard int) (*shardResponse, error) {
-					return c.sc.do(ctx, "POST", urls[shard]+"/v1/eval", jsonType, []byte(`{}`), unaryCap)
+				func(ctx context.Context, shard int) (*server.Response, error) {
+					return c.client.Do(ctx, "POST", urls[shard]+"/v1/eval", "application/json", []byte(`{}`))
 				})
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
@@ -150,7 +152,7 @@ func TestDispatchRule(t *testing.T) {
 			if shard != wantShard {
 				t.Errorf("answered by shard %d, want %d", shard, wantShard)
 			}
-			if tc.wantCode != 0 && (sr == nil || sr.code != tc.wantCode) {
+			if tc.wantCode != 0 && (sr == nil || sr.Code != tc.wantCode) {
 				t.Errorf("answer %+v, want code %d", sr, tc.wantCode)
 			}
 			if got := [2]int{fake.calls[hosts[0]], fake.calls[hosts[1]]}; got != tc.wantCalls {

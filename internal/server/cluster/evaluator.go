@@ -52,11 +52,11 @@ func (e clusterEvaluator) Probe(ctx context.Context, sp scenario.Spec, quick boo
 	if err != nil {
 		return nil, fmt.Errorf("cluster probe %s: linereport fetch: %w", st.ID, err)
 	}
-	if sr.code != http.StatusOK {
+	if sr.Code != http.StatusOK {
 		return nil, fmt.Errorf("cluster probe %s: linereport fetch returned %d: %s",
-			st.ID, sr.code, bytes.TrimSpace(sr.body))
+			st.ID, sr.Code, bytes.TrimSpace(sr.Body))
 	}
-	return telemetry.DecodeLineReport(sr.body)
+	return telemetry.DecodeLineReport(sr.Body)
 }
 
 // await submits a spec as a job of the given kind and follows it to its
@@ -78,9 +78,9 @@ func (e clusterEvaluator) await(ctx context.Context, kind string, sp scenario.Sp
 		return nil, nil, fmt.Errorf("cluster %s submit: %w", kind, err)
 	}
 	if j == nil {
-		return nil, nil, fmt.Errorf("cluster %s submit returned %d: %s", kind, sr.code, bytes.TrimSpace(sr.body))
+		return nil, nil, fmt.Errorf("cluster %s submit returned %d: %s", kind, sr.Code, bytes.TrimSpace(sr.Body))
 	}
-	e.c.follow(ctx, j, 0, func(streamEvent) error { return nil })
+	e.c.follow(ctx, j, 0, func(server.StreamEvent) error { return nil })
 	_, _, final := j.placement()
 	if final == nil { // follow ends short of a terminal status only when ctx does
 		return nil, nil, ctx.Err()

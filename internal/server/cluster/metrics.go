@@ -117,12 +117,12 @@ func (c *Coordinator) federate(ctx context.Context) []*obs.Family {
 		if !c.prober.healthy(i) {
 			continue
 		}
-		sr, err := c.sc.do(ctx, "GET", url+"/metrics", "", nil, unaryCap)
-		if err != nil || sr.code != http.StatusOK {
+		sr, err := c.client.Do(ctx, "GET", url+"/metrics", "", nil)
+		if err != nil || sr.Code != http.StatusOK {
 			c.m.scrapeErrors.Inc(url)
 			continue
 		}
-		fams, err := obs.ParseMetrics(bytes.NewReader(sr.body))
+		fams, err := obs.ParseMetrics(bytes.NewReader(sr.Body))
 		if err != nil {
 			c.m.scrapeErrors.Inc(url)
 			continue

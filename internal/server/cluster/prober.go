@@ -3,8 +3,11 @@ package cluster
 import (
 	"context"
 	"log/slog"
+	"net/http"
 	"sync/atomic"
 	"time"
+
+	"prestores/internal/server"
 )
 
 // prober tracks per-shard health. A background loop probes every
@@ -15,7 +18,7 @@ import (
 // successful probe — flapping costs a probe interval, not a request.
 type prober struct {
 	shards   []string
-	sc       *shardClient
+	client   *server.Client
 	interval time.Duration
 	timeout  time.Duration
 	log      *slog.Logger
@@ -26,7 +29,7 @@ type prober struct {
 	done chan struct{}
 }
 
-func newProber(shards []string, sc *shardClient, interval, timeout time.Duration,
+func newProber(shards []string, client *server.Client, interval, timeout time.Duration,
 	log *slog.Logger, onChange func(int, bool)) *prober {
 	if interval <= 0 {
 		interval = 2 * time.Second
@@ -35,7 +38,7 @@ func newProber(shards []string, sc *shardClient, interval, timeout time.Duration
 		timeout = 2 * time.Second
 	}
 	p := &prober{
-		shards: shards, sc: sc, interval: interval, timeout: timeout,
+		shards: shards, client: client, interval: interval, timeout: timeout,
 		log: log, onChange: onChange,
 		up:   make([]atomic.Bool, len(shards)),
 		stop: make(chan struct{}),
@@ -68,7 +71,7 @@ func (p *prober) run() {
 
 func (p *prober) probeAll() {
 	for i, s := range p.shards {
-		ok := p.sc.healthy(context.Background(), s, p.timeout)
+		ok := p.probe(context.Background(), i)
 		if p.up[i].Swap(ok) != ok {
 			if ok {
 				p.log.Info("shard healthy", "shard", s)
@@ -80,6 +83,14 @@ func (p *prober) probeAll() {
 			}
 		}
 	}
+}
+
+// probe asks shard i's /healthz, under the probe timeout.
+func (p *prober) probe(ctx context.Context, i int) bool {
+	ctx, cancel := context.WithTimeout(ctx, p.timeout)
+	defer cancel()
+	resp, err := p.client.Do(ctx, "GET", p.shards[i]+"/healthz", "", nil)
+	return err == nil && resp.Code == http.StatusOK
 }
 
 // close stops the probe loop and waits for it to exit.

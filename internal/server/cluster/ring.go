@@ -8,7 +8,7 @@ import (
 )
 
 // Ring is a consistent-hash ring over shard base URLs. Each shard
-// contributes Replicas virtual points; a key is owned by the shard
+// contributes replicas virtual points; a key is owned by the shard
 // whose point follows the key's hash clockwise. Because a shard's
 // points depend only on its own URL, adding or removing a shard moves
 // only the keys adjacent to that shard's points — every other key
@@ -24,16 +24,12 @@ type ringPoint struct {
 	shard int
 }
 
-// defaultReplicas is the virtual-node count per shard: enough to keep
-// the load split within a few percent of even for small fleets.
-const defaultReplicas = 128
+// replicas is the virtual-node count per shard: enough to keep the
+// load split within a few percent of even for small fleets.
+const replicas = 128
 
-// NewRing builds a ring over the given shard base URLs. replicas <= 0
-// means defaultReplicas.
-func NewRing(shards []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
+// NewRing builds a ring over the given shard base URLs.
+func NewRing(shards []string) *Ring {
 	r := &Ring{shards: append([]string(nil), shards...)}
 	for i, s := range shards {
 		for v := 0; v < replicas; v++ {

@@ -15,8 +15,8 @@ func testKeys(n int) []string {
 
 func TestRingStablePlacement(t *testing.T) {
 	shards := []string{"http://a", "http://b", "http://c"}
-	r1 := NewRing(shards, 0)
-	r2 := NewRing(shards, 0)
+	r1 := NewRing(shards)
+	r2 := NewRing(shards)
 	for _, k := range testKeys(200) {
 		if r1.Owner(k) != r2.Owner(k) {
 			t.Fatalf("owner of %q differs between identical rings: %d vs %d", k, r1.Owner(k), r2.Owner(k))
@@ -29,7 +29,7 @@ func TestRingStablePlacement(t *testing.T) {
 
 func TestRingDistribution(t *testing.T) {
 	shards := []string{"http://a", "http://b", "http://c", "http://d"}
-	r := NewRing(shards, 0)
+	r := NewRing(shards)
 	counts := make([]int, len(shards))
 	const n = 4000
 	for _, k := range testKeys(n) {
@@ -50,8 +50,8 @@ func TestRingDistribution(t *testing.T) {
 func TestRingRemovalMovesOnlyDisplacedKeys(t *testing.T) {
 	full := []string{"http://a", "http://b", "http://c"}
 	without := []string{"http://a", "http://c"} // drop b
-	rFull := NewRing(full, 0)
-	rLess := NewRing(without, 0)
+	rFull := NewRing(full)
+	rLess := NewRing(without)
 	moved, displaced := 0, 0
 	for _, k := range testKeys(1000) {
 		ownerFull := full[rFull.Owner(k)]
@@ -86,7 +86,7 @@ func TestRingRemovalMovesOnlyDisplacedKeys(t *testing.T) {
 
 func TestRingSequenceCoversAllShards(t *testing.T) {
 	shards := []string{"http://a", "http://b", "http://c"}
-	r := NewRing(shards, 0)
+	r := NewRing(shards)
 	for _, k := range testKeys(50) {
 		seq := r.Sequence(k)
 		if len(seq) != len(shards) {
@@ -103,7 +103,7 @@ func TestRingSequenceCoversAllShards(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if got := r.Owner("k"); got != -1 {
 		t.Fatalf("empty ring Owner = %d, want -1", got)
 	}

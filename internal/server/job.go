@@ -125,6 +125,15 @@ type JobStatus struct {
 	Trace string `json:"trace_id,omitempty"`
 }
 
+// StreamEvent is one NDJSON line of a job's progress stream: a
+// "status" line first, "output" chunks as the job writes them, and a
+// final "done" line carrying the finished job.
+type StreamEvent struct {
+	Event string     `json:"event"`
+	Data  string     `json:"data,omitempty"`
+	Job   *JobStatus `json:"job,omitempty"`
+}
+
 // status snapshots the job for the wire.
 func (j *job) status() JobStatus {
 	j.mu.Lock()

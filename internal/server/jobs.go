@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"time"
+	"io"
 
 	"prestores/internal/bench"
 	"prestores/internal/dirtbuster"
@@ -45,57 +45,24 @@ type traceSpec struct {
 // are exactly what bench.RunOne writes for the same experiment, which
 // is what the golden-determinism guard asserts.
 func (s *Server) experimentRun(e bench.Experiment, quick bool) func(context.Context, *job) bench.Result {
-	return func(ctx context.Context, j *job) bench.Result {
-		r, _ := bench.RunOneGuarded(ctx, j.out, e, bench.RunnerConfig{
-			Quick:   quick,
-			Timeout: s.cfg.JobTimeout,
-		})
-		return r
-	}
+	return s.guarded(e.ID, e.Title, func(ctx context.Context, _ *job, out io.Writer) error {
+		return bench.RunOne(ctx, out, e, quick)
+	})
 }
 
-// analysisRun wraps a DirtBuster or trace analysis in the same
-// guarded shape as an experiment run: panic containment, wall-time and
-// SimOps accounting, cancellation labeling. The analyses themselves
-// are single pipeline stages over a private simulated machine, so
-// cancellation is observed between stages rather than mid-simulation.
-// The body receives the job so it can attach artifacts. SimOps comes
-// from a per-run counter the body's machines attach to via the
-// context, so concurrent jobs never inflate each other's counts.
-func analysisRun(id, title string, timeout time.Duration,
-	body func(ctx context.Context, j *job, out *bytes.Buffer) error) func(context.Context, *job) bench.Result {
+// guarded builds the run function of a DirtBuster, trace, scenario,
+// eval, analysis or autotuning job: body runs under bench.Guarded, the
+// harness experiments run under (timeout, per-run SimOps accounting,
+// panic containment, timeout and cancellation labeling), and
+// everything it writes is teed into the job's progress log as it is
+// written, so an attached stream follows it live. The body receives
+// the job so it can attach artifacts.
+func (s *Server) guarded(id, title string,
+	body func(ctx context.Context, j *job, out io.Writer) error) func(context.Context, *job) bench.Result {
 	return func(ctx context.Context, j *job) bench.Result {
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-			defer cancel()
-		}
-		var ops sim.OpsCounter
-		ctx = sim.WithOpsSink(ctx, &ops)
-		var out bytes.Buffer
-		start := time.Now()
-		errText := func() (errText string) {
-			defer func() {
-				if r := recover(); r != nil {
-					errText = fmt.Sprintf("panic: %v", r)
-				}
-			}()
-			if err := ctx.Err(); err != nil {
-				return fmt.Sprintf("cancelled: %v", err)
-			}
-			if err := body(ctx, j, &out); err != nil {
-				return err.Error()
-			}
-			return ""
-		}()
-		res := bench.Result{ID: id, Title: title, Err: errText}
-		res.WallTime = time.Since(start)
-		res.SimOps = ops.Total()
-		if sec := res.WallTime.Seconds(); sec > 0 {
-			res.SimOpsPerSec = float64(res.SimOps) / sec
-		}
-		res.Output = out.String()
-		j.out.Write(out.Bytes())
+		res, _ := bench.Guarded(ctx, j.out, id, title, s.cfg.JobTimeout, func(ctx context.Context, out io.Writer) error {
+			return body(ctx, j, out)
+		})
 		return res
 	}
 }
@@ -120,8 +87,8 @@ func (s *Server) lookupWorkload(name string, quick bool) (dirtbuster.Workload, b
 
 // dirtbusterRun builds the run function for a DirtBuster analysis job.
 func (s *Server) dirtbusterRun(wl dirtbuster.Workload) func(context.Context, *job) bench.Result {
-	return analysisRun("dirtbuster/"+wl.Name, "DirtBuster analysis of "+wl.Name, s.cfg.JobTimeout,
-		func(ctx context.Context, _ *job, out *bytes.Buffer) error {
+	return s.guarded("dirtbuster/"+wl.Name, "DirtBuster analysis of "+wl.Name,
+		func(ctx context.Context, _ *job, out io.Writer) error {
 			wl := attachOps(ctx, wl)
 			rep := dirtbuster.Analyze(wl, dirtbuster.Config{})
 			fmt.Fprintln(out, rep.Render())
@@ -140,8 +107,8 @@ func (s *Server) traceRun(wl dirtbuster.Workload, spec traceSpec) func(context.C
 	if mode == "" {
 		mode = "dirtbuster"
 	}
-	return analysisRun("trace/"+mode+"/"+wl.Name, "trace analysis ("+mode+") of "+wl.Name, s.cfg.JobTimeout,
-		func(ctx context.Context, j *job, out *bytes.Buffer) error {
+	return s.guarded("trace/"+mode+"/"+wl.Name, "trace analysis ("+mode+") of "+wl.Name,
+		func(ctx context.Context, j *job, out io.Writer) error {
 			var rec bytes.Buffer
 			tw := trace.NewWriter(&rec, trace.WriterOptions{})
 			line := dirtbuster.RecordStream(attachOps(ctx, wl), tw.Hook())
@@ -167,7 +134,7 @@ func (s *Server) traceRun(wl dirtbuster.Workload, spec traceSpec) func(context.C
 				if err != nil {
 					return err
 				}
-				out.WriteString(st.RenderProfile())
+				io.WriteString(out, st.RenderProfile())
 			case "pmcheck":
 				cfg := pmcheck.Config{Base: spec.PMBase, Size: spec.PMSize, LineSize: line}
 				if cfg.Base == 0 {
@@ -180,7 +147,7 @@ func (s *Server) traceRun(wl dirtbuster.Workload, spec traceSpec) func(context.C
 				if err != nil {
 					return err
 				}
-				out.WriteString(res.Render())
+				io.WriteString(out, res.Render())
 			default:
 				return fmt.Errorf("unknown trace mode %q (want dirtbuster, report or pmcheck)", mode)
 			}

@@ -47,7 +47,7 @@ func (s *Server) initMetrics() {
 	// Build identity as the conventional constant-1 info gauge: joins
 	// let dashboards slice any series by the build that produced it.
 	r.GaugeVecFunc("prestored_build_info", "Build identity of this daemon; constant 1.",
-		[]string{"version", "go"}, func(set func(float64, ...string)) { set(1, s.cfg.Version, obs.GoVersion()) })
+		[]string{"version", "go"}, func(set func(float64, ...string)) { set(1, version, obs.GoVersion()) })
 
 	m.jobsDone = r.Counter("prestored_jobs_completed_total", "Jobs that finished successfully.")
 	m.jobsFailed = r.Counter("prestored_jobs_failed_total", "Jobs that finished with an error (panic or timeout).")

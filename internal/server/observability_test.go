@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -242,8 +243,11 @@ func TestArtifactErrorPaths(t *testing.T) {
 	}
 }
 
+// TestPprofGatedByConfig: a daemon's handler serves no profiling
+// surface; WithPprof (cmd/prestored -pprof) mounts it in front.
+// cluster's TestPprofMountedAroundCoordinator is the coordinator case.
 func TestPprofGatedByConfig(t *testing.T) {
-	_, tsOff := newTestServer(t, Config{Workers: 1})
+	s, tsOff := newTestServer(t, Config{Workers: 1})
 	resp, err := http.Get(tsOff.URL + "/debug/pprof/cmdline")
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +257,8 @@ func TestPprofGatedByConfig(t *testing.T) {
 		t.Fatalf("pprof off: status %d, want 404", resp.StatusCode)
 	}
 
-	_, tsOn := newTestServer(t, Config{Workers: 1, EnablePprof: true})
+	tsOn := httptest.NewServer(WithPprof(s.Handler()))
+	defer tsOn.Close()
 	resp, err = http.Get(tsOn.URL + "/debug/pprof/cmdline")
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
 	"prestores/internal/bench"
@@ -37,22 +38,21 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(body.Spec) == 0 {
-		writeError(w, http.StatusBadRequest, "spec: required (a scenario spec object; GET /v1/registry lists the building blocks)")
+		WriteError(w, http.StatusBadRequest, "spec: required (a scenario spec object; GET /v1/registry lists the building blocks)")
 		return
 	}
 	sp, err := scenario.Decode(body.Spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
 		return
 	}
 	canon, err := sp.Canonical()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
 		return
 	}
 	key := scenarioKey{Spec: canon, Quick: body.Quick}
-	st, j, err := s.submit("scenario", key, !streamRequested(r), parentFrom(r), s.scenarioRun(sp, body.Quick))
-	s.respondSubmit(w, r, st, j, err)
+	s.accept(w, r, "scenario", key, s.scenarioRun(sp, body.Quick))
 }
 
 // scenarioRun builds the run function for a scenario job: the guarded
@@ -70,8 +70,8 @@ func (s *Server) scenarioRun(sp scenario.Spec, quick bool) func(context.Context,
 	if title == "" {
 		title = "custom scenario"
 	}
-	return analysisRun("scenario/"+name, title, s.cfg.JobTimeout,
-		func(ctx context.Context, j *job, out *bytes.Buffer) error {
+	return s.guarded("scenario/"+name, title,
+		func(ctx context.Context, j *job, out io.Writer) error {
 			t := sp.Telemetry
 			if t == nil {
 				return bench.RunSpec(ctx, out, sp, quick)
@@ -131,6 +131,9 @@ type registryResponse struct {
 	Stores    []string           `json:"stores"`
 	Formats   []string           `json:"formats"`
 	Specs     []string           `json:"spec_experiments"`
+	// DirtBuster names the bundled workloads POST /v1/dirtbuster and
+	// POST /v1/trace analyze.
+	DirtBuster []string `json:"dirtbuster_workloads"`
 }
 
 func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
@@ -140,6 +143,9 @@ func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
 		Stores:   kv.Stores(),
 		Formats:  scenario.Formats(),
 		Specs:    bench.SpecIDs(),
+	}
+	for _, wl := range s.cfg.Workloads(true) {
+		resp.DirtBuster = append(resp.DirtBuster, wl.Name)
 	}
 	for _, wl := range scenario.Workloads() {
 		resp.Workloads = append(resp.Workloads, registryWorkload{
@@ -151,5 +157,5 @@ func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
 			Sites:       wl.Sites,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -22,7 +22,7 @@
 //	       ?stream=1 on any submit streams NDJSON progress instead of returning a job handle
 //	GET    /v1/experiments        registry listing
 //	GET    /v1/registry           scenario building blocks (machines, devices, workloads, stores, formats)
-//	GET    /v1/workloads          DirtBuster workload listing
+//	                              and the DirtBuster workloads (dirtbuster_workloads)
 //	GET    /v1/jobs/{id}          job status (+ result when finished)
 //	GET    /v1/jobs/{id}/stream   NDJSON progress stream (attach/replay; ?offset=N resumes at byte N)
 //	DELETE /v1/jobs/{id}          cooperative cancellation
@@ -31,6 +31,9 @@
 //
 // Submits return 202 with a job handle (or 200 with the result on a
 // cache hit), 429 when the queue is full, and 503 while shutting down.
+// Routes declares the whole table once: the daemon's mux and a cluster
+// coordinator's are both built from it, and Client is the one client
+// of the API.
 //
 // /v1/dirtbuster runs the live sampling pipeline on a bundled workload.
 // /v1/trace records a bundled workload into an in-memory chunked trace
@@ -49,7 +52,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	netpprof "net/http/pprof"
 	"runtime"
 	"strconv"
 	"sync"
@@ -72,13 +74,6 @@ type Config struct {
 	QueueDepth int
 	// JobTimeout bounds each job's wall-clock time; 0 disables.
 	JobTimeout time.Duration
-	// MaxFinished bounds how many finished jobs (and cached results)
-	// are retained, oldest evicted first; <= 0 means 1024.
-	MaxFinished int
-	// Version namespaces the result cache: results computed by one
-	// build must not be served for another. Empty means the VCS
-	// revision from build info, or "dev".
-	Version string
 	// Lookup resolves experiment IDs; nil means bench.Lookup.
 	// Tests inject synthetic experiments here.
 	Lookup func(id string) (bench.Experiment, bool)
@@ -96,10 +91,6 @@ type Config struct {
 	// Logger receives structured logs (job lifecycle with job IDs);
 	// nil discards them.
 	Logger *slog.Logger
-	// EnablePprof registers net/http/pprof handlers under /debug/pprof/
-	// on the daemon mux. Off by default: the profiling surface should
-	// not be reachable unless asked for.
-	EnablePprof bool
 	// AutotuneEvaluator overrides how autotune jobs measure candidate
 	// plans; nil means in-process evaluation (autotune.Local). The
 	// cluster coordinator injects an evaluator that fans candidates out
@@ -122,6 +113,16 @@ type Config struct {
 	Flight *obs.FlightRecorder
 }
 
+// maxFinished bounds how many finished jobs (and cached results) are
+// retained, oldest evicted first.
+const maxFinished = 1024
+
+// version namespaces the result cache: results computed by one build
+// must not be served for another. It is obs.Version, which the binaries
+// also report via -version and the build_info gauge — one notion of
+// "what build is this" across the fleet.
+var version = obs.Version()
+
 var (
 	errQueueFull    = errors.New("job queue full")
 	errShuttingDown = errors.New("server shutting down")
@@ -138,7 +139,7 @@ type Server struct {
 	mu       sync.Mutex
 	closed   bool
 	seq      uint64
-	jobs     map[string]*job          // by job ID, bounded by MaxFinished
+	jobs     map[string]*job          // by job ID, bounded by maxFinished
 	finished []string                 // finished job IDs, eviction order
 	inflight map[string]*job          // cache key → queued/running job (coalescing)
 	cache    map[string]*bench.Result // cache key → successful result
@@ -164,12 +165,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
-	}
-	if cfg.MaxFinished <= 0 {
-		cfg.MaxFinished = 1024
-	}
-	if cfg.Version == "" {
-		cfg.Version = buildVersion()
 	}
 	if cfg.Lookup == nil {
 		cfg.Lookup = bench.Lookup
@@ -217,12 +212,6 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
-
-// buildVersion is the cache-key namespace: the VCS revision when the
-// binary carries one, else "dev". It is obs.Version, which all the
-// binaries also report via -version and the build_info gauge — one
-// notion of "what build is this" across the fleet.
-func buildVersion() string { return obs.Version() }
 
 // Handler returns the HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -310,7 +299,7 @@ func (s *Server) worker() {
 // — sees its remote work under its own trace ID.
 func (s *Server) submit(kind string, spec any, detached bool, parent obs.SpanContext,
 	run func(context.Context, *job) bench.Result) (JobStatus, *job, error) {
-	key := cacheKey(kind, spec, s.cfg.Version)
+	key := cacheKey(kind, spec, version)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -360,6 +349,10 @@ func (s *Server) submit(kind string, spec any, detached bool, parent obs.SpanCon
 		detached: detached, submitted: time.Now(),
 		sc: s.tracer.Child(parent), parent: parent.Span,
 	}
+	// Snapshot before the send: once queued, a worker may run the job
+	// to completion before this submit is answered, and a fresh submit
+	// answers "queued".
+	st := j.status()
 	select {
 	case s.queue <- j:
 	default:
@@ -373,7 +366,7 @@ func (s *Server) submit(kind string, spec any, detached bool, parent obs.SpanCon
 	s.m.cacheMisses.Add(1)
 	s.flight.Record("job.queued", j.id, j.sc.Trace.String(), kind)
 	s.log.InfoContext(j.logCtx(), "job submitted", "job", j.id, "kind", kind, "key", key)
-	return j.status(), j, nil
+	return st, j, nil
 }
 
 // finalize moves a job to its final state, caches successful results,
@@ -401,7 +394,7 @@ func (s *Server) finalize(j *job, res bench.Result) {
 		s.cacheIDs[j.key] = j.id
 	}
 	s.finished = append(s.finished, j.id)
-	for len(s.finished) > s.cfg.MaxFinished {
+	for len(s.finished) > maxFinished {
 		old := s.finished[0]
 		s.finished = s.finished[1:]
 		if oj, ok := s.jobs[old]; ok {
@@ -476,23 +469,15 @@ func (s *Server) unwatch(j *job) {
 	j.watchers--
 	abandon := j.watchers == 0 && !j.detached &&
 		(j.state == stateQueued || j.state == stateRunning)
-	wasQueued := abandon && j.state == stateQueued
-	if wasQueued {
-		s.countFinished(j.kind, stateCancelled)
-		j.state = stateCancelled // worker will skip it at dequeue
-	}
 	j.mu.Unlock()
-	if !abandon {
-		return
-	}
-	j.cancel()
-	if wasQueued {
-		s.finalizeAbandoned(j)
+	if abandon {
+		s.cancelJob(j)
 	}
 }
 
-// cancelJob handles DELETE: cancel the context; a job still in the
-// queue is finalized immediately, a running one stops cooperatively.
+// cancelJob handles DELETE and abandonment: cancel the context; a job
+// still in the queue is finalized immediately (the worker skips it at
+// dequeue), a running one stops cooperatively.
 func (s *Server) cancelJob(j *job) {
 	j.mu.Lock()
 	wasQueued := j.state == stateQueued
@@ -560,40 +545,8 @@ func cacheKey(kind string, spec any, version string) string {
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/experiments", s.handleSubmitExperiment)
-	s.mux.HandleFunc("POST /v1/dirtbuster", s.handleSubmitDirtbuster)
-	s.mux.HandleFunc("POST /v1/trace", s.handleSubmitTrace)
-	s.mux.HandleFunc("POST /v1/scenarios", s.handleSubmitScenario)
-	s.mux.HandleFunc("POST /v1/eval", s.handleSubmitEval)
-	s.mux.HandleFunc("POST /v1/autotune", s.handleSubmitAutotune)
-	s.mux.HandleFunc("POST /v1/traces", s.handleTracePost)
-	s.mux.HandleFunc("GET /v1/traces", s.handleTraceList)
-	s.mux.HandleFunc("PUT /v1/traces/uploads/{id}", s.handleTraceUploadPut)
-	s.mux.HandleFunc("POST /v1/traces/uploads/{id}/commit", s.handleTraceUploadCommit)
-	s.mux.HandleFunc("DELETE /v1/traces/uploads/{id}", s.handleTraceUploadAbort)
-	s.mux.HandleFunc("GET /v1/traces/{address}", s.handleTraceGet)
-	s.mux.HandleFunc("DELETE /v1/traces/{address}", s.handleTraceDelete)
-	s.mux.HandleFunc("POST /v1/analyses", s.handleSubmitAnalysis)
-	s.mux.HandleFunc("POST /v1/analyses/chunks", s.handleAnalyzeChunk)
-	s.mux.HandleFunc("GET /v1/experiments", s.handleListExperiments)
-	s.mux.HandleFunc("GET /v1/registry", s.handleRegistry)
-	s.mux.HandleFunc("GET /v1/workloads", s.handleListWorkloads)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.jobHandler(s.handleGetJob))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.jobHandler(s.streamJob))
-	for _, name := range []string{"timeline", "linereport", "trajectory", "winner"} {
-		s.mux.HandleFunc("GET /v1/jobs/{id}/"+name, s.jobHandler(s.artifactHandler(name)))
-	}
-	s.mux.HandleFunc("GET /v1/jobs/{id}/spans", s.jobHandler(s.handleJobSpans))
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.jobHandler(s.handleCancelJob))
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/debug/flightrecorder", s.handleFlightRecorder)
-	if s.cfg.EnablePprof {
-		s.mux.HandleFunc("GET /debug/pprof/", netpprof.Index)
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", netpprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", netpprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", netpprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", netpprof.Trace)
+	for _, rt := range s.Routes() {
+		s.mux.HandleFunc(rt.Pattern, rt.Handler)
 	}
 }
 
@@ -603,12 +556,12 @@ func (s *Server) routes() {
 func (s *Server) artifactHandler(name string) func(http.ResponseWriter, *http.Request, *job) {
 	return func(w http.ResponseWriter, r *http.Request, j *job) {
 		if !j.finished() {
-			writeError(w, http.StatusConflict, "job %s is not finished; poll GET /v1/jobs/%s", j.id, j.id)
+			WriteError(w, http.StatusConflict, "job %s is not finished; poll GET /v1/jobs/%s", j.id, j.id)
 			return
 		}
 		data, ok := j.artifact(name)
 		if !ok {
-			writeError(w, http.StatusNotFound,
+			WriteError(w, http.StatusNotFound,
 				"job %s recorded no %s artifact (telemetry artifacts need a telemetry block on the submit)", j.id, name)
 			return
 		}
@@ -636,15 +589,9 @@ func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 	s.flight.WriteJSON(w)
 }
 
-// parentFrom extracts the caller's span context from the request's
-// traceparent header (zero when absent or malformed, which submit
-// treats as "this daemon is the trace root").
-func parentFrom(r *http.Request) obs.SpanContext {
-	sc, _ := obs.Extract(r.Header)
-	return sc
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with v as indented JSON. The daemon and the
+// coordinator answer every JSON response through it and WriteError.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -652,40 +599,49 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
 	return true
 }
 
-// respondSubmit answers a submit: stream the job when requested,
-// otherwise return the job handle (202) or cached result (200).
-func (s *Server) respondSubmit(w http.ResponseWriter, r *http.Request, st JobStatus, j *job, err error) {
+// accept schedules a validated submit and answers it: it streams the
+// job when requested (a streamed job is not detached: it is cancelled
+// when its last watcher leaves), otherwise it returns the job handle
+// (202) or the cached result (200). The request's traceparent header,
+// when valid, parents the job's trace; without one this daemon is the
+// trace root.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, kind string, spec any,
+	run func(context.Context, *job) bench.Result) {
+	parent, _ := obs.Extract(r.Header)
+	st, j, err := s.submit(kind, spec, !StreamRequested(r), parent, run)
 	switch {
 	case errors.Is(err, errQueueFull):
-		writeError(w, http.StatusTooManyRequests, "job queue full (depth %d); retry later", s.cfg.QueueDepth)
+		WriteError(w, http.StatusTooManyRequests, "job queue full (depth %d); retry later", s.cfg.QueueDepth)
 	case errors.Is(err, errShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, "shutting down")
+		WriteError(w, http.StatusServiceUnavailable, "shutting down")
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 	case j == nil: // cache hit
-		writeJSON(w, http.StatusOK, st)
-	case streamRequested(r):
+		WriteJSON(w, http.StatusOK, st)
+	case StreamRequested(r):
 		s.streamJob(w, r, j)
 	default:
-		writeJSON(w, http.StatusAccepted, st)
+		WriteJSON(w, http.StatusAccepted, st)
 	}
 }
 
-func streamRequested(r *http.Request) bool {
+// StreamRequested reports whether a submit asked for its progress
+// stream (?stream=1) instead of a job handle.
+func StreamRequested(r *http.Request) bool {
 	v := r.URL.Query().Get("stream")
 	return v == "1" || v == "true"
 }
@@ -697,11 +653,10 @@ func (s *Server) handleSubmitExperiment(w http.ResponseWriter, r *http.Request) 
 	}
 	e, ok := s.cfg.Lookup(spec.ID)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown experiment %q; GET /v1/experiments lists the registry", spec.ID)
+		WriteError(w, http.StatusNotFound, "unknown experiment %q; GET /v1/experiments lists the registry", spec.ID)
 		return
 	}
-	st, j, err := s.submit("experiment", spec, !streamRequested(r), parentFrom(r), s.experimentRun(e, spec.Quick))
-	s.respondSubmit(w, r, st, j, err)
+	s.accept(w, r, "experiment", spec, s.experimentRun(e, spec.Quick))
 }
 
 func (s *Server) handleSubmitDirtbuster(w http.ResponseWriter, r *http.Request) {
@@ -711,11 +666,10 @@ func (s *Server) handleSubmitDirtbuster(w http.ResponseWriter, r *http.Request) 
 	}
 	wl, ok := s.lookupWorkload(spec.Workload, spec.Quick)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown workload %q; GET /v1/workloads lists them", spec.Workload)
+		WriteError(w, http.StatusNotFound, "unknown workload %q; GET /v1/registry lists them under dirtbuster_workloads", spec.Workload)
 		return
 	}
-	st, j, err := s.submit("dirtbuster", spec, !streamRequested(r), parentFrom(r), s.dirtbusterRun(wl))
-	s.respondSubmit(w, r, st, j, err)
+	s.accept(w, r, "dirtbuster", spec, s.dirtbusterRun(wl))
 }
 
 func (s *Server) handleSubmitTrace(w http.ResponseWriter, r *http.Request) {
@@ -727,11 +681,10 @@ func (s *Server) handleSubmitTrace(w http.ResponseWriter, r *http.Request) {
 	// prestore-trace: full traces of full-size workloads are huge.
 	wl, ok := s.lookupWorkload(spec.Workload, true)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown workload %q; GET /v1/workloads lists them", spec.Workload)
+		WriteError(w, http.StatusNotFound, "unknown workload %q; GET /v1/registry lists them under dirtbuster_workloads", spec.Workload)
 		return
 	}
-	st, j, err := s.submit("trace", spec, !streamRequested(r), parentFrom(r), s.traceRun(wl, spec))
-	s.respondSubmit(w, r, st, j, err)
+	s.accept(w, r, "trace", spec, s.traceRun(wl, spec))
 }
 
 func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
@@ -744,15 +697,7 @@ func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
 	for _, e := range bench.All() {
 		out = append(out, entry{ID: e.ID, Title: e.Title, Paper: e.Paper})
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleListWorkloads(w http.ResponseWriter, r *http.Request) {
-	var out []string
-	for _, wl := range s.cfg.Workloads(true) {
-		out = append(out, wl.Name)
-	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) job(id string) *job {
@@ -767,7 +712,7 @@ func (s *Server) jobHandler(h func(http.ResponseWriter, *http.Request, *job)) ht
 	return func(w http.ResponseWriter, r *http.Request) {
 		j := s.job(r.PathValue("id"))
 		if j == nil {
-			writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+			WriteError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 			return
 		}
 		h(w, r, j)
@@ -775,19 +720,12 @@ func (s *Server) jobHandler(h func(http.ResponseWriter, *http.Request, *job)) ht
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request, j *job) {
-	writeJSON(w, http.StatusOK, j.status())
+	WriteJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request, j *job) {
 	s.cancelJob(j)
-	writeJSON(w, http.StatusOK, j.status())
-}
-
-// streamEvent is one NDJSON line of a progress stream.
-type streamEvent struct {
-	Event string     `json:"event"` // "status", "output", "done"
-	Data  string     `json:"data,omitempty"`
-	Job   *JobStatus `json:"job,omitempty"`
+	WriteJSON(w, http.StatusOK, j.status())
 }
 
 // streamJob follows a job as NDJSON: a status line, output chunks as
@@ -800,14 +738,9 @@ type streamEvent struct {
 // up. The connection is a watcher: if the last watcher of a
 // non-detached job disconnects, the job is cancelled (see unwatch).
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
-	off := 0
-	if v := r.URL.Query().Get("offset"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad offset %q (want a non-negative integer)", v)
-			return
-		}
-		off = n
+	off, ok := StreamOffset(w, r)
+	if !ok {
+		return
 	}
 	// The stream itself is a span in the job's trace: how long a
 	// watcher followed, and from what byte offset it (re)attached —
@@ -823,14 +756,14 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
 	defer s.unwatch(j)
 
 	st := j.status()
-	if emit(streamEvent{Event: "status", Job: &st}) != nil {
+	if emit(StreamEvent{Event: "status", Job: &st}) != nil {
 		return
 	}
 	for {
 		chunk, noff, closed, wake := j.out.next(off)
 		if len(chunk) > 0 {
 			off = noff
-			if emit(streamEvent{Event: "output", Data: string(chunk)}) != nil {
+			if emit(StreamEvent{Event: "output", Data: string(chunk)}) != nil {
 				return
 			}
 			continue
@@ -846,18 +779,33 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
 	}
 	<-j.done
 	st = j.status()
-	emit(streamEvent{Event: "done", Job: &st})
+	emit(StreamEvent{Event: "done", Job: &st})
+}
+
+// StreamOffset reads a stream request's ?offset=N (0 when absent); on a
+// malformed one it answers 400 and reports false.
+func StreamOffset(w http.ResponseWriter, r *http.Request) (int, bool) {
+	v := r.URL.Query().Get("offset")
+	if v == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		WriteError(w, http.StatusBadRequest, "bad offset %q (want a non-negative integer)", v)
+		return 0, false
+	}
+	return n, true
 }
 
 // NDJSON starts a 200 NDJSON stream on w and returns the function that
 // writes one event line and flushes it to the client. The daemon's and
 // the coordinator's job streams both write through it.
-func NDJSON(w http.ResponseWriter) func(event any) error {
+func NDJSON(w http.ResponseWriter) func(StreamEvent) error {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	return func(event any) error {
+	return func(event StreamEvent) error {
 		if err := enc.Encode(event); err != nil {
 			return err
 		}

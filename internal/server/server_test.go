@@ -270,13 +270,13 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 }
 
 // readEvents decodes a full NDJSON stream.
-func readEvents(t *testing.T, r io.Reader) []streamEvent {
+func readEvents(t *testing.T, r io.Reader) []StreamEvent {
 	t.Helper()
-	var evs []streamEvent
+	var evs []StreamEvent
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		var ev streamEvent
+		var ev StreamEvent
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -420,7 +420,7 @@ func TestStreamDisconnectCancelsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ev streamEvent
+	var ev StreamEvent
 	if err := json.Unmarshal(line, &ev); err != nil || ev.Job == nil {
 		t.Fatalf("first stream line %q: %v", line, err)
 	}
@@ -687,16 +687,18 @@ func TestListEndpoints(t *testing.T) {
 	if len(entries) == 0 {
 		t.Fatal("experiment listing empty")
 	}
-	wl, err := http.Get(ts.URL + "/v1/workloads")
+	reg, err := http.Get(ts.URL + "/v1/registry")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wl.Body.Close()
-	var names []string
-	if err := json.NewDecoder(wl.Body).Decode(&names); err != nil {
+	defer reg.Body.Close()
+	var names struct {
+		DirtBuster []string `json:"dirtbuster_workloads"`
+	}
+	if err := json.NewDecoder(reg.Body).Decode(&names); err != nil {
 		t.Fatal(err)
 	}
-	if len(names) == 0 {
+	if len(names.DirtBuster) == 0 {
 		t.Fatal("workload listing empty")
 	}
 }

@@ -255,20 +255,20 @@ func (ts *traceStore) usage() (used int64, stored int) {
 
 func writeStoreError(w http.ResponseWriter, err error) {
 	if se, ok := err.(*storeError); ok {
-		writeError(w, se.code, "%s", se.msg)
+		WriteError(w, se.code, "%s", se.msg)
 		return
 	}
-	writeError(w, http.StatusInternalServerError, "%v", err)
+	WriteError(w, http.StatusInternalServerError, "%v", err)
 }
 
 func readPart(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	data, err := io.ReadAll(io.LimitReader(r.Body, maxUploadPart+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 		return nil, false
 	}
 	if len(data) > maxUploadPart {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		WriteError(w, http.StatusRequestEntityTooLarge,
 			"upload part exceeds %d bytes; split it into resumable parts", maxUploadPart)
 		return nil, false
 	}
@@ -286,7 +286,7 @@ func (s *Server) handleTracePost(w http.ResponseWriter, r *http.Request) {
 			writeStoreError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, map[string]any{"upload": id, "offset": 0})
+		WriteJSON(w, http.StatusCreated, map[string]any{"upload": id, "offset": 0})
 		return
 	}
 	data, ok := readPart(w, r)
@@ -300,7 +300,7 @@ func (s *Server) handleTracePost(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.traceUploads.Add(1)
 	s.m.traceUploadBytes.Add(info.Bytes)
-	writeJSON(w, http.StatusCreated, info)
+	WriteJSON(w, http.StatusCreated, info)
 }
 
 func (s *Server) handleTraceUploadPut(w http.ResponseWriter, r *http.Request) {
@@ -309,7 +309,7 @@ func (s *Server) handleTraceUploadPut(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("offset"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad offset %q (want a non-negative integer)", v)
+			WriteError(w, http.StatusBadRequest, "bad offset %q (want a non-negative integer)", v)
 			return
 		}
 		offset = n
@@ -323,13 +323,13 @@ func (s *Server) handleTraceUploadPut(w http.ResponseWriter, r *http.Request) {
 		if se, ok := err.(*storeError); ok && se.code == http.StatusConflict {
 			// 409 carries the current offset so the client resumes
 			// without a second round trip.
-			writeJSON(w, http.StatusConflict, map[string]any{"error": se.msg, "upload": id, "offset": newOff})
+			WriteJSON(w, http.StatusConflict, map[string]any{"error": se.msg, "upload": id, "offset": newOff})
 			return
 		}
 		writeStoreError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"upload": id, "offset": newOff})
+	WriteJSON(w, http.StatusOK, map[string]any{"upload": id, "offset": newOff})
 }
 
 func (s *Server) handleTraceUploadCommit(w http.ResponseWriter, r *http.Request) {
@@ -340,7 +340,7 @@ func (s *Server) handleTraceUploadCommit(w http.ResponseWriter, r *http.Request)
 	}
 	s.m.traceUploads.Add(1)
 	s.m.traceUploadBytes.Add(info.Bytes)
-	writeJSON(w, http.StatusCreated, info)
+	WriteJSON(w, http.StatusCreated, info)
 }
 
 func (s *Server) handleTraceUploadAbort(w http.ResponseWriter, r *http.Request) {
@@ -348,18 +348,18 @@ func (s *Server) handleTraceUploadAbort(w http.ResponseWriter, r *http.Request) 
 		writeStoreError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "aborted"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "aborted"})
 }
 
 func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.traces.list())
+	WriteJSON(w, http.StatusOK, s.traces.list())
 }
 
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	addr := r.PathValue("address")
 	data, ok := s.traces.get(addr)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown trace %q; GET /v1/traces lists them", addr)
+		WriteError(w, http.StatusNotFound, "unknown trace %q; GET /v1/traces lists them", addr)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -370,8 +370,8 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTraceDelete(w http.ResponseWriter, r *http.Request) {
 	addr := r.PathValue("address")
 	if !s.traces.remove(addr) {
-		writeError(w, http.StatusNotFound, "unknown trace %q", addr)
+		WriteError(w, http.StatusNotFound, "unknown trace %q", addr)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
 }
