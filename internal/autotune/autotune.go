@@ -1,15 +1,15 @@
 // Package autotune is the closed-loop DirtBuster: an iterative policy
 // search that finds the best pre-store plan for a workload. Given a
 // single-point scenario spec it first measures the all-none baseline
-// and runs a telemetry probe of it, seeds a uniform plan from the
-// paper's decision rules (demote on far rewrites, clean on far
-// re-reads, skip otherwise), then hill-climbs deterministically over
-// the per-site op table and candidate placement windows, with seeded
-// random restarts out of local optima. Every candidate evaluation, and
-// the probe, forks from the shared warm checkpoint when the runner has
-// one, so a search costs at most one load phase plus cheap measured
-// phases — and none when an earlier search with the same warm state
-// (say, another seed) already paid it.
+// under a line-report recorder, seeds a uniform plan from the paper's
+// decision rules (demote on far rewrites, clean on far re-reads, skip
+// otherwise), then hill-climbs deterministically over the per-site op
+// table and candidate placement windows, with seeded random restarts
+// out of local optima. Every candidate evaluation, the recorded
+// baseline included, forks from the shared warm checkpoint when the
+// runner has one, so a search costs at most one load phase plus cheap
+// measured phases — and none when an earlier search with the same warm
+// state (say, another seed) already paid it.
 //
 // The search is deterministic end to end: the same (spec, params)
 // reproduces the same NDJSON progress stream and the same trajectory
@@ -26,6 +26,7 @@ import (
 
 	"prestores/internal/obs"
 	"prestores/internal/scenario"
+	"prestores/internal/telemetry"
 	"prestores/internal/xrand"
 )
 
@@ -57,7 +58,7 @@ func Run(ctx context.Context, base scenario.Spec, par Params, ev Evaluator, prog
 	}
 	w, _ := scenario.Get(base.Workload.Name)
 	// Candidate specs differ only in policy.window/policy.table;
-	// telemetry stays off except for the explicit probe spec.
+	// telemetry stays off except for a separate probe's spec.
 	base.Telemetry = nil
 
 	e := &engine{
@@ -76,20 +77,17 @@ func Run(ctx context.Context, base scenario.Spec, par Params, ev Evaluator, prog
 		Quick: par.Quick, Sites: e.sites, Windows: e.windows})
 
 	// Iteration 0: the all-none baseline every improvement is judged
-	// against.
+	// against. It runs under a line-report recorder: the line report of
+	// the unmodified program drives the decision-rule seeding. The
+	// recorder forks from the warm checkpoint with the machine, so the
+	// report is the cold run's whatever the checkpoint cache holds.
 	baseline := uniformPlan(base.Policy.Window, e.sites, "none")
-	if _, err := e.evalBatch(ctx, []Plan{baseline}, "baseline"); err != nil {
+	rec := telemetry.New(telemetry.Config{LineReport: true})
+	if _, err := e.evalBatch(scenario.WithRecorder(ctx, rec), []Plan{baseline}, "baseline"); err != nil {
 		return nil, err
 	}
 	cur := e.cache[baseline.key()]
-
-	// Telemetry probe of the baseline plan; its line report drives the
-	// decision-rule seeding. It forks from the warm checkpoint like every
-	// candidate, its recorder state with it, so the report is the cold
-	// run's whatever the checkpoint cache holds.
-	probeSpec := e.specFor(baseline)
-	probeSpec.Telemetry = &scenario.TelemetrySpec{LineReport: true}
-	rep, err := e.ev.Probe(ctx, probeSpec, par.Quick)
+	rep, err := e.baselineReport(ctx, rec, baseline)
 	if err != nil {
 		return nil, fmt.Errorf("probe: %w", err)
 	}
@@ -164,6 +162,19 @@ func Run(ctx context.Context, base scenario.Spec, par Params, ev Evaluator, prog
 	}
 
 	return e.finish(probe, converged)
+}
+
+// baselineReport returns the baseline run's line report: rec's, when
+// the evaluator ran the baseline in process and so attached rec to it,
+// or else a separate probe run of the baseline plan under line-report
+// telemetry (the cluster evaluator runs every eval on a shard).
+func (e *engine) baselineReport(ctx context.Context, rec *telemetry.Recorder, baseline Plan) (*telemetry.LineReport, error) {
+	if rec.Attached() {
+		return rec.LineReport(telemetry.ReportLines), nil
+	}
+	sp := e.specFor(baseline)
+	sp.Telemetry = &scenario.TelemetrySpec{LineReport: true}
+	return e.ev.Probe(ctx, sp, e.par.Quick)
 }
 
 // searchWindows builds the searched window list: the base spec's own

@@ -43,7 +43,12 @@ const kvTrajectoryGolden = "a671cd0632ca470e90bbbd932126bde7d4f55d5e334e3d4c3eb3
 
 func trajectorySHA(t *testing.T, ctx context.Context, sp scenario.Spec, par Params) string {
 	t.Helper()
-	res, err := Run(ctx, sp, par, Local{}, nil)
+	return searchSHA(t, ctx, sp, par, Local{})
+}
+
+func searchSHA(t *testing.T, ctx context.Context, sp scenario.Spec, par Params, ev Evaluator) string {
+	t.Helper()
+	res, err := Run(ctx, sp, par, ev, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -57,8 +62,8 @@ func trajectorySHA(t *testing.T, ctx context.Context, sp scenario.Spec, par Para
 
 // TestKVTrajectoryGolden pins the search's output: cold, with a fresh
 // checkpoint store, and with a store an earlier search (another spec
-// seed, so the same warm state) filled, where the baseline and the
-// probe fork too.
+// seed, so the same warm state) filled, where the recorded baseline
+// forks too.
 func TestKVTrajectoryGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four real KV searches; skipped with -short")
@@ -87,8 +92,10 @@ func TestKVTrajectoryGolden(t *testing.T) {
 }
 
 // TestSeedSiblingSearchNeverMisses pins one cold load per warm state:
-// a search whose spec differs from an earlier one's only in seed finds
-// every checkpoint it needs, the probe's recorder state included.
+// the first search on an empty store misses once, in its recorded
+// baseline, which stores the machine and recorder states together; a
+// search whose spec differs from it only in seed then finds every
+// checkpoint it needs, the baseline's recorder state included.
 func TestSeedSiblingSearchNeverMisses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four real KV searches; skipped with -short")
@@ -100,8 +107,8 @@ func TestSeedSiblingSearchNeverMisses(t *testing.T) {
 		}
 		first := store.View()
 		trajectorySHA(t, checkpoint.NewContext(context.Background(), first), kvSpec(21), kvParams(parallel))
-		if first.Misses() == 0 {
-			t.Fatalf("parallel %d: the first search on an empty store saw no misses", parallel)
+		if first.Misses() != 1 {
+			t.Fatalf("parallel %d: the first search on an empty store saw %d misses, want 1", parallel, first.Misses())
 		}
 		second := store.View()
 		trajectorySHA(t, checkpoint.NewContext(context.Background(), second), kvSpec(22), kvParams(parallel))

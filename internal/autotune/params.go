@@ -20,8 +20,9 @@ const (
 // Params configures one autotuning search. The zero value is usable:
 // Normalize fills defaults from the base spec's workload.
 type Params struct {
-	// Budget caps the number of candidate plan evaluations (the
-	// telemetry probe is not counted). 0 means DefaultBudget.
+	// Budget caps the number of candidate plan evaluations, the
+	// recorded baseline included (a separate probe of it is not
+	// counted). 0 means DefaultBudget.
 	Budget int `json:"budget,omitempty"`
 	// Seed seeds the search's restart RNG. The same (spec, params)
 	// reproduces the same trajectory byte for byte.

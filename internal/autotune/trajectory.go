@@ -31,8 +31,8 @@ type Iteration struct {
 	Accepted bool `json:"accepted,omitempty"`
 }
 
-// Probe summarizes the telemetry probe and the decision rule it
-// triggered.
+// Probe summarizes the baseline run's line report and the decision
+// rule it triggered.
 type Probe struct {
 	Totals   telemetry.LineTotals `json:"totals"`
 	WriteAmp float64              `json:"write_amp"`

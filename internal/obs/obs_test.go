@@ -172,7 +172,7 @@ func TestInjectExtract(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"00-short-bad-01",
-		"ff-" + sc.Trace.String() + "-" + sc.Span.String() + "-01", // forbidden version
+		"ff-" + sc.Trace.String() + "-" + sc.Span.String() + "-01",       // forbidden version
 		"00-" + strings.Repeat("0", 32) + "-" + sc.Span.String() + "-01", // zero trace
 		"00-" + sc.Trace.String() + "-" + strings.Repeat("z", 16) + "-01",
 	} {

@@ -403,6 +403,46 @@ func TestClusterStatusPollSurvivesShardDeath(t *testing.T) {
 	}
 }
 
+// TestClusterBadStreamOffsetRoutesNothing pins that the coordinator,
+// like a daemon, refuses a ?stream=1 submit with a malformed ?offset
+// before routing it: no coordinator job, and no shard job or queue
+// entry.
+func TestClusterBadStreamOffsetRoutesNothing(t *testing.T) {
+	c, cts, shards := newCluster(t, 2, synth("e1"))
+	code, data := postJSON(t, cts.URL+"/v1/experiments?stream=1&offset=bogus", map[string]any{"id": "e1", "quick": true})
+	if code != http.StatusBadRequest || !strings.Contains(string(data), "bad offset") {
+		t.Fatalf("bad offset submit: status %d: %s (want 400, bad offset)", code, data)
+	}
+	c.mu.Lock()
+	jobs := len(c.jobs)
+	c.mu.Unlock()
+	if jobs != 0 {
+		t.Errorf("the coordinator holds %d jobs after the refused submit, want 0", jobs)
+	}
+	for i, f := range shards {
+		resp, err := http.Get(f.ts.URL + "/v1/jobs/job-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("shard %d: GET job-1 = %d, want 404 (no job routed)", i, resp.StatusCode)
+		}
+		resp, err = http.Get(f.ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(string(metrics), "\nprestored_queue_depth 0\n") {
+			t.Errorf("shard %d: queue depth not 0 after the refused submit", i)
+		}
+	}
+	if st := submitExp(t, cts.URL, "e1"); st.ID != "cjob-1" {
+		t.Errorf("next submit got %s, want cjob-1", st.ID)
+	}
+}
+
 func TestClusterHealthzAndPassthrough(t *testing.T) {
 	_, cts, shards := newCluster(t, 2, synth("h1"))
 

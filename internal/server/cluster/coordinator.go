@@ -457,6 +457,15 @@ func (c *Coordinator) submitHandler(kind string) http.HandlerFunc {
 			server.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 			return
 		}
+		// A malformed ?offset is refused before the job is routed, as
+		// the daemon does.
+		stream, off := server.StreamRequested(r), 0
+		if stream {
+			var ok bool
+			if off, ok = server.StreamOffset(w, r); !ok {
+				return
+			}
+		}
 		ctx := r.Context()
 		if sc, ok := obs.Extract(r.Header); ok {
 			ctx = obs.ContextWithSpan(ctx, sc)
@@ -475,8 +484,8 @@ func (c *Coordinator) submitHandler(kind string) http.HandlerFunc {
 			server.WriteError(w, http.StatusBadGateway, "every healthy shard failed to accept the job")
 		case j == nil:
 			relay(w, sr)
-		case server.StreamRequested(r):
-			c.handleStreamJob(w, r, j)
+		case stream:
+			c.follow(r.Context(), j, off, server.NDJSON(w))
 		default:
 			server.WriteJSON(w, sr.Code, j.rewrite(*sr.Job()))
 		}

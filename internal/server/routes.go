@@ -59,7 +59,7 @@ func (s *Server) Routes() []Route {
 		{"GET /v1/registry", Embedded, "", s.handleRegistry},
 
 		{"GET /v1/jobs/{id}", JobScoped, "status", jh(s.handleGetJob)},
-		{"GET /v1/jobs/{id}/stream", JobScoped, "stream", jh(s.streamJob)},
+		{"GET /v1/jobs/{id}/stream", JobScoped, "stream", jh(s.handleStreamJob)},
 		{"GET /v1/jobs/{id}/timeline", JobScoped, "timeline", jh(s.artifactHandler("timeline"))},
 		{"GET /v1/jobs/{id}/linereport", JobScoped, "linereport", jh(s.artifactHandler("linereport"))},
 		{"GET /v1/jobs/{id}/trajectory", JobScoped, "trajectory", jh(s.artifactHandler("trajectory"))},

@@ -621,8 +621,17 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // trace root.
 func (s *Server) accept(w http.ResponseWriter, r *http.Request, kind string, spec any,
 	run func(context.Context, *job) bench.Result) {
+	// A malformed ?offset is refused before the job exists: a watched
+	// job queued for a stream that never attaches would run for nobody.
+	stream, off := StreamRequested(r), 0
+	if stream {
+		var ok bool
+		if off, ok = StreamOffset(w, r); !ok {
+			return
+		}
+	}
 	parent, _ := obs.Extract(r.Header)
-	st, j, err := s.submit(kind, spec, !StreamRequested(r), parent, run)
+	st, j, err := s.submit(kind, spec, !stream, parent, run)
 	switch {
 	case errors.Is(err, errQueueFull):
 		WriteError(w, http.StatusTooManyRequests, "job queue full (depth %d); retry later", s.cfg.QueueDepth)
@@ -632,8 +641,8 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request, kind string, spe
 		WriteError(w, http.StatusInternalServerError, "%v", err)
 	case j == nil: // cache hit
 		WriteJSON(w, http.StatusOK, st)
-	case StreamRequested(r):
-		s.streamJob(w, r, j)
+	case stream:
+		s.streamJob(w, r, j, off)
 	default:
 		WriteJSON(w, http.StatusAccepted, st)
 	}
@@ -728,6 +737,14 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request, j *job)
 	WriteJSON(w, http.StatusOK, j.status())
 }
 
+// handleStreamJob follows a job for an HTTP client as NDJSON, from
+// ?offset=N.
+func (s *Server) handleStreamJob(w http.ResponseWriter, r *http.Request, j *job) {
+	if off, ok := StreamOffset(w, r); ok {
+		s.streamJob(w, r, j, off)
+	}
+}
+
 // streamJob follows a job as NDJSON: a status line, output chunks as
 // the simulation produces them, and a final done line carrying the
 // result. ?offset=N replays from byte N of the job's output instead
@@ -737,11 +754,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request, j *job)
 // beyond the bytes produced so far simply waits for the log to catch
 // up. The connection is a watcher: if the last watcher of a
 // non-detached job disconnects, the job is cancelled (see unwatch).
-func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
-	off, ok := StreamOffset(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job, off int) {
 	// The stream itself is a span in the job's trace: how long a
 	// watcher followed, and from what byte offset it (re)attached —
 	// reconnect-after-failover shows up as a second stream span with a

@@ -269,6 +269,43 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 	waitFinal(t, ts.URL, second.ID)
 }
 
+// TestBadStreamOffsetQueuesNothing pins that a ?stream=1 submit with a
+// malformed ?offset is refused before a job exists: a watched job whose
+// stream never attaches would run for nobody. With the only worker
+// busy, a leaked job would sit in the queue under the next job ID.
+func TestBadStreamOffsetQueuesNothing(t *testing.T) {
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	blocker := bench.Experiment{ID: "b1", Title: "blocker", Paper: "n/a",
+		Run: func(ctx context.Context, w io.Writer, _ bool) {
+			started <- struct{}{}
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+		}}
+	s, ts := newTestServer(t, Config{Workers: 1, Lookup: lookupOf(blocker, synthExperiment("e1", "rows"))})
+	first := submit(t, ts.URL, map[string]any{"id": "b1", "quick": true})
+	<-started
+	depth := len(s.queue)
+
+	code, data := postJSON(t, ts.URL+"/v1/experiments?stream=1&offset=bogus", map[string]any{"id": "e1", "quick": true})
+	if code != http.StatusBadRequest || !strings.Contains(string(data), "bad offset") {
+		t.Fatalf("bad offset submit: status %d: %s (want 400, bad offset)", code, data)
+	}
+	if got := len(s.queue); got != depth {
+		t.Errorf("queue depth %d after the refused submit, want %d", got, depth)
+	}
+	if s.job("job-2") != nil {
+		t.Error("the refused submit created job-2")
+	}
+	close(release)
+	waitFinal(t, ts.URL, first.ID)
+	if st := submit(t, ts.URL, map[string]any{"id": "e1", "quick": true}); st.ID != "job-2" {
+		t.Errorf("next submit got %s, want job-2", st.ID)
+	}
+}
+
 // readEvents decodes a full NDJSON stream.
 func readEvents(t *testing.T, r io.Reader) []StreamEvent {
 	t.Helper()

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"slices"
+	"sync"
 
 	"prestores/internal/core"
 	"prestores/internal/sim"
@@ -68,8 +68,12 @@ func (f *Fork) Save() ([]byte, bool) {
 // truncated or corrupt, was saved under other settings or another line
 // size, or holds more lines than fit under MaxLines next to the other
 // machines' (a cold run would have dropped some).
+//
+// Restore may keep data as the key of a decoded template (see
+// templates), so data must not be modified afterwards; a checkpoint
+// store never modifies the entries it returns.
 func (f *Fork) Restore(data []byte) error {
-	st, err := decodeState(data)
+	st, err := templates.decode(data)
 	if err != nil {
 		return err
 	}
@@ -81,12 +85,12 @@ func (f *Fork) Restore(data []byte) error {
 		st.nearRewrite != core.NearRewrite || st.nearReread != core.NearReread {
 		return errors.New("telemetry: recorder state was saved under other settings")
 	}
-	n := r.nlines - len(f.ms.lines) + len(st.lines)
+	n := r.nlines - f.ms.lines.len() + st.lines.len()
 	if n > c.MaxLines {
 		return fmt.Errorf("telemetry: %d restored lines exceed the line table cap %d", n, c.MaxLines)
 	}
 	r.nlines = n
-	f.ms.lines, f.ms.buckets, f.ms.droppedLines = st.lines, st.buckets, 0
+	f.ms.lines, f.ms.buckets, f.ms.droppedLines = st.lines.clone(), st.buckets.clone(), 0
 	return nil
 }
 
@@ -95,8 +99,72 @@ func (f *Fork) Restore(data []byte) error {
 type forkState struct {
 	lineSize, bucketBytes, maxLines, nearRewrite, nearReread uint64
 
-	lines   map[uint64]*lineRec
-	buckets map[uint64]*bucketRec
+	lines   table[lineRec]
+	buckets table[bucketRec]
+}
+
+// templates keeps the last few recorder states Restore decoded, keyed
+// by the identity of the stored bytes: a checkpoint store answers every
+// lookup of an entry with the same slice, so the forks of one warm
+// state decode it once and then copy the template's tables. An entry
+// holds its bytes, so while it is cached no other bytes can take their
+// address. Only states that decoded cleanly are kept, and bytes read
+// anew (the store's disk tier) are another slice and decode again.
+var templates templateCache
+
+// maxTemplates bounds the cache: one search's forks share one state,
+// and a few concurrent searches over other warm states fit beside it.
+const maxTemplates = 4
+
+type templateCache struct {
+	mu      sync.Mutex
+	entries []template // least recently used first
+}
+
+type template struct {
+	data []byte
+	st   *forkState
+}
+
+// decode returns data's decoded state, from the cache when data is a
+// slice decoded before. The result is shared and must not be modified.
+func (c *templateCache) decode(data []byte) (*forkState, error) {
+	if len(data) == 0 {
+		return decodeState(data)
+	}
+	c.mu.Lock()
+	st := c.use(data)
+	c.mu.Unlock()
+	if st != nil {
+		return st, nil
+	}
+	st, err := decodeState(data)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if kept := c.use(data); kept != nil {
+		return kept, nil // a concurrent restore decoded it first
+	}
+	if len(c.entries) == maxTemplates {
+		c.entries = append(c.entries[:0], c.entries[1:]...)
+	}
+	c.entries = append(c.entries, template{data: data, st: st})
+	return st, nil
+}
+
+// use returns the cached state decoded from data, marking it most
+// recently used, or nil. c.mu must be held.
+func (c *templateCache) use(data []byte) *forkState {
+	for i, t := range c.entries {
+		if &t.data[0] == &data[0] && len(t.data) == len(data) {
+			copy(c.entries[i:], c.entries[i+1:])
+			c.entries[len(c.entries)-1] = t
+			return t.st
+		}
+	}
+	return nil
 }
 
 // The encoding is the snap codec: a section tag, a version, the
@@ -120,29 +188,19 @@ func (st *forkState) encode() []byte {
 	for _, v := range []uint64{st.lineSize, st.bucketBytes, st.maxLines, st.nearRewrite, st.nearReread} {
 		w.U64(v)
 	}
-	addrs := make([]uint64, 0, len(st.lines))
-	for a := range st.lines {
-		addrs = append(addrs, a)
-	}
-	slices.Sort(addrs)
-	w.U64(uint64(len(addrs)))
-	for _, a := range addrs {
-		li := st.lines[a]
-		for _, v := range []uint64{a, li.writes, li.Rewrites, li.RewriteDistSum, li.NearRewrites,
+	w.U64(uint64(st.lines.len()))
+	for _, i := range st.lines.ascending() {
+		li := &st.lines.recs[i]
+		for _, v := range []uint64{st.lines.addrs[i], li.writes, li.Rewrites, li.RewriteDistSum, li.NearRewrites,
 			li.Rereads, li.RereadDistSum, li.NearRereads, li.LastWrite} {
 			w.U64(v)
 		}
 		w.Bool(li.Written)
 	}
-	bases := make([]uint64, 0, len(st.buckets))
-	for b := range st.buckets {
-		bases = append(bases, b)
-	}
-	slices.Sort(bases)
-	w.U64(uint64(len(bases)))
-	for _, base := range bases {
-		b := st.buckets[base]
-		for _, v := range []uint64{base, b.appWriteBytes, b.deviceWriteBytes, b.deviceReadBytes} {
+	w.U64(uint64(st.buckets.len()))
+	for _, i := range st.buckets.ascending() {
+		b := &st.buckets.recs[i]
+		for _, v := range []uint64{st.buckets.addrs[i], b.appWriteBytes, b.deviceWriteBytes, b.deviceReadBytes} {
 			w.U64(v)
 		}
 	}
@@ -178,10 +236,12 @@ func decodeState(data []byte) (*forkState, error) {
 		return int(n)
 	}
 	// Addresses must strictly ascend, as encode writes them; besides
-	// keeping the encoding canonical this rules out duplicate keys.
+	// keeping the encoding canonical this rules out duplicate keys. The
+	// flat index reserves the all-ones key, which no line or bucket
+	// base can be.
 	var prev uint64
 	ascending := func(i int, a uint64) bool {
-		ok := i == 0 || a > prev
+		ok := (i == 0 || a > prev) && a != ^uint64(0)
 		prev = a
 		return ok
 	}
@@ -190,11 +250,10 @@ func decodeState(data []byte) (*forkState, error) {
 	if n < 0 {
 		return nil, errors.New("telemetry: recorder state: bad line count")
 	}
-	recs := make([]lineRec, n)
-	st.lines = make(map[uint64]*lineRec, n)
-	for i := range recs {
-		li := &recs[i]
+	st.lines.addrs, st.lines.recs = make([]uint64, 0, n), make([]lineRec, 0, n)
+	for i := 0; i < n; i++ {
 		a := r.U64()
+		var li lineRec
 		li.writes, li.Rewrites, li.RewriteDistSum, li.NearRewrites = r.U64(), r.U64(), r.U64(), r.U64()
 		li.Rereads, li.RereadDistSum, li.NearRereads, li.LastWrite = r.U64(), r.U64(), r.U64(), r.U64()
 		flag := r.U8()
@@ -205,18 +264,17 @@ func decodeState(data []byte) (*forkState, error) {
 		if flag > 1 || !ascending(i, a) {
 			return nil, errors.New("telemetry: recorder state is not canonical")
 		}
-		st.lines[a] = li
+		*st.lines.add(a) = li
 	}
 
 	n = count(bucketRecBytes)
 	if n < 0 {
 		return nil, errors.New("telemetry: recorder state: bad bucket count")
 	}
-	brecs := make([]bucketRec, n)
-	st.buckets = make(map[uint64]*bucketRec, n)
-	for i := range brecs {
-		b := &brecs[i]
+	st.buckets.addrs, st.buckets.recs = make([]uint64, 0, n), make([]bucketRec, 0, n)
+	for i := 0; i < n; i++ {
 		base := r.U64()
+		var b bucketRec
 		b.appWriteBytes, b.deviceWriteBytes, b.deviceReadBytes = r.U64(), r.U64(), r.U64()
 		if r.Err() != nil {
 			return nil, fmt.Errorf("telemetry: recorder state: %w", r.Err())
@@ -224,7 +282,7 @@ func decodeState(data []byte) (*forkState, error) {
 		if !ascending(i, base) {
 			return nil, errors.New("telemetry: recorder state is not canonical")
 		}
-		st.buckets[base] = b
+		*st.buckets.add(base) = b
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("telemetry: recorder state: %w", err)

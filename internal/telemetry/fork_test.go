@@ -27,19 +27,18 @@ func TestLineReportTopMatchesFullSort(t *testing.T) {
 	r := New(Config{LineReport: true})
 	rng := xrand.New(5)
 	for mi := 0; mi < 3; mi++ {
-		ms := &machineState{idx: uint16(mi), name: "m", lineSize: 64,
-			lines: map[uint64]*lineRec{}, buckets: map[uint64]*bucketRec{}}
+		ms := &machineState{idx: uint16(mi), name: "m", lineSize: 64}
 		r.machines = append(r.machines, ms)
 		for i := 0; i < 400; i++ {
 			// Few distinct write counts and a small address range: most
 			// lines tie on Writes, and addresses repeat across machines.
 			addr := uint64(rng.Intn(600)) * 64
-			if _, ok := ms.lines[addr]; ok {
+			if ms.lines.get(addr) != nil {
 				continue
 			}
-			li := &lineRec{writes: uint64(rng.Intn(4))}
+			li := ms.lines.add(addr)
+			li.writes = uint64(rng.Intn(4))
 			li.Rewrites, li.Written = uint64(i), true
-			ms.lines[addr] = li
 			r.nlines++
 		}
 	}
@@ -253,4 +252,137 @@ func FuzzDecodeState(f *testing.F) {
 			}
 		}
 	})
+}
+
+// cachedTemplate reports whether the template cache holds data's slice.
+func cachedTemplate(data []byte) bool {
+	templates.mu.Lock()
+	defer templates.mu.Unlock()
+	return templates.use(data) != nil
+}
+
+// TestForksOfOneStateShareNothing restores one stored state into two
+// recorders at once, runs phase 2 on one of them only, and checks that
+// neither the other fork nor the cached template saw its writes.
+func TestForksOfOneStateShareNothing(t *testing.T) {
+	cfg := Config{LineReport: true, BucketBytes: 4096}
+	state, ck, cold := savedState(t, cfg)
+
+	recs := make([]*Recorder, 2)
+	forks := make([]*Fork, 2)
+	machines := make([]*sim.Machine, 2)
+	errs := make([]error, 2)
+	done := make(chan int)
+	for i := range recs {
+		recs[i] = New(cfg)
+		machines[i] = sim.MachineA()
+		forks[i] = recs[i].AttachFork(machines[i])
+		go func() {
+			if errs[i] = forks[i].Restore(state); errs[i] == nil {
+				errs[i] = ck.Restore(machines[i])
+			}
+			done <- i
+		}()
+	}
+	for range recs {
+		<-done
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("fork %d: %v", i, err)
+		}
+	}
+	if !cachedTemplate(state) {
+		t.Fatal("a restored state was not kept as a template")
+	}
+
+	phase2(machines[0])
+	if got := reportJSON(t, recs[0].LineReport(0)); !bytes.Equal(got, cold) {
+		t.Errorf("the mutated fork's report differs from the cold run's")
+	}
+	if got, ok := forks[1].Save(); !ok || !bytes.Equal(got, state) {
+		t.Error("mutating one fork changed the other")
+	}
+	tpl, err := templates.decode(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tpl.encode(), state) {
+		t.Error("mutating a fork changed the template it was copied from")
+	}
+}
+
+// TestCorruptStateNeverCached checks that damaged bytes fail to restore
+// every time and are never kept as a template.
+func TestCorruptStateNeverCached(t *testing.T) {
+	cfg := Config{LineReport: true}
+	state, _, _ := savedState(t, cfg)
+	bad := bytes.Clone(state)
+	bad[len(bad)/2] ^= 0x01
+	for i := 0; i < 2; i++ {
+		if err := New(cfg).AttachFork(sim.MachineA()).Restore(bad); err == nil {
+			t.Fatalf("restore %d accepted a corrupt state", i)
+		}
+		if cachedTemplate(bad) {
+			t.Fatalf("restore %d cached a corrupt state", i)
+		}
+	}
+}
+
+// kvState is a stored recorder state the size of a KV baseline's: a
+// 10k-record CLHT YCSB run on machine A tracks about 49.8k lines in
+// 296 buckets of 64 KiB.
+func kvState(tb testing.TB) []byte {
+	tb.Helper()
+	rec := New(Config{LineReport: true})
+	f := rec.AttachFork(sim.MachineA())
+	rng := xrand.New(7)
+	for bk := uint64(0); bk < 296; bk++ {
+		for l := uint64(0); l < 168; l++ {
+			li := f.ms.lines.add(base + bk<<16 + l*64)
+			li.writes = 1 + uint64(rng.Intn(8))
+			li.Rewrites, li.NearRewrites = li.writes-1, uint64(rng.Intn(int(li.writes)))
+			li.Rereads, li.LastWrite, li.Written = uint64(rng.Intn(4)), uint64(rng.Intn(1<<30)), true
+		}
+		b := f.ms.buckets.add(base + bk<<16)
+		b.appWriteBytes, b.deviceWriteBytes = 168*64, uint64(rng.Intn(1<<16))
+	}
+	rec.nlines = f.ms.lines.len()
+	state, ok := f.Save()
+	if !ok {
+		tb.Fatal("Save refused the state")
+	}
+	return state
+}
+
+// BenchmarkRecorderFork restores a KV-sized recorder state into a
+// recorder: cold decodes the stored bytes, as the first restore of an
+// entry (or a disk-tier read) does; template copies the tables an
+// earlier restore of the same bytes decoded.
+func BenchmarkRecorderFork(b *testing.B) {
+	state := kvState(b)
+	for _, c := range []struct {
+		name string
+		cold bool
+	}{{"cold", true}, {"template", false}} {
+		b.Run(c.name, func(b *testing.B) {
+			f := New(Config{LineReport: true}).AttachFork(sim.MachineA())
+			data := state
+			if err := f.Restore(data); err != nil { // decodes the template
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c.cold {
+					b.StopTimer()
+					data = bytes.Clone(state) // another slice: no template
+					b.StartTimer()
+				}
+				if err := f.Restore(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -53,8 +53,9 @@ type LineReport struct {
 
 // ReportLines caps the per-line list of every report the tools render
 // or ship: a daemon's linereport job artifact, prestore-bench
-// -linereport and an autotune probe's report. One cap keeps a probe run
-// locally and one fetched from a remote shard summing the same totals.
+// -linereport and an autotune baseline's report. One cap keeps a
+// baseline recorded locally and a probe fetched from a remote shard
+// summing the same totals.
 const ReportLines = 256
 
 // LineReport builds the attribution report. maxLines caps the per-line
@@ -73,10 +74,11 @@ func (r *Recorder) LineReport(maxLines int) *LineReport {
 			rep.LineSize = ms.lineSize
 		}
 		rep.DroppedLines += ms.droppedLines
-		for addr, li := range ms.lines {
-			top.offer(lineRef{mach: ms.idx, addr: addr, li: li})
+		for i, addr := range ms.lines.addrs {
+			top.offer(lineRef{mach: ms.idx, addr: addr, li: &ms.lines.recs[i]})
 		}
-		for base, b := range ms.buckets {
+		for i, base := range ms.buckets.addrs {
+			b := &ms.buckets.recs[i]
 			bs := BucketStat{
 				Machine:          int(ms.idx),
 				Base:             base,
@@ -116,7 +118,7 @@ type lineRef struct {
 
 // ahead reports whether a ranks before b in a report: most writes
 // first, then machine, then address. The order is total, so the kept
-// set and its order never depend on map iteration.
+// set and its order never depend on the order lines were offered in.
 func (a lineRef) ahead(b lineRef) bool {
 	if a.li.writes != b.li.writes {
 		return a.li.writes > b.li.writes

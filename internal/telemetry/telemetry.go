@@ -20,9 +20,12 @@
 package telemetry
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"prestores/internal/core"
+	"prestores/internal/flatmap"
 	"prestores/internal/sim"
 )
 
@@ -79,9 +82,55 @@ type machineState struct {
 	lineSize uint64
 	cores    int
 
-	lines        map[uint64]*lineRec   // line address → record
-	buckets      map[uint64]*bucketRec // bucket base → traffic
+	lines        table[lineRec]   // line address → record
+	buckets      table[bucketRec] // bucket base → traffic
 	droppedLines uint64
+}
+
+// table is one machine's address-keyed record table: a flat index from
+// address to slot over the records and their addresses, held by slot in
+// insertion order. Records are values in one slice, so a recorded run
+// allocates no record at a time, and a forked table is three copies.
+type table[T any] struct {
+	index flatmap.Map[int32]
+	addrs []uint64
+	recs  []T
+}
+
+func (t *table[T]) len() int { return len(t.recs) }
+
+// get returns a's record, or nil. The pointer is valid until the next
+// add.
+func (t *table[T]) get(a uint64) *T {
+	i, ok := t.index.Get(a)
+	if !ok {
+		return nil
+	}
+	return &t.recs[i]
+}
+
+// add appends a zero record for a, which must not be in the table.
+func (t *table[T]) add(a uint64) *T {
+	t.index.Put(a, int32(len(t.recs)))
+	t.addrs = append(t.addrs, a)
+	var zero T
+	t.recs = append(t.recs, zero)
+	return &t.recs[len(t.recs)-1]
+}
+
+// ascending returns the table's slots in ascending address order.
+func (t *table[T]) ascending() []int {
+	slots := make([]int, t.len())
+	for i := range slots {
+		slots[i] = i
+	}
+	slices.SortFunc(slots, func(a, b int) int { return cmp.Compare(t.addrs[a], t.addrs[b]) })
+	return slots
+}
+
+// clone returns a copy that shares no memory with t.
+func (t *table[T]) clone() table[T] {
+	return table[T]{index: t.index.Clone(), addrs: slices.Clone(t.addrs), recs: slices.Clone(t.recs)}
 }
 
 // lineRec is one line's write count and DirtBuster's per-line reuse
@@ -147,10 +196,6 @@ func (r *Recorder) attach(m *sim.Machine) *machineState {
 		lineSize: m.LineSize(),
 		cores:    m.Cores(),
 	}
-	if r.cfg.LineReport {
-		ms.lines = make(map[uint64]*lineRec)
-		ms.buckets = make(map[uint64]*bucketRec)
-	}
 	r.machines = append(r.machines, ms)
 	r.mu.Unlock()
 	if !r.cfg.Timeline && !r.cfg.LineReport {
@@ -159,6 +204,14 @@ func (r *Recorder) attach(m *sim.Machine) *machineState {
 	m.SetHook(func(ev sim.Event, c *sim.Core) { r.onOp(ms, ev, c) })
 	m.SetMemHook(func(ev sim.MemEvent) { r.onMem(ms, ev) })
 	return ms
+}
+
+// Attached reports whether the recorder was attached to any machine,
+// that is, whether a run it was handed to ran here and was recorded.
+func (r *Recorder) Attached() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.machines) > 0
 }
 
 // Dropped returns how many timeline events were overwritten because the
@@ -291,32 +344,28 @@ func (r *Recorder) noteWrite(ms *machineState, ev sim.Event) {
 func (r *Recorder) noteRead(ms *machineState, ev sim.Event) {
 	end := ev.Addr + ev.Size
 	for line := ev.Addr &^ (ms.lineSize - 1); line < end; line += ms.lineSize {
-		if li, ok := ms.lines[line]; ok {
+		if li := ms.lines.get(line); li != nil {
 			li.Read(ev.Instr, core.NearReread)
 		}
 	}
 }
 
 func (r *Recorder) lineFor(ms *machineState, line uint64) *lineRec {
-	if li, ok := ms.lines[line]; ok {
+	if li := ms.lines.get(line); li != nil {
 		return li
 	}
 	if r.nlines >= r.cfg.MaxLines {
 		ms.droppedLines++
 		return nil
 	}
-	li := &lineRec{}
-	ms.lines[line] = li
 	r.nlines++
-	return li
+	return ms.lines.add(line)
 }
 
 func (r *Recorder) bucketFor(ms *machineState, addr uint64) *bucketRec {
 	k := addr - addr%r.cfg.BucketBytes
-	if b, ok := ms.buckets[k]; ok {
+	if b := ms.buckets.get(k); b != nil {
 		return b
 	}
-	b := &bucketRec{}
-	ms.buckets[k] = b
-	return b
+	return ms.buckets.add(k)
 }

@@ -10,7 +10,10 @@
 // hot simulator paths inline the generator.
 package xrand
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // PCG is a PCG-XSH-RR 64/32 pseudo-random generator. The zero value is
 // not usable; construct with New.
@@ -118,10 +121,48 @@ func NewZipf(rng *PCG, n uint64, theta float64) *Zipf {
 		panic("xrand: NewZipf theta must be in (0, 1)")
 	}
 	z := &Zipf{rng: rng, n: n, theta: theta}
-	z.zetan = zeta(n, theta)
+	z.zetan = zetaOnce(n, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
 	return z
+}
+
+// zetas memoizes zeta(n, theta) per process: a YCSB run builds one
+// generator per thread, and the sum is an n-term loop of math.Pow.
+// Workloads draw from few (n, theta) pairs; past maxZetas the sum is
+// computed without being kept.
+var zetas struct {
+	mu sync.Mutex
+	m  map[zetaKey]float64
+}
+
+type zetaKey struct {
+	n     uint64
+	theta float64
+}
+
+const maxZetas = 256
+
+// zetaOnce returns zeta(n, theta), from the memo when an earlier call
+// computed it. The value is zeta's own, bit for bit.
+func zetaOnce(n uint64, theta float64) float64 {
+	k := zetaKey{n, theta}
+	zetas.mu.Lock()
+	v, ok := zetas.m[k]
+	zetas.mu.Unlock()
+	if ok {
+		return v
+	}
+	v = zeta(n, theta)
+	zetas.mu.Lock()
+	defer zetas.mu.Unlock()
+	if zetas.m == nil {
+		zetas.m = map[zetaKey]float64{}
+	}
+	if len(zetas.m) < maxZetas {
+		zetas.m[k] = v
+	}
+	return v
 }
 
 func zeta(n uint64, theta float64) float64 {

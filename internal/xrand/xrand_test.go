@@ -140,6 +140,39 @@ func TestZipfBounds(t *testing.T) {
 	}
 }
 
+// TestZetaMemoBitIdentical checks the memoized zeta against the plain
+// n-term loop, bit for bit, on a first (computing) and a later (cached)
+// call from concurrent goroutines.
+func TestZetaMemoBitIdentical(t *testing.T) {
+	ref := func(n uint64, theta float64) float64 {
+		var sum float64
+		for i := uint64(1); i <= n; i++ {
+			sum += 1 / math.Pow(float64(i), theta)
+		}
+		return sum
+	}
+	cases := []zetaKey{{1, 0.5}, {2, 0.99}, {1000, 0.99}, {10000, 0.99}, {4000, 0.8}, {12345, 0.3}}
+	for round := 0; round < 2; round++ {
+		got := make([]float64, len(cases))
+		done := make(chan int)
+		for i, c := range cases {
+			go func() {
+				got[i] = zetaOnce(c.n, c.theta)
+				done <- i
+			}()
+		}
+		for range cases {
+			<-done
+		}
+		for i, c := range cases {
+			if want := ref(c.n, c.theta); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Errorf("round %d: zetaOnce(%d, %g) = %x, loop = %x", round, c.n, c.theta,
+					math.Float64bits(got[i]), math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestZipfSkew(t *testing.T) {
 	z := NewZipf(New(23), 10000, 0.99)
 	const iters = 100000
