@@ -4,10 +4,12 @@
 // held in a byte-capped in-memory LRU with an optional disk tier.
 //
 // The store itself is dumb on purpose — it maps opaque keys to opaque
-// bytes. All semantics (what a key covers, build/config validation)
-// live with the producers: keys already encode the build version and
-// machine config hash, and consumers re-verify both when decoding, so
-// a stale disk tier can cause misses but never wrong results.
+// bytes, and keeps beside them the decoded form a consumer parses them
+// into (see Decoded) without looking inside it. All semantics (what a
+// key covers, build/config validation) live with the producers: keys
+// already encode the build version and machine config hash, and
+// consumers re-verify both when decoding, so a stale disk tier can
+// cause misses but never wrong results.
 //
 // Stored bytes are immutable: a slice passed to Put or returned by Get
 // is never modified, by the store or by its callers. Consumers rely on
@@ -57,7 +59,16 @@ type entry struct {
 	key  string
 	data []byte
 	elem *list.Element
+
+	// decoded is a consumer's decoded form of data (see Decoded), nil
+	// until a decode succeeds; decodedBytes is its charge against the
+	// byte cap. Both are guarded by the store's mutex.
+	decoded      any
+	decodedBytes int64
 }
+
+// size is what the entry charges against the byte cap.
+func (e *entry) size() int64 { return int64(len(e.data)) + e.decodedBytes }
 
 // Store is a byte-capped LRU checkpoint cache, safe for concurrent use.
 // With a directory configured, every Put also lands on disk
@@ -124,24 +135,32 @@ const trailerLen = 4
 // too short for its trailer or fails its checksum is a miss and is
 // removed. Hit/miss counters cover the lookup as a whole, not the tiers.
 func (s *Store) Get(key string) ([]byte, bool) {
+	if e := s.lookup(key); e != nil {
+		return e.data, true
+	}
+	return nil, false
+}
+
+// lookup returns key's entry, or nil, and counts the outcome as Get
+// documents. An entry's bytes never change: Put replaces the entry.
+func (s *Store) lookup(key string) *entry {
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
-		data := e.data
 		s.lru.MoveToFront(e.elem)
 		s.mu.Unlock()
 		s.hits.Add(1)
-		return data, true
+		return e
 	}
 	s.mu.Unlock()
 	if s.dir != "" {
 		if data, ok := s.readDisk(key); ok {
-			s.admit(key, data)
+			e := s.admit(key, data)
 			s.hits.Add(1)
-			return data, true
+			return e
 		}
 	}
 	s.misses.Add(1)
-	return nil, false
+	return nil
 }
 
 // readDisk reads key's file and verifies and strips its trailer.
@@ -160,9 +179,10 @@ func (s *Store) readDisk(key string) ([]byte, bool) {
 	return file[:n:n], true
 }
 
-// Put stores data under key, evicting least-recently-used entries to
-// stay under the byte cap, and writes through to the disk tier if one
-// is configured, followed by data's CRC-32C. An entry larger than the
+// Put stores data under key, replacing any entry there (and its decoded
+// form), evicting least-recently-used entries to stay under the byte
+// cap, and writes through to the disk tier if one is configured,
+// followed by data's CRC-32C. An entry larger than the
 // whole cap is still kept (the alternative — silently never caching —
 // would hide every hit).
 func (s *Store) Put(key string, data []byte) {
@@ -189,28 +209,36 @@ func (s *Store) Put(key string, data []byte) {
 	}
 }
 
-func (s *Store) admit(key string, data []byte) {
+// admit makes data key's entry, dropping any entry (and decoded form)
+// it replaces, and returns the new entry.
+func (s *Store) admit(key string, data []byte) *entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[key]; ok {
-		s.bytes += int64(len(data)) - int64(len(e.data))
-		e.data = data
-		s.lru.MoveToFront(e.elem)
+	if old, ok := s.entries[key]; ok {
+		s.lru.Remove(old.elem)
+		s.bytes -= old.size()
 	} else {
-		e := &entry{key: key, data: data}
-		e.elem = s.lru.PushFront(e)
-		s.entries[key] = e
-		s.bytes += int64(len(data))
 		s.flight.Recordf("ckpt.admit", "", "", "%s (%d bytes)", shortKey(key), len(data))
 	}
+	e := &entry{key: key, data: data}
+	e.elem = s.lru.PushFront(e)
+	s.entries[key] = e
+	s.bytes += int64(len(data))
+	s.evict()
+	return e
+}
+
+// evict drops least-recently-used entries until the store fits its byte
+// cap or holds one entry. s.mu must be held.
+func (s *Store) evict() {
 	for s.bytes > s.maxBytes && s.lru.Len() > 1 {
 		back := s.lru.Back()
 		victim := back.Value.(*entry)
 		s.lru.Remove(back)
 		delete(s.entries, victim.key)
-		s.bytes -= int64(len(victim.data))
+		s.bytes -= victim.size()
 		s.flight.Recordf("ckpt.evict", "", "", "%s (%d bytes, LRU pressure)",
-			shortKey(victim.key), len(victim.data))
+			shortKey(victim.key), victim.size())
 	}
 }
 
@@ -256,13 +284,58 @@ func (s *Store) View() *View { return &View{store: s} }
 // Get looks up key, counting the outcome on both the view and the
 // underlying store.
 func (v *View) Get(key string) ([]byte, bool) {
-	data, ok := v.store.Get(key)
-	if ok {
+	if e := v.lookup(key); e != nil {
+		return e.data, true
+	}
+	return nil, false
+}
+
+func (v *View) lookup(key string) *entry {
+	e := v.store.lookup(key)
+	if e != nil {
 		v.hits.Add(1)
 	} else {
 		v.misses.Add(1)
 	}
-	return data, ok
+	return e
+}
+
+// Decoded returns the entry under key in the form decode parses its
+// bytes into, counting the lookup as Get does. The first call after the
+// entry is admitted decodes it, and the store keeps the result beside
+// the bytes, charged to the byte cap with the size decode reports, so
+// later calls share it until the entry is evicted or replaced by Put.
+// An absent entry or a decode error is an error, and a failed decode
+// keeps nothing. Every caller shares the decoded form and must not
+// modify it. All callers of one key must pass the same decoder.
+func Decoded[T any](v *View, key string, decode func([]byte) (T, int64, error)) (T, error) {
+	var zero T
+	e := v.lookup(key)
+	if e == nil {
+		return zero, fmt.Errorf("checkpoint: %s not stored", shortKey(key))
+	}
+	s := v.store
+	s.mu.Lock()
+	kept := e.decoded
+	s.mu.Unlock()
+	if kept != nil {
+		return kept.(T), nil
+	}
+	d, size, err := decode(e.data)
+	if err != nil {
+		return zero, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e.decoded != nil { // a concurrent call kept its decode first
+		return e.decoded.(T), nil
+	}
+	if s.entries[key] == e { // not evicted or replaced meanwhile
+		e.decoded, e.decodedBytes = d, size
+		s.bytes += size
+		s.evict()
+	}
+	return d, nil
 }
 
 // Put stores data under key in the underlying store.

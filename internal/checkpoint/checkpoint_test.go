@@ -3,9 +3,12 @@ package checkpoint
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -200,5 +203,151 @@ func TestStoreConcurrent(t *testing.T) {
 	}
 	for g := 0; g < 8; g++ {
 		<-done
+	}
+}
+
+// counted is a decoder for the decoded-form tests: it parses an entry
+// into its string, charged at twice the entry's length, fails on bytes
+// starting with '!', and counts its calls.
+type counted struct {
+	mu    sync.Mutex
+	calls int
+}
+
+func (c *counted) decode(data []byte) (string, int64, error) {
+	c.mu.Lock()
+	c.calls++
+	c.mu.Unlock()
+	if len(data) > 0 && data[0] == '!' {
+		return "", 0, errors.New("bad entry")
+	}
+	return string(data), 2 * int64(len(data)), nil
+}
+
+func (c *counted) n() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.calls
+}
+
+// TestDecodedKeptWithEntry checks the decoded form's life: decoded once
+// and charged to the byte cap, dropped (and decoded again) after a
+// re-Put and after eviction, never kept for bytes that fail to decode,
+// and counted on the view as a Get.
+func TestDecodedKeptWithEntry(t *testing.T) {
+	s, err := NewStore(100, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := s.View()
+	var dec counted
+	get := func(key, want string) {
+		t.Helper()
+		got, err := Decoded(v, key, dec.decode)
+		if err != nil || got != want {
+			t.Fatalf("Decoded(%q) = %q, %v; want %q", key, got, err, want)
+		}
+	}
+	s.Put("a", []byte("0123456789"))
+	get("a", "0123456789")
+	get("a", "0123456789")
+	if dec.n() != 1 || s.Bytes() != 30 {
+		t.Fatalf("after two lookups: %d decodes, %d bytes; want 1 decode, 30 bytes", dec.n(), s.Bytes())
+	}
+
+	s.Put("a", []byte("abcde"))
+	if s.Bytes() != 5 {
+		t.Fatalf("a re-Put kept the old decoded form: %d bytes, want 5", s.Bytes())
+	}
+	get("a", "abcde")
+	if dec.n() != 2 {
+		t.Fatalf("%d decodes after a re-Put; want 2", dec.n())
+	}
+
+	s.Put("bad", []byte("!corrupt"))
+	for i := 0; i < 2; i++ {
+		if _, err := Decoded(v, "bad", dec.decode); err == nil {
+			t.Fatal("a failed decode returned no error")
+		}
+	}
+	if s.Bytes() != 15+8 || dec.n() != 4 {
+		t.Fatalf("after two failed decodes: %d bytes, %d decodes; want 23 bytes, 4 decodes", s.Bytes(), dec.n())
+	}
+	if _, err := Decoded(v, "absent", dec.decode); err == nil {
+		t.Fatal("Decoded of an absent key returned no error")
+	}
+	if v.Hits() != 5 || v.Misses() != 1 {
+		t.Fatalf("view counts %d hits, %d misses; want 5, 1", v.Hits(), v.Misses())
+	}
+
+	// "a" is least recently used: charging "c"'s decoded form evicts it,
+	// with its own decoded form.
+	c := strings.Repeat("c", 30)
+	s.Put("c", []byte(c))
+	get("c", c)
+	if _, ok := s.Get("a"); ok {
+		t.Fatal("a decoded form's charge evicted nothing")
+	}
+	if s.Bytes() != 8+90 {
+		t.Fatalf("%d bytes after eviction; want 98", s.Bytes())
+	}
+}
+
+// TestDecodedAfterDiskReread evicts a decoded entry from memory and
+// reads it back from the disk tier: the re-read is a new entry, decoded
+// again.
+func TestDecodedAfterDiskReread(t *testing.T) {
+	s, err := NewStore(40, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := s.View()
+	var dec counted
+	s.Put("a", []byte("0123456789"))
+	if _, err := Decoded(v, "a", dec.decode); err != nil {
+		t.Fatal(err)
+	}
+	s.Put("b", make([]byte, 40)) // evicts "a" from memory only
+	got, err := Decoded(v, "a", dec.decode)
+	if err != nil || got != "0123456789" {
+		t.Fatalf("Decoded after eviction = %q, %v", got, err)
+	}
+	if dec.n() != 2 {
+		t.Fatalf("%d decodes; want 2 (the disk re-read decodes again)", dec.n())
+	}
+}
+
+// TestDecodedConcurrent races lookups of one entry against re-Puts of
+// it (run under -race): every lookup sees the form of bytes that were
+// stored, and the byte count ends exact.
+func TestDecodedConcurrent(t *testing.T) {
+	s, err := NewStore(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec counted
+	s.Put("k", []byte("first"))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := s.View()
+			for i := 0; i < 200; i++ {
+				if g == 0 && i%10 == 0 {
+					s.Put("k", []byte("second"))
+				}
+				got, err := Decoded(v, "k", dec.decode)
+				if err != nil || (got != "first" && got != "second") {
+					t.Errorf("Decoded = %q, %v", got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	got, err := Decoded(s.View(), "k", dec.decode)
+	if err != nil || got != "second" || s.Bytes() != 18 {
+		t.Fatalf("final Decoded = %q, %v with %d bytes; want second, 18 bytes", got, err, s.Bytes())
 	}
 }

@@ -31,6 +31,17 @@ type Map[V any] struct {
 	shift uint
 }
 
+// New returns an empty map sized to hold n entries without growing.
+func New[V any](n int) Map[V] {
+	c := minCap
+	for 4*n > 3*c {
+		c *= 2
+	}
+	var m Map[V]
+	m.alloc(c)
+	return m
+}
+
 // alloc (re)allocates the table with the given power-of-two capacity.
 func (m *Map[V]) alloc(capacity int) {
 	m.keys = make([]uint64, capacity)
@@ -54,6 +65,9 @@ func (m *Map[V]) home(k uint64) uint64 {
 
 // Len returns the number of entries.
 func (m *Map[V]) Len() int { return m.n }
+
+// Cap returns the number of slots in the table.
+func (m *Map[V]) Cap() int { return len(m.keys) }
 
 // Get returns the value stored for k, or the zero value.
 func (m *Map[V]) Get(k uint64) (V, bool) {

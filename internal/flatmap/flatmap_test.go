@@ -146,3 +146,29 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Error("a clone of the zero map shares its tables")
 	}
 }
+
+// TestNewSized checks that a map sized for n entries takes n Puts
+// without growing, and that its table is no larger than growth from
+// empty would have made it.
+func TestNewSized(t *testing.T) {
+	for _, n := range []int{0, 1, 12, 13, 49_700} {
+		m := New[int32](n)
+		c := m.Cap()
+		var grown Map[int32]
+		for i := 0; i < n; i++ {
+			m.Put(uint64(i)*64, int32(i))
+			grown.Put(uint64(i)*64, int32(i))
+		}
+		if m.Cap() != c {
+			t.Errorf("New(%d): table grew from %d to %d slots", n, c, m.Cap())
+		}
+		if n > 0 && c > grown.Cap() {
+			t.Errorf("New(%d): %d slots; growth from empty makes %d", n, c, grown.Cap())
+		}
+		for i := 0; i < n; i++ {
+			if v, ok := m.Get(uint64(i) * 64); !ok || v != int32(i) {
+				t.Fatalf("New(%d): Get(%d) = %d, %v", n, i*64, v, ok)
+			}
+		}
+	}
+}

@@ -11,6 +11,7 @@ package memspace
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"prestores/internal/units"
@@ -21,17 +22,17 @@ const PageSize = 1 << 12
 
 const pageShift = 12
 
-// maxReserve caps the span a single Reserve call will index with an
-// extent table (a directory of one 8-byte pointer per leafPages pages).
-// Larger reservations fall back to the hash map, which costs lookups
-// instead of memory.
-const maxReserve = 4 << 30
-
-// leafShift sets an extent leaf's span: 512 page slots, 2 MiB of
+// leafShift sets a leaf's span in pages: 512 page slots, 2 MiB of
 // address space.
 const leafShift = 9
 
 const leafPages = 1 << leafShift
+
+// extentShift sets an extent's span in pages: a directory of 512
+// leaves, 1 GiB of address space, aligned to its size.
+const extentShift = leafShift + 9
+
+const extentLeaves = 1 << (extentShift - leafShift)
 
 type page [PageSize]byte
 
@@ -39,63 +40,22 @@ type page [PageSize]byte
 // copied from here instead of being zeroed one byte at a time.
 var zeroPage page
 
-// leaf holds leafPages consecutive page slots of an extent. shared[k]
-// marks pages[k] as aliasing restored checkpoint bytes.
+// leaf holds leafPages consecutive page slots. shared[k] marks pages[k]
+// as aliasing restored checkpoint bytes.
 type leaf struct {
 	pages  [leafPages]*page
 	shared [leafPages]bool
 }
 
-// extent is a two-level page table over one reserved address range:
-// page translation inside it is two array indexes instead of a map
-// lookup. Slot j lives in leaves[j>>leafShift], and a leaf is allocated
-// only when a page in its span is installed, so an untouched 4 GiB
-// reservation costs a 16 KiB directory. Pages are still materialized
-// lazily on first write.
+// extent is the two-level page table over one aligned 1 GiB span: page
+// number pn lives in slot pn&(leafPages-1) of leaf
+// (pn>>leafShift)&(extentLeaves-1). An extent exists once a page in its
+// span has been written (or restored), and its leaves exist only where
+// pages are, so a scattered few pages in a 4 GiB heap cost a few 4 KiB
+// directories.
 type extent struct {
-	startPN uint64
-	n       uint64 // page slots spanned
-	leaves  []*leaf
-}
-
-func newExtent(startPN, n uint64) extent {
-	return extent{startPN: startPN, n: n, leaves: make([]*leaf, (n+leafPages-1)>>leafShift)}
-}
-
-// slot returns the page at slot j (nil if absent) and its shared mark.
-func (e *extent) slot(j uint64) (*page, bool) {
-	l := e.leaves[j>>leafShift]
-	if l == nil {
-		return nil, false
-	}
-	k := j & (leafPages - 1)
-	return l.pages[k], l.shared[k]
-}
-
-// set installs p at slot j with the given shared mark, allocating the
-// slot's leaf on first use.
-func (e *extent) set(j uint64, p *page, shared bool) {
-	l := e.leaves[j>>leafShift]
-	if l == nil {
-		l = new(leaf)
-		e.leaves[j>>leafShift] = l
-	}
-	k := j & (leafPages - 1)
-	l.pages[k], l.shared[k] = p, shared
-}
-
-// present calls fn for each materialized page in ascending slot order.
-func (e *extent) present(fn func(j uint64, p *page)) {
-	for li, l := range e.leaves {
-		if l == nil {
-			continue
-		}
-		for k, p := range l.pages {
-			if p != nil {
-				fn(uint64(li)<<leafShift|uint64(k), p)
-			}
-		}
-	}
+	num    uint64 // pn >> extentShift: which 1 GiB span
+	leaves *[extentLeaves]*leaf
 }
 
 // Store is a sparse byte-addressable memory. The zero value is empty
@@ -107,10 +67,6 @@ func (e *extent) present(fn func(j uint64, p *page)) {
 // are never modified and two stores restored from one buffer never see
 // each other's writes.
 type Store struct {
-	pages map[uint64]*page
-	// sharedPNs marks the map pages that alias checkpoint bytes.
-	sharedPNs map[uint64]struct{}
-
 	// Translation caches: the vast majority of accesses are sub-page
 	// sequential or re-touch the same page, so remembering the last
 	// translation turns the common case into two compares. lastPage is
@@ -122,30 +78,36 @@ type Store struct {
 	roPN     uint64
 	roPage   *page
 
-	extents []extent // sorted by startPN, non-overlapping
+	extents []extent // sorted by num
 }
 
 // NewStore returns an empty sparse store.
-func NewStore() *Store {
-	return &Store{pages: make(map[uint64]*page)}
-}
+func NewStore() *Store { return &Store{} }
 
-// extentIdx returns the index of the extent containing pn, or -1.
-func (s *Store) extentIdx(pn uint64) int {
-	lo, hi := 0, len(s.extents)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		e := &s.extents[mid]
-		switch {
-		case pn < e.startPN:
+// leafFor returns the leaf holding page pn's slot, or nil when none
+// exists. With create set it makes the extent and leaf if absent.
+func (s *Store) leafFor(pn uint64, create bool) *leaf {
+	num := pn >> extentShift
+	i, hi := 0, len(s.extents)
+	for i < hi {
+		mid := int(uint(i+hi) >> 1)
+		if s.extents[mid].num < num {
+			i = mid + 1
+		} else {
 			hi = mid
-		case pn >= e.startPN+e.n:
-			lo = mid + 1
-		default:
-			return mid
 		}
 	}
-	return -1
+	if i == len(s.extents) || s.extents[i].num != num {
+		if !create {
+			return nil
+		}
+		s.extents = slices.Insert(s.extents, i, extent{num: num, leaves: new([extentLeaves]*leaf)})
+	}
+	slot := &s.extents[i].leaves[(pn>>leafShift)&(extentLeaves-1)]
+	if *slot == nil && create {
+		*slot = new(leaf)
+	}
+	return *slot
 }
 
 // pageFor translates addr to its page and the offset within it. With
@@ -165,13 +127,10 @@ func (s *Store) pageFor(addr uint64, create bool) (*page, uint64) {
 	}
 	var p *page
 	var shared bool
-	i := s.extentIdx(pn)
-	if i >= 0 {
-		e := &s.extents[i]
-		p, shared = e.slot(pn - e.startPN)
-	} else {
-		p = s.pages[pn]
-		_, shared = s.sharedPNs[pn]
+	k := pn & (leafPages - 1)
+	l := s.leafFor(pn, false)
+	if l != nil {
+		p, shared = l.pages[k], l.shared[k]
 	}
 	switch {
 	case p == nil && !create:
@@ -179,66 +138,39 @@ func (s *Store) pageFor(addr uint64, create bool) (*page, uint64) {
 	case shared && !create:
 		s.roPN, s.roPage = pn, p
 		return p, off
-	case p == nil:
-		p = new(page)
-		s.install(i, pn, p)
-	case shared:
+	case p == nil || shared:
 		c := new(page)
-		*c = *p
-		p = c
-		s.install(i, pn, p)
-		if s.roPN == pn {
-			s.roPage = nil
+		if p != nil {
+			*c = *p
+			if s.roPN == pn {
+				s.roPage = nil
+			}
 		}
+		p = c
+		if l == nil {
+			l = s.leafFor(pn, true)
+		}
+		l.pages[k], l.shared[k] = p, false
 	}
 	s.lastPN, s.lastPage = pn, p
 	return p, off
 }
 
-// install makes p the private page at pn, which lies in extent i (or in
-// the page map when i < 0), dropping any shared mark.
-func (s *Store) install(i int, pn uint64, p *page) {
-	if i < 0 {
-		s.pages[pn] = p
-		delete(s.sharedPNs, pn)
-		return
-	}
-	e := &s.extents[i]
-	e.set(pn-e.startPN, p, false)
-}
-
-// Reserve installs an extent page table over [addr, addr+size) so that
-// translations inside the range bypass the page hash map. Reservations
-// are a pure performance hint: overlapping, huge, or zero-size requests
-// are served by the map instead. Existing pages in the range are
-// migrated into the table, shared marks included.
-func (s *Store) Reserve(addr, size uint64) {
-	if size == 0 || size > maxReserve {
-		return
-	}
-	first := addr >> pageShift
-	last := (addr + size - 1) >> pageShift
-	n := last - first + 1
-	// Refuse ranges that overlap an existing extent (re-reserving an
-	// already-indexed range, e.g. after an arena reset, is a no-op).
-	for i := range s.extents {
-		e := &s.extents[i]
-		if first < e.startPN+e.n && e.startPN <= last {
-			return
+// present calls fn for each materialized page in ascending page-number
+// order.
+func (s *Store) present(fn func(pn uint64, p *page)) {
+	for _, e := range s.extents {
+		for li, l := range e.leaves {
+			if l == nil {
+				continue
+			}
+			for k, p := range l.pages {
+				if p != nil {
+					fn(e.num<<extentShift|uint64(li)<<leafShift|uint64(k), p)
+				}
+			}
 		}
 	}
-	ext := newExtent(first, n)
-	for pn, p := range s.pages {
-		if pn < first || pn > last {
-			continue
-		}
-		_, shared := s.sharedPNs[pn]
-		ext.set(pn-first, p, shared)
-		delete(s.pages, pn)
-		delete(s.sharedPNs, pn)
-	}
-	s.extents = append(s.extents, ext)
-	sort.Slice(s.extents, func(i, j int) bool { return s.extents[i].startPN < s.extents[j].startPN })
 }
 
 // Write copies data into the store at addr.
@@ -315,10 +247,8 @@ func (s *Store) Fill(addr uint64, n uint64, v byte) {
 // PagesAllocated returns the number of backing pages materialized so
 // far (a measure of simulated footprint).
 func (s *Store) PagesAllocated() int {
-	n := len(s.pages)
-	for i := range s.extents {
-		s.extents[i].present(func(uint64, *page) { n++ })
-	}
+	n := 0
+	s.present(func(uint64, *page) { n++ })
 	return n
 }
 

@@ -244,56 +244,50 @@ func TestRegionContains(t *testing.T) {
 	}
 }
 
-func TestReservePreservesExistingPages(t *testing.T) {
+// TestStoreExtentsKeepPages writes pages in three extents, the last
+// one created below the others so the sorted extent list shifts, and
+// on both sides of a leaf and an extent boundary: every page keeps its
+// bytes, and only written pages are materialized.
+func TestStoreExtentsKeepPages(t *testing.T) {
 	s := NewStore()
-	// Materialize pages through the map first, then reserve over them:
-	// the data must survive migration into the extent table.
-	s.WriteU64(0x10_0000, 0xdeadbeef)
-	s.WriteU64(0x10_2000, 42)
-	s.Reserve(0x10_0000, 4*PageSize)
-	if v := s.ReadU64(0x10_0000); v != 0xdeadbeef {
-		t.Fatalf("ReadU64 after Reserve = %#x; want 0xdeadbeef", v)
+	const gib = uint64(1) << 30
+	addrs := []uint64{
+		5*gib + 0x10_0000, 5*gib + 0x20_0000 - PageSize, 5*gib + 0x20_0000, // a leaf boundary
+		6*gib - PageSize, 6 * gib, // an extent boundary
+		0x1000, // a new lowest extent
 	}
-	if v := s.ReadU64(0x10_2000); v != 42 {
-		t.Fatalf("ReadU64 after Reserve = %d; want 42", v)
+	for i, a := range addrs {
+		s.WriteU64(a, uint64(i)+1)
 	}
-	// Writes inside the reserved range land in the extent, and the page
-	// count reflects only materialized pages.
-	s.WriteU64(0x10_1000, 7)
-	if v := s.ReadU64(0x10_1000); v != 7 {
-		t.Fatalf("ReadU64 in reserved range = %d; want 7", v)
-	}
-	if n := s.PagesAllocated(); n != 3 {
-		t.Fatalf("PagesAllocated = %d; want 3", n)
-	}
-}
-
-func TestReserveNoOps(t *testing.T) {
-	s := NewStore()
-	s.Reserve(0x1000, 0)     // zero size
-	s.Reserve(0x1000, 5<<30) // over maxReserve
-	s.Reserve(0x20_0000, 2*PageSize)
-	s.Reserve(0x20_1000, 4*PageSize) // overlaps the extent above
-	// All still readable/writable regardless of which path serves them.
-	s.WriteU64(0x20_0000, 1)
-	s.WriteU64(0x20_3000, 2) // outside extent: map path
-	if s.ReadU64(0x20_0000) != 1 || s.ReadU64(0x20_3000) != 2 {
-		t.Fatal("reserve no-op ranges not readable")
-	}
-}
-
-func TestReserveUnwrittenReadsZero(t *testing.T) {
-	s := NewStore()
-	s.Reserve(0x30_0000, 8*PageSize)
-	buf := make([]byte, 16)
-	s.Read(0x30_4000, buf)
-	for i, b := range buf {
-		if b != 0 {
-			t.Fatalf("byte %d of unwritten reserved page = %d; want 0", i, b)
+	for i, a := range addrs {
+		if v := s.ReadU64(a); v != uint64(i)+1 {
+			t.Fatalf("ReadU64(%#x) = %d; want %d", a, v, i+1)
 		}
 	}
-	if s.PagesAllocated() != 0 {
-		t.Fatal("reading unwritten reserved pages materialized backing")
+	if n := s.PagesAllocated(); n != len(addrs) {
+		t.Fatalf("PagesAllocated = %d; want %d", n, len(addrs))
+	}
+	if len(s.extents) != 3 {
+		t.Fatalf("%d extents; want 3", len(s.extents))
+	}
+}
+
+// TestStoreUnwrittenPageInTable reads never-written pages whose leaf
+// and extent exist: they read as zero and materialize nothing.
+func TestStoreUnwrittenPageInTable(t *testing.T) {
+	s := NewStore()
+	s.WriteU64(0x30_0000, 1)
+	buf := make([]byte, 16)
+	for _, a := range []uint64{0x30_4000, 0x30_0000 + 1<<22} {
+		s.Read(a, buf)
+		for i, b := range buf {
+			if b != 0 {
+				t.Fatalf("byte %d of unwritten page %#x = %d; want 0", i, a, b)
+			}
+		}
+	}
+	if s.PagesAllocated() != 1 {
+		t.Fatal("reading unwritten pages materialized backing")
 	}
 }
 
@@ -302,7 +296,6 @@ func TestReserveUnwrittenReadsZero(t *testing.T) {
 // page boundary so the slow path splits; both must stay correct.
 func TestTranslationCacheCrossPage(t *testing.T) {
 	s := NewStore()
-	s.Reserve(0x40_0000, 2*PageSize)
 	a := uint64(0x40_0000) + PageSize - 4 // straddles the page boundary
 	s.WriteU64(a, 0x1122334455667788)
 	s.WriteU64(0x40_0000, 9) // evicts a's page from the cache

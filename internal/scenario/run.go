@@ -278,8 +278,8 @@ func runOp(ctx context.Context, wl Workload, m *sim.Machine, op string, p Params
 // the recorder state, never re-encoding a machine checkpoint the store
 // already holds.
 //
-// Stale or corrupt entries (build or config skew, a bad recorder
-// state) count as misses and leave the machine untouched. A restore
+// Stale or corrupt entries (build, snapshot format or config skew, a
+// bad recorder state) count as misses and leave the machine untouched. A restore
 // that fails after the header matched panics rather than silently
 // re-running the warmup on a half-mutated machine; the bench runner
 // contains the panic into Result.Err.
@@ -303,9 +303,7 @@ func phaseControl(ctx context.Context, key string, fork *telemetry.Fork) *sim.Ph
 			ck, ok := lookupCheckpoint(view, key, m)
 			if ok && fork != nil {
 				machineStored = true
-				var data []byte
-				data, ok = view.Get(forkKey)
-				ok = ok && fork.Restore(data) == nil
+				ok = fork.Restore(view, forkKey) == nil
 			}
 			lookup.SetAttr("hit", fmt.Sprint(ok))
 			lookup.End()
@@ -341,14 +339,14 @@ func phaseControl(ctx context.Context, key string, fork *telemetry.Fork) *sim.Ph
 
 // lookupCheckpoint fetches and decodes the machine checkpoint under
 // key, reporting a miss for an absent, corrupt or stale (other build,
-// other machine config) entry.
+// other snapshot format, other machine config) entry.
 func lookupCheckpoint(view *checkpoint.View, key string, m *sim.Machine) (*sim.Checkpoint, bool) {
 	data, ok := view.Get(key)
 	if !ok {
 		return nil, false
 	}
 	ck, err := sim.DecodeCheckpoint(data)
-	if err != nil || ck.Build != checkpoint.Build() || ck.ConfigHash != m.ConfigHash() {
+	if err != nil || ck.Build != checkpoint.Build() || ck.Check(m) != nil {
 		return nil, false
 	}
 	return ck, true

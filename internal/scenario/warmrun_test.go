@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"sync"
@@ -364,5 +365,58 @@ func TestConcurrentForksShareCheckpoint(t *testing.T) {
 		if !reflect.DeepEqual(again, cold) {
 			t.Errorf("spec %d: fork after the concurrent pair %v, cold %v", i, again, cold)
 		}
+	}
+}
+
+// TestOldSnapshotFormatLoadsCold stores a warm state whose machine
+// payload carries the previous snapshot format's version (2) under the
+// current build's key, as a disk tier written by an older binary of the
+// same build string holds. The run must treat it as a miss: load cold,
+// print the cold output, and store a fresh checkpoint over it.
+func TestOldSnapshotFormatLoadsCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a small KV sweep three times; skipped with -short")
+	}
+	spec := ycsbSpec(nil)
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	run := func(ctx context.Context) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := spec.Exec(ctx, &buf, false); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cold := run(context.Background())
+
+	store, err := checkpoint.NewStore(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := checkpoint.NewContext(context.Background(), store.View())
+	run(ctx)
+	key, err := spec.FirstWarmKey(checkpoint.Build(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, ok := store.Get(key)
+	if !ok {
+		t.Fatal("the warm run stored no checkpoint")
+	}
+	old := bytes.Clone(data)
+	i := bytes.Index(old, []byte("PSSN")) // the machine payload's magic
+	if i < 0 {
+		t.Fatal("no machine payload in the checkpoint")
+	}
+	binary.LittleEndian.PutUint64(old[i+4:], 2)
+	store.Put(key, old)
+
+	if got := run(ctx); !bytes.Equal(got, cold) {
+		t.Errorf("output over an old-format checkpoint differs from cold:\ncold:\n%s\ngot:\n%s", cold, got)
+	}
+	if data, _ := store.Get(key); bytes.Equal(data, old) {
+		t.Error("the old-format checkpoint was restored instead of replaced by a cold run's")
 	}
 }

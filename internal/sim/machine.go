@@ -196,20 +196,14 @@ func (m *Machine) Device(window string) memdev.Device {
 	return nil
 }
 
-// Alloc carves a line-aligned region from the named window. The
-// backing store installs an extent page table over the region so that
-// address translation inside it skips the page hash map.
+// Alloc carves a line-aligned region from the named window.
 func (m *Machine) Alloc(window, name string, size uint64) memspace.Region {
-	r := m.arena.MustAlloc(window, name, size, m.cfg.LineSize)
-	m.backing.Reserve(r.Base, r.Size)
-	return r
+	return m.arena.MustAlloc(window, name, size, m.cfg.LineSize)
 }
 
 // AllocAligned carves a region with explicit alignment.
 func (m *Machine) AllocAligned(window, name string, size, align uint64) memspace.Region {
-	r := m.arena.MustAlloc(window, name, size, align)
-	m.backing.Reserve(r.Base, r.Size)
-	return r
+	return m.arena.MustAlloc(window, name, size, align)
 }
 
 // Drain completes all outstanding work: fences every core, flushes

@@ -15,7 +15,7 @@ import (
 // payload layout; the checkpoint version covers the outer envelope.
 const (
 	snapshotMagic   = "PSSN"
-	snapshotVersion = 2 // 2: sparse MEMS extents, (index, page) pairs
+	snapshotVersion = 3 // 3: MEMS is one ascending (page number, page) list
 
 	checkpointMagic   = "PSCK"
 	checkpointVersion = 1
@@ -92,19 +92,7 @@ func (m *Machine) Snapshot() ([]byte, error) {
 // callers must discard it.
 func (m *Machine) RestoreSnapshot(data []byte) error {
 	r := snap.NewReader(data)
-	var magic [4]byte
-	r.Raw(magic[:])
-	if r.Err() == nil && string(magic[:]) != snapshotMagic {
-		return fmt.Errorf("sim: not a machine snapshot (magic %q)", magic)
-	}
-	if v := r.U64(); r.Err() == nil && v != snapshotVersion {
-		return fmt.Errorf("sim: unsupported snapshot version %d (want %d)", v, snapshotVersion)
-	}
-	want := m.ConfigHash()
-	if got := r.String(); r.Err() == nil && got != want {
-		return fmt.Errorf("sim: snapshot config hash %.12s… does not match machine %.12s…", got, want)
-	}
-	if err := r.Err(); err != nil {
+	if err := m.readHeader(r); err != nil {
 		return err
 	}
 	r.Section("MACH")
@@ -155,6 +143,24 @@ func (m *Machine) RestoreSnapshot(data []byte) error {
 	m.opsFlushed = total
 	m.lastWin = 0
 	return r.Done()
+}
+
+// readHeader reads a snapshot's magic, version and config hash, and
+// reports an error unless all three match what m's Snapshot writes.
+func (m *Machine) readHeader(r *snap.Reader) error {
+	var magic [4]byte
+	r.Raw(magic[:])
+	if r.Err() == nil && string(magic[:]) != snapshotMagic {
+		return fmt.Errorf("sim: not a machine snapshot (magic %q)", magic)
+	}
+	if v := r.U64(); r.Err() == nil && v != snapshotVersion {
+		return fmt.Errorf("sim: unsupported snapshot version %d (want %d)", v, snapshotVersion)
+	}
+	want := m.ConfigHash()
+	if got := r.String(); r.Err() == nil && got != want {
+		return fmt.Errorf("sim: snapshot config hash %.12s… does not match machine %.12s…", got, want)
+	}
+	return r.Err()
 }
 
 // snapshotState serializes the core's mutable state. Live store-buffer
@@ -400,6 +406,15 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// Check reports whether the checkpoint's machine payload was written
+// by this build's snapshot format for a machine configured like m: its
+// magic, version and config hash match. It reads only the payload's
+// header and changes nothing, so a caller can treat a failure as a miss
+// before it touches any state; Restore runs the same checks first.
+func (c *Checkpoint) Check(m *Machine) error {
+	return m.readHeader(snap.NewReader(c.Machine))
 }
 
 // Restore applies the checkpoint's machine payload to m. The payload's

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -236,6 +237,30 @@ func TestCheckpointCodec(t *testing.T) {
 	}
 }
 
+// TestCheckpointCheck: Check accepts a checkpoint for the machine it
+// was taken on and rejects another snapshot version or machine config,
+// reading only the payload header.
+func TestCheckpointCheck(t *testing.T) {
+	m := MachineA()
+	m.Core(0).Write(1<<40, []byte("hello"))
+	ck, err := m.NewCheckpoint("build", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Check(MachineA()); err != nil {
+		t.Fatalf("Check on a like machine: %v", err)
+	}
+	if err := ck.Check(MachineBFast()); err == nil || !strings.Contains(err.Error(), "config hash") {
+		t.Errorf("Check on another machine = %v, want a config hash mismatch", err)
+	}
+	old := *ck
+	old.Machine = bytes.Clone(ck.Machine)
+	binary.LittleEndian.PutUint64(old.Machine[4:], snapshotVersion-1)
+	if err := old.Check(MachineA()); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Errorf("Check of the previous snapshot version = %v, want a version mismatch", err)
+	}
+}
+
 // TestSnapshotDeterministicEncoding: two machines driven through the
 // same history serialize to identical bytes, which is what lets the
 // checkpoint store share snapshots across grid points by key alone.
@@ -329,30 +354,54 @@ func TestRestoredOpsAccounting(t *testing.T) {
 // FuzzRestoreSnapshot feeds arbitrary bytes to a fresh Machine A. The
 // restore must never panic, and a restore that succeeds must have
 // accepted the canonical encoding: re-snapshotting reproduces the input
-// byte for byte (so, for example, a sparse MEMS extent with indexes out
-// of order is rejected rather than silently reordered).
+// byte for byte (so, for example, MEMS pages listed out of order are
+// rejected rather than silently reordered).
 func FuzzRestoreSnapshot(f *testing.F) {
 	fresh, err := MachineA().Snapshot()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(fresh)
+	const pmem = uint64(1) << 40 // machine A's PMEM window, 1 GiB aligned
 	m := MachineA()
-	// A 3 MiB extent spans two 2 MiB table leaves; snapStep's writes
-	// fill the first, and one write lands in the second.
-	region := m.Alloc(WindowPMEM, "fuzz", 3<<20)
+	// snapStep's writes fill a 2 MiB table leaf, one write lands in the
+	// next leaf and one in the next 1 GiB extent.
 	rng := xrand.New(7)
 	buf := make([]byte, 512)
 	for i := 0; i < 300; i++ {
 		snapStep(m, rng, buf)
 	}
-	m.Core(0).Write(region.Base+(2<<20)+100, []byte("second leaf"))
-	m.Core(1).Write(m.Alloc(WindowPMEM, "fuzz2", 1<<16).Base+100, []byte("extent page"))
+	m.Core(0).Write(pmem+(2<<20)+100, []byte("second leaf"))
+	m.Core(1).Write(pmem+(1<<30)+100, []byte("second extent"))
 	driven, err := m.Snapshot()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(driven)
+	// One write straddles an extent boundary: the last page of one
+	// extent and the first of the next.
+	m = MachineA()
+	m.Core(0).Write(pmem+(1<<30)-4, []byte("boundary"))
+	edge, err := m.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(edge)
+	// The same two pages listed in descending order, which no snapshot
+	// writes: the restore must reject it.
+	swapped := bytes.Clone(edge)
+	i := bytes.Index(swapped, []byte("MEMS")) + 4
+	if n := binary.LittleEndian.Uint64(swapped[i:]); n != 2 {
+		f.Fatalf("boundary snapshot holds %d pages; want 2", n)
+	}
+	const pair = 8 + memspace.PageSize
+	first := bytes.Clone(swapped[i+8 : i+8+pair])
+	copy(swapped[i+8:], swapped[i+8+pair:i+8+2*pair])
+	copy(swapped[i+8+pair:], first)
+	if MachineA().RestoreSnapshot(swapped) == nil {
+		f.Fatal("a snapshot with pages out of order restored")
+	}
+	f.Add(swapped)
 	f.Add([]byte("PSSN"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := MachineA()

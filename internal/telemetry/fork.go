@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 
+	"prestores/internal/checkpoint"
 	"prestores/internal/core"
 	"prestores/internal/sim"
 	"prestores/internal/snap"
@@ -63,17 +63,17 @@ func (f *Fork) Save() ([]byte, bool) {
 	return st.encode(), true
 }
 
-// Restore replaces the machine's share of the recorder's state with one
-// Save encoded. It changes nothing and returns an error when data is
-// truncated or corrupt, was saved under other settings or another line
-// size, or holds more lines than fit under MaxLines next to the other
-// machines' (a cold run would have dropped some).
-//
-// Restore may keep data as the key of a decoded template (see
-// templates), so data must not be modified afterwards; a checkpoint
-// store never modifies the entries it returns.
-func (f *Fork) Restore(data []byte) error {
-	st, err := templates.decode(data)
+// Restore replaces the machine's share of the recorder's state with the
+// one Save encoded and v's store holds under key. The store decodes an
+// entry once and keeps the decoded tables beside its bytes (see
+// checkpoint.Decoded), so the forks of one warm state each copy them
+// instead of decoding again. Restore changes nothing and returns an
+// error when key is not stored, its bytes are truncated or corrupt, they
+// were saved under other settings or another line size, or they hold
+// more lines than fit under MaxLines next to the other machines' (a
+// cold run would have dropped some).
+func (f *Fork) Restore(v *checkpoint.View, key string) error {
+	st, err := checkpoint.Decoded(v, key, decodeEntry)
 	if err != nil {
 		return err
 	}
@@ -103,68 +103,14 @@ type forkState struct {
 	buckets table[bucketRec]
 }
 
-// templates keeps the last few recorder states Restore decoded, keyed
-// by the identity of the stored bytes: a checkpoint store answers every
-// lookup of an entry with the same slice, so the forks of one warm
-// state decode it once and then copy the template's tables. An entry
-// holds its bytes, so while it is cached no other bytes can take their
-// address. Only states that decoded cleanly are kept, and bytes read
-// anew (the store's disk tier) are another slice and decode again.
-var templates templateCache
-
-// maxTemplates bounds the cache: one search's forks share one state,
-// and a few concurrent searches over other warm states fit beside it.
-const maxTemplates = 4
-
-type templateCache struct {
-	mu      sync.Mutex
-	entries []template // least recently used first
-}
-
-type template struct {
-	data []byte
-	st   *forkState
-}
-
-// decode returns data's decoded state, from the cache when data is a
-// slice decoded before. The result is shared and must not be modified.
-func (c *templateCache) decode(data []byte) (*forkState, error) {
-	if len(data) == 0 {
-		return decodeState(data)
-	}
-	c.mu.Lock()
-	st := c.use(data)
-	c.mu.Unlock()
-	if st != nil {
-		return st, nil
-	}
+// decodeEntry decodes a stored state for the checkpoint store, which
+// charges it the memory its tables hold.
+func decodeEntry(data []byte) (*forkState, int64, error) {
 	st, err := decodeState(data)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if kept := c.use(data); kept != nil {
-		return kept, nil // a concurrent restore decoded it first
-	}
-	if len(c.entries) == maxTemplates {
-		c.entries = append(c.entries[:0], c.entries[1:]...)
-	}
-	c.entries = append(c.entries, template{data: data, st: st})
-	return st, nil
-}
-
-// use returns the cached state decoded from data, marking it most
-// recently used, or nil. c.mu must be held.
-func (c *templateCache) use(data []byte) *forkState {
-	for i, t := range c.entries {
-		if &t.data[0] == &data[0] && len(t.data) == len(data) {
-			copy(c.entries[i:], c.entries[i+1:])
-			c.entries[len(c.entries)-1] = t
-			return t.st
-		}
-	}
-	return nil
+	return st, st.lines.bytes() + st.buckets.bytes(), nil
 }
 
 // The encoding is the snap codec: a section tag, a version, the
@@ -250,7 +196,7 @@ func decodeState(data []byte) (*forkState, error) {
 	if n < 0 {
 		return nil, errors.New("telemetry: recorder state: bad line count")
 	}
-	st.lines.addrs, st.lines.recs = make([]uint64, 0, n), make([]lineRec, 0, n)
+	st.lines = newTable[lineRec](n)
 	for i := 0; i < n; i++ {
 		a := r.U64()
 		var li lineRec
@@ -271,7 +217,7 @@ func decodeState(data []byte) (*forkState, error) {
 	if n < 0 {
 		return nil, errors.New("telemetry: recorder state: bad bucket count")
 	}
-	st.buckets.addrs, st.buckets.recs = make([]uint64, 0, n), make([]bucketRec, 0, n)
+	st.buckets = newTable[bucketRec](n)
 	for i := 0; i < n; i++ {
 		base := r.U64()
 		var b bucketRec

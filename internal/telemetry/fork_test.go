@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
+	"prestores/internal/checkpoint"
 	"prestores/internal/sim"
 	"prestores/internal/xrand"
 )
@@ -115,9 +118,25 @@ func savedState(t *testing.T, cfg Config) (state []byte, ck *sim.Checkpoint, col
 	return state, ck, reportJSON(t, rec.LineReport(0))
 }
 
+// stateKey is the key stored states live under in the tests' stores.
+const stateKey = "recorder-state"
+
+// storeOf returns a fresh in-memory checkpoint store holding data under
+// stateKey.
+func storeOf(t testing.TB, data []byte) *checkpoint.Store {
+	t.Helper()
+	st, err := checkpoint.NewStore(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Put(stateKey, data)
+	return st
+}
+
 func TestForkRestoreMatchesColdRun(t *testing.T) {
 	cfg := Config{LineReport: true, BucketBytes: 4096}
 	state, ck, cold := savedState(t, cfg)
+	view := storeOf(t, state).View()
 
 	// A recorder that already holds another machine's lines: the forked
 	// machine is its second.
@@ -128,7 +147,7 @@ func TestForkRestoreMatchesColdRun(t *testing.T) {
 	m := sim.MachineA()
 	f := rec.AttachFork(m)
 	m.Core(0).WriteU64(base+1<<20, 1) // events before the boundary are replaced
-	if err := f.Restore(state); err != nil {
+	if err := f.Restore(view, stateKey); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	if err := ck.Restore(m); err != nil {
@@ -152,7 +171,7 @@ func TestForkRestoreMatchesColdRun(t *testing.T) {
 	// Alone in its recorder, the fork's share is the saved run's report.
 	solo := New(cfg)
 	sm := sim.MachineA()
-	if err := solo.AttachFork(sm).Restore(state); err != nil {
+	if err := solo.AttachFork(sm).Restore(view, stateKey); err != nil {
 		t.Fatal(err)
 	}
 	if err := ck.Restore(sm); err != nil {
@@ -179,7 +198,7 @@ func TestForkRestoreRejectsWithoutChange(t *testing.T) {
 		t.Helper()
 		rec, f := fresh(cfg)
 		before := reportJSON(t, rec.LineReport(0))
-		if err := f.Restore(data); err == nil {
+		if err := f.Restore(storeOf(t, data).View(), stateKey); err == nil {
 			t.Errorf("%s: Restore accepted the state", name)
 		}
 		if after := reportJSON(t, rec.LineReport(0)); !bytes.Equal(before, after) {
@@ -203,6 +222,14 @@ func TestForkRestoreRejectsWithoutChange(t *testing.T) {
 	other.nearRewrite = 10
 	check("saved under another near-rewrite threshold", cfg, other.encode())
 	check("over the line cap", Config{LineReport: true, MaxLines: 50}, state)
+	rec, f := fresh(cfg)
+	before := reportJSON(t, rec.LineReport(0))
+	if err := f.Restore(storeOf(t, state).View(), "absent"); err == nil {
+		t.Error("Restore of an absent key succeeded")
+	}
+	if after := reportJSON(t, rec.LineReport(0)); !bytes.Equal(before, after) {
+		t.Error("a Restore of an absent key changed the recorder")
+	}
 }
 
 func TestForkSaveRefusesDroppedLines(t *testing.T) {
@@ -254,19 +281,13 @@ func FuzzDecodeState(f *testing.F) {
 	})
 }
 
-// cachedTemplate reports whether the template cache holds data's slice.
-func cachedTemplate(data []byte) bool {
-	templates.mu.Lock()
-	defer templates.mu.Unlock()
-	return templates.use(data) != nil
-}
-
 // TestForksOfOneStateShareNothing restores one stored state into two
 // recorders at once, runs phase 2 on one of them only, and checks that
-// neither the other fork nor the cached template saw its writes.
+// neither the other fork nor the store's decoded state saw its writes.
 func TestForksOfOneStateShareNothing(t *testing.T) {
 	cfg := Config{LineReport: true, BucketBytes: 4096}
 	state, ck, cold := savedState(t, cfg)
+	store := storeOf(t, state)
 
 	recs := make([]*Recorder, 2)
 	forks := make([]*Fork, 2)
@@ -278,7 +299,7 @@ func TestForksOfOneStateShareNothing(t *testing.T) {
 		machines[i] = sim.MachineA()
 		forks[i] = recs[i].AttachFork(machines[i])
 		go func() {
-			if errs[i] = forks[i].Restore(state); errs[i] == nil {
+			if errs[i] = forks[i].Restore(store.View(), stateKey); errs[i] == nil {
 				errs[i] = ck.Restore(machines[i])
 			}
 			done <- i
@@ -292,8 +313,8 @@ func TestForksOfOneStateShareNothing(t *testing.T) {
 			t.Fatalf("fork %d: %v", i, err)
 		}
 	}
-	if !cachedTemplate(state) {
-		t.Fatal("a restored state was not kept as a template")
+	if store.Bytes() <= int64(len(state)) {
+		t.Fatal("the store did not keep the restored state's decoded form")
 	}
 
 	phase2(machines[0])
@@ -303,28 +324,71 @@ func TestForksOfOneStateShareNothing(t *testing.T) {
 	if got, ok := forks[1].Save(); !ok || !bytes.Equal(got, state) {
 		t.Error("mutating one fork changed the other")
 	}
-	tpl, err := templates.decode(state)
+	tpl, err := checkpoint.Decoded(store.View(), stateKey, decodeEntry)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(tpl.encode(), state) {
-		t.Error("mutating a fork changed the template it was copied from")
+		t.Error("mutating a fork changed the decoded state it was copied from")
 	}
 }
 
 // TestCorruptStateNeverCached checks that damaged bytes fail to restore
-// every time and are never kept as a template.
+// every time and that the store never keeps a decoded form for them.
 func TestCorruptStateNeverCached(t *testing.T) {
 	cfg := Config{LineReport: true}
 	state, _, _ := savedState(t, cfg)
 	bad := bytes.Clone(state)
 	bad[len(bad)/2] ^= 0x01
+	store := storeOf(t, bad)
 	for i := 0; i < 2; i++ {
-		if err := New(cfg).AttachFork(sim.MachineA()).Restore(bad); err == nil {
+		if err := New(cfg).AttachFork(sim.MachineA()).Restore(store.View(), stateKey); err == nil {
 			t.Fatalf("restore %d accepted a corrupt state", i)
 		}
-		if cachedTemplate(bad) {
-			t.Fatalf("restore %d cached a corrupt state", i)
+		if store.Bytes() != int64(len(bad)) {
+			t.Fatalf("restore %d kept a decoded form of a corrupt state: store holds %d bytes, entry %d",
+				i, store.Bytes(), len(bad))
+		}
+	}
+}
+
+// TestDecodedStateFreedWithEntry restores a state, evicts its store
+// entry, and checks that the decoded state the store kept for it
+// becomes unreachable: nothing outside the store holds warm state the
+// store has let go.
+func TestDecodedStateFreedWithEntry(t *testing.T) {
+	cfg := Config{LineReport: true}
+	state, _, _ := savedState(t, cfg)
+	store, err := checkpoint.NewStore(int64(4*len(state)), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Put(stateKey, state)
+	f := New(cfg).AttachFork(sim.MachineA())
+	if err := f.Restore(store.View(), stateKey); err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	func() {
+		st, err := checkpoint.Decoded(store.View(), stateKey, decodeEntry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(st, func(*forkState) { close(freed) })
+	}()
+	store.Put("other", make([]byte, 4*len(state))) // evicts stateKey
+	if _, ok := store.Get(stateKey); ok {
+		t.Fatal("the state's entry was not evicted")
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the decoded state is still reachable after its entry was evicted")
 		}
 	}
 }
@@ -356,9 +420,9 @@ func kvState(tb testing.TB) []byte {
 }
 
 // BenchmarkRecorderFork restores a KV-sized recorder state into a
-// recorder: cold decodes the stored bytes, as the first restore of an
-// entry (or a disk-tier read) does; template copies the tables an
-// earlier restore of the same bytes decoded.
+// recorder from a checkpoint store: cold decodes the stored bytes, as
+// the first restore of an entry (or of a disk-tier read) does; template
+// copies the tables the store kept from an earlier restore.
 func BenchmarkRecorderFork(b *testing.B) {
 	state := kvState(b)
 	for _, c := range []struct {
@@ -366,9 +430,10 @@ func BenchmarkRecorderFork(b *testing.B) {
 		cold bool
 	}{{"cold", true}, {"template", false}} {
 		b.Run(c.name, func(b *testing.B) {
+			store := storeOf(b, state)
+			view := store.View()
 			f := New(Config{LineReport: true}).AttachFork(sim.MachineA())
-			data := state
-			if err := f.Restore(data); err != nil { // decodes the template
+			if err := f.Restore(view, stateKey); err != nil { // decodes the entry
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -376,10 +441,10 @@ func BenchmarkRecorderFork(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if c.cold {
 					b.StopTimer()
-					data = bytes.Clone(state) // another slice: no template
+					store.Put(stateKey, state) // a new entry: nothing decoded
 					b.StartTimer()
 				}
-				if err := f.Restore(data); err != nil {
+				if err := f.Restore(view, stateKey); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -23,6 +23,7 @@ import (
 	"cmp"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"prestores/internal/core"
 	"prestores/internal/flatmap"
@@ -97,7 +98,18 @@ type table[T any] struct {
 	recs  []T
 }
 
+// newTable returns an empty table sized to hold n records.
+func newTable[T any](n int) table[T] {
+	return table[T]{index: flatmap.New[int32](n), addrs: make([]uint64, 0, n), recs: make([]T, 0, n)}
+}
+
 func (t *table[T]) len() int { return len(t.recs) }
+
+// bytes returns the memory t's index and slices hold.
+func (t *table[T]) bytes() int64 {
+	var zero T
+	return int64(t.index.Cap())*(8+4) + int64(cap(t.addrs))*8 + int64(cap(t.recs))*int64(unsafe.Sizeof(zero))
+}
 
 // get returns a's record, or nil. The pointer is valid until the next
 // add.
