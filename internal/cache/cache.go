@@ -158,6 +158,14 @@ type Cache struct {
 	// stampOnHit is false for FIFO, whose victim choice depends on
 	// insertion order: hits must then leave the stamp alone.
 	stampOnHit bool
+
+	// tags, stamps and flags hold every way's metadata, set by set;
+	// each set's slices are views into them, and a snapshot copies
+	// them whole. They sit last, away from the fields the access path
+	// reads.
+	tags   []uint64
+	stamps []uint64
+	flags  []uint8
 }
 
 // New returns a cache for cfg. It panics on inconsistent geometry so
@@ -206,17 +214,17 @@ func New(cfg Config) *Cache {
 			}
 		}
 	}
-	tags := make([]uint64, len(c.sets)*cfg.Ways)
-	for i := range tags {
-		tags[i] = invalidTag
+	c.tags = make([]uint64, len(c.sets)*cfg.Ways)
+	for i := range c.tags {
+		c.tags[i] = invalidTag
 	}
-	stamps := make([]uint64, len(c.sets)*cfg.Ways)
-	flags := make([]uint8, len(c.sets)*cfg.Ways)
+	c.stamps = make([]uint64, len(c.sets)*cfg.Ways)
+	c.flags = make([]uint8, len(c.sets)*cfg.Ways)
 	for i := range c.sets {
 		lo, hi := i*cfg.Ways, (i+1)*cfg.Ways
-		c.sets[i].tags = tags[lo:hi:hi]
-		c.sets[i].stamps = stamps[lo:hi:hi]
-		c.sets[i].flags = flags[lo:hi:hi]
+		c.sets[i].tags = c.tags[lo:hi:hi]
+		c.sets[i].stamps = c.stamps[lo:hi:hi]
+		c.sets[i].flags = c.flags[lo:hi:hi]
 	}
 	return c
 }

@@ -7,11 +7,12 @@ import (
 )
 
 // SnapshotState serializes all mutable cache state: the replacement
-// clock, the RNG, the counters, and every set's tags, stamps, flags and
-// tree bits. The configuration itself is not written — restore targets
-// are constructed from the same config, and the machine-level config
-// hash guards against mismatches; the geometry stamp here is a second,
-// cheaper line of defence that catches corrupt payloads early.
+// clock, the RNG, the counters, every set's valid count, tree bits and
+// way predictor, then the tag, stamp and flag arrays of all sets, each
+// written whole. The configuration itself is not written — restore
+// targets are constructed from the same config, and the machine-level
+// config hash guards against mismatches; the geometry stamp here is a
+// second, cheaper line of defence that catches corrupt payloads early.
 func (c *Cache) SnapshotState(w *snap.Writer) {
 	w.Section("CACH")
 	w.U64(uint64(len(c.sets)))
@@ -32,19 +33,17 @@ func (c *Cache) SnapshotState(w *snap.Writer) {
 		w.I64(int64(s.nvalid))
 		w.U64(s.plru)
 		w.U8(s.mru)
-		for _, t := range s.tags {
-			w.U64(t)
-		}
-		for _, st := range s.stamps {
-			w.U64(st)
-		}
-		w.Raw(s.flags)
 	}
+	w.U64s(c.tags)
+	w.U64s(c.stamps)
+	w.Raw(c.flags)
 }
 
 // RestoreState overwrites the cache's mutable state with a snapshot
-// taken from an identically-configured cache. The per-set metadata is
-// copied into the existing backing arrays in place.
+// taken from an identically-configured cache. The metadata arrays are
+// copied in bulk into the existing backing arrays. A set whose way
+// predictor names no way, or whose valid count differs from its count
+// of valid tags, is rejected: the cache could not run from it.
 func (c *Cache) RestoreState(r *snap.Reader) error {
 	r.Section("CACH")
 	nsets, ways := r.U64(), r.U64()
@@ -70,13 +69,27 @@ func (c *Cache) RestoreState(r *snap.Reader) error {
 		s.nvalid = int(r.I64())
 		s.plru = r.U64()
 		s.mru = r.U8()
-		for i := range s.tags {
-			s.tags[i] = r.U64()
+		if r.Err() == nil && int(s.mru) >= len(s.tags) {
+			return fmt.Errorf("cache %q: set %d predicts way %d of %d", c.cfg.Name, si, s.mru, len(s.tags))
 		}
-		for i := range s.stamps {
-			s.stamps[i] = r.U64()
-		}
-		r.Raw(s.flags)
 	}
-	return r.Err()
+	r.U64s(c.tags)
+	r.U64s(c.stamps)
+	r.Raw(c.flags)
+	if err := r.Err(); err != nil {
+		return err
+	}
+	for si := range c.sets {
+		s := &c.sets[si]
+		n := 0
+		for _, t := range s.tags {
+			if t != invalidTag {
+				n++
+			}
+		}
+		if n != s.nvalid {
+			return fmt.Errorf("cache %q: set %d counts %d valid ways but holds %d", c.cfg.Name, si, s.nvalid, n)
+		}
+	}
+	return nil
 }

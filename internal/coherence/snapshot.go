@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"prestores/internal/flatmap"
 	"prestores/internal/snap"
 )
 
@@ -36,16 +37,19 @@ func (d *Directory) SnapshotState(w *snap.Writer) {
 }
 
 // RestoreState replaces the directory's line-state table and counters
-// with the snapshot's. Insertion order into the flat map differs from
-// the snapshotted directory's history, but the map is order-insensitive
-// for all queries, so behaviour is unaffected. Lines must be strictly
+// with the snapshot's, sizing the table once from the decoded count.
+// Insertion order into the flat map differs from the snapshotted
+// directory's history, but the map is order-insensitive for all
+// queries, so behaviour is unaffected. Lines must be strictly
 // ascending, as SnapshotState writes them, and never the flat map's
-// reserved key.
-func (d *Directory) RestoreState(r *snap.Reader) error {
+// reserved key; every sharer and exclusive owner must be below cores,
+// the machine's core count, or a later invalidation would address a
+// core that does not exist.
+func (d *Directory) RestoreState(r *snap.Reader, cores int) error {
 	r.Section("CDIR")
-	d.lines.Clear()
-	n := r.U64()
-	for i, prev := uint64(0), uint64(0); i < n && r.Err() == nil; i++ {
+	n := r.Count(8 + 8 + 1) // line, sharers, owner
+	d.lines = flatmap.New[lineState](n)
+	for i, prev := 0, uint64(0); i < n && r.Err() == nil; i++ {
 		k := r.U64()
 		s := lineState{sharers: r.U64(), exclusive: int8(r.U8())}
 		if r.Err() != nil {
@@ -53,6 +57,10 @@ func (d *Directory) RestoreState(r *snap.Reader) error {
 		}
 		if k == ^uint64(0) || (i > 0 && k <= prev) {
 			return fmt.Errorf("coherence: snapshot line %#x out of order", k)
+		}
+		if s.sharers>>cores != 0 || s.exclusive < -1 || int(s.exclusive) >= cores {
+			return fmt.Errorf("coherence: snapshot line %#x names a core outside %d (sharers %#x, owner %d)",
+				k, cores, s.sharers, s.exclusive)
 		}
 		prev = k
 		d.lines.Put(k, s)

@@ -17,22 +17,34 @@ import (
 	"prestores/internal/units"
 )
 
-// PageSize is the granularity of the sparse backing store.
-const PageSize = 1 << 12
+// PageSize is the granularity of the sparse backing store, and so of
+// what a restored store copies on its first write to a page (see
+// Store) and of what a snapshot holds around each written byte. 1 KiB
+// keeps both close to the 64-byte lines a run actually writes.
+const PageSize = 1 << pageShift
 
-const pageShift = 12
+const pageShift = 10
 
-// leafShift sets a leaf's span in pages: 512 page slots, 2 MiB of
+// leafShift sets a leaf's span in pages: 1,024 page slots, 1 MiB of
 // address space.
-const leafShift = 9
+const leafShift = 10
 
 const leafPages = 1 << leafShift
 
-// extentShift sets an extent's span in pages: a directory of 512
-// leaves, 1 GiB of address space, aligned to its size.
-const extentShift = leafShift + 9
+// extentShift sets an extent's span in pages: 1 GiB of address space,
+// aligned to its size, whatever the page size. Its directory holds
+// 1,024 leaves.
+const extentShift = 30 - pageShift
 
 const extentLeaves = 1 << (extentShift - leafShift)
+
+// Private pages are carved from slabs of slabMin pages, doubling per
+// slab up to slabMax (256 KiB), so a store makes one allocation per
+// slab rather than one per page.
+const (
+	slabMin = 4
+	slabMax = 256
+)
 
 type page [PageSize]byte
 
@@ -51,7 +63,7 @@ type leaf struct {
 // number pn lives in slot pn&(leafPages-1) of leaf
 // (pn>>leafShift)&(extentLeaves-1). An extent exists once a page in its
 // span has been written (or restored), and its leaves exist only where
-// pages are, so a scattered few pages in a 4 GiB heap cost a few 4 KiB
+// pages are, so a scattered few pages in a 4 GiB heap cost a few 8 KiB
 // directories.
 type extent struct {
 	num    uint64 // pn >> extentShift: which 1 GiB span
@@ -79,6 +91,11 @@ type Store struct {
 	roPage   *page
 
 	extents []extent // sorted by num
+
+	// slab holds the pages not yet handed out by newPage; slabNext is
+	// the size of the next slab.
+	slab     []page
+	slabNext int
 }
 
 // NewStore returns an empty sparse store.
@@ -110,6 +127,17 @@ func (s *Store) leafFor(pn uint64, create bool) *leaf {
 	return *slot
 }
 
+// newPage returns a zeroed private page carved from the store's slab.
+func (s *Store) newPage() *page {
+	if len(s.slab) == 0 {
+		s.slabNext = min(max(2*s.slabNext, slabMin), slabMax)
+		s.slab = make([]page, s.slabNext)
+	}
+	p := &s.slab[0]
+	s.slab = s.slab[1:]
+	return p
+}
+
 // pageFor translates addr to its page and the offset within it. With
 // create set the page is materialized if absent and is private to this
 // store, so the caller may write it; without, it may be nil (never
@@ -139,7 +167,7 @@ func (s *Store) pageFor(addr uint64, create bool) (*page, uint64) {
 		s.roPN, s.roPage = pn, p
 		return p, off
 	case p == nil || shared:
-		c := new(page)
+		c := s.newPage()
 		if p != nil {
 			*c = *p
 			if s.roPN == pn {

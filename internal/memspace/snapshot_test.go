@@ -218,3 +218,105 @@ func TestRestoreRejectsNonCanonical(t *testing.T) {
 		}
 	}
 }
+
+// privatePages counts s's pages that are not shared with restored
+// bytes: the pages the store has copied or created itself.
+func privatePages(s *Store) int {
+	n := 0
+	for _, e := range s.extents {
+		for _, l := range e.leaves {
+			if l == nil {
+				continue
+			}
+			for k, p := range l.pages {
+				if p != nil && !l.shared[k] {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestRestoreFirstWriteCopiesOnePage writes 8 bytes into a restored
+// store: exactly one 1 KiB page becomes private, every other page
+// still aliases the checkpoint, and the checkpoint bytes are unchanged.
+func TestRestoreFirstWriteCopiesOnePage(t *testing.T) {
+	if PageSize != 1<<10 {
+		t.Fatalf("PageSize = %d; want 1 KiB", PageSize)
+	}
+	src := cowSource()
+	buf := snapshotBytes(src)
+	orig := bytes.Clone(buf)
+	s := NewStore()
+	restoreBytes(t, s, buf)
+	if n := privatePages(s); n != 0 {
+		t.Fatalf("restored store holds %d private pages; want 0", n)
+	}
+	s.WriteU64(cowPage(5)+64, 1)
+	if n := privatePages(s); n != 1 {
+		t.Fatalf("an 8-byte write made %d pages private; want 1", n)
+	}
+	if s.PagesAllocated() != src.PagesAllocated() {
+		t.Fatalf("PagesAllocated = %d; want %d", s.PagesAllocated(), src.PagesAllocated())
+	}
+	if !bytes.Equal(buf, orig) {
+		t.Fatal("the first write modified the checkpoint bytes")
+	}
+	if v := s.ReadU64(cowPage(5) + 64); v != 1 {
+		t.Fatalf("written word reads %#x; want 1", v)
+	}
+	if v := s.ReadU64(cowPage(5) + 72); v != pattern(cowPage(5)+72) {
+		t.Fatalf("the copied page lost its neighbouring bytes: %#x", v)
+	}
+}
+
+// TestSlabPagesNeverAlias writes a distinct word into every page of a
+// span that needs several slabs, and copies every page of a restored
+// store: no two pages share bytes, the pages cost one allocation per
+// slab rather than one per page, and two stores forked from one
+// snapshot each keep their own writes to the same address.
+func TestSlabPagesNeverAlias(t *testing.T) {
+	const pages = 4 * slabMax
+	s := NewStore()
+	allocs := testing.AllocsPerRun(1, func() {
+		s = NewStore()
+		for i := uint64(0); i < pages; i++ {
+			s.WriteU64(i*PageSize, i+1)
+		}
+	})
+	if allocs > pages/16 {
+		t.Fatalf("writing %d fresh pages allocated %v times", pages, allocs)
+	}
+	seen := map[*page]bool{}
+	for i := uint64(0); i < pages; i++ {
+		if v := s.ReadU64(i * PageSize); v != i+1 {
+			t.Fatalf("page %d reads %d; want %d", i, v, i+1)
+		}
+		p, _ := s.pageFor(i*PageSize, false)
+		if seen[p] {
+			t.Fatalf("page %d aliases an earlier page", i)
+		}
+		seen[p] = true
+	}
+
+	buf := snapshotBytes(s)
+	a, b := NewStore(), NewStore()
+	restoreBytes(t, a, buf)
+	restoreBytes(t, b, buf)
+	for i := uint64(0); i < pages; i++ {
+		a.WriteU64(i*PageSize+8, 2*i)
+		b.WriteU64(i*PageSize+8, 3*i)
+	}
+	for i := uint64(0); i < pages; i++ {
+		if va, vb := a.ReadU64(i*PageSize+8), b.ReadU64(i*PageSize+8); va != 2*i || vb != 3*i {
+			t.Fatalf("page %d: forks read %d and %d; want %d and %d", i, va, vb, 2*i, 3*i)
+		}
+		if va, vb := a.ReadU64(i*PageSize), b.ReadU64(i*PageSize); va != i+1 || vb != i+1 {
+			t.Fatalf("page %d: forks lost the restored word: %d, %d", i, va, vb)
+		}
+	}
+	if privatePages(a) != pages || privatePages(b) != pages {
+		t.Fatalf("forks hold %d and %d private pages; want %d each", privatePages(a), privatePages(b), pages)
+	}
+}

@@ -369,7 +369,7 @@ func TestConcurrentForksShareCheckpoint(t *testing.T) {
 }
 
 // TestOldSnapshotFormatLoadsCold stores a warm state whose machine
-// payload carries the previous snapshot format's version (2) under the
+// payload carries the previous snapshot format's version (3) under the
 // current build's key, as a disk tier written by an older binary of the
 // same build string holds. The run must treat it as a miss: load cold,
 // print the cold output, and store a fresh checkpoint over it.
@@ -410,7 +410,7 @@ func TestOldSnapshotFormatLoadsCold(t *testing.T) {
 	if i < 0 {
 		t.Fatal("no machine payload in the checkpoint")
 	}
-	binary.LittleEndian.PutUint64(old[i+4:], 2)
+	binary.LittleEndian.PutUint64(old[i+4:], 3)
 	store.Put(key, old)
 
 	if got := run(ctx); !bytes.Equal(got, cold) {

@@ -7,15 +7,17 @@ import (
 	"fmt"
 	"sort"
 
+	"prestores/internal/flatmap"
 	"prestores/internal/memdev"
 	"prestores/internal/snap"
+	"prestores/internal/units"
 )
 
 // Snapshot format constants. The snapshot version covers the machine
 // payload layout; the checkpoint version covers the outer envelope.
 const (
 	snapshotMagic   = "PSSN"
-	snapshotVersion = 3 // 3: MEMS is one ascending (page number, page) list
+	snapshotVersion = 4 // 4: 1 KiB MEMS pages; CACH writes its way arrays whole
 
 	checkpointMagic   = "PSCK"
 	checkpointVersion = 1
@@ -107,7 +109,7 @@ func (m *Machine) RestoreSnapshot(data []byte) error {
 	if err := m.llc.RestoreState(r); err != nil {
 		return err
 	}
-	if err := m.dir.RestoreState(r); err != nil {
+	if err := m.dir.RestoreState(r, len(m.cores)); err != nil {
 		return err
 	}
 	if err := m.wbq.restoreState(r); err != nil {
@@ -318,8 +320,9 @@ func (q *wbQueue) snapshotState(w *snap.Writer) {
 	w.U64(q.stalls)
 }
 
-// restoreState overwrites the write-back queue's state from r. In-flight
-// lines must be strictly ascending, as snapshotState writes them.
+// restoreState overwrites the write-back queue's state from r, sizing
+// the in-flight table once from the decoded count. In-flight lines must
+// be strictly ascending, as snapshotState writes them.
 func (q *wbQueue) restoreState(r *snap.Reader) error {
 	r.Section("WBQ_")
 	n := r.U64()
@@ -327,9 +330,9 @@ func (q *wbQueue) restoreState(r *snap.Reader) error {
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
 		q.pending = append(q.pending, r.U64())
 	}
-	q.inflight.Clear()
-	ni := r.U64()
-	for i, prev := uint64(0), uint64(0); i < ni && r.Err() == nil; i++ {
+	ni := r.Count(8 + 8) // line, accept time
+	q.inflight = flatmap.New[units.Cycles](ni)
+	for i, prev := 0, uint64(0); i < ni && r.Err() == nil; i++ {
 		k, t := r.U64(), r.U64()
 		if r.Err() != nil {
 			break

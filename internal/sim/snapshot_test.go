@@ -402,6 +402,33 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		f.Fatal("a snapshot with pages out of order restored")
 	}
 	f.Add(swapped)
+	// Two states that decode but cannot run, each of which a load or
+	// store on pmem's first line would trip over: core 0's L1 set 0
+	// predicting way 200 of 8, and a directory line shared by core 40
+	// of machine A's 10.
+	m = MachineA()
+	m.Core(0).Write(pmem, []byte("owned"))
+	owned, err := m.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	mru := bytes.Clone(owned)
+	i = bytes.Index(mru, []byte("CACH")) + 4 + 12*8 // past geometry, clock, rng, stats
+	mru[i+16] = 200                                 // set 0's nvalid, plru, then mru
+	if MachineA().RestoreSnapshot(mru) == nil {
+		f.Fatal("a snapshot whose way predictor names way 200 restored")
+	}
+	f.Add(mru)
+	sharer := bytes.Clone(owned)
+	i = bytes.Index(sharer, []byte("CDIR")) + 4
+	if n := binary.LittleEndian.Uint64(sharer[i:]); n != 1 {
+		f.Fatalf("owned snapshot tracks %d directory lines; want 1", n)
+	}
+	sharer[i+16+5] |= 1 // sharers bit 40: byte 5, bit 0
+	if MachineA().RestoreSnapshot(sharer) == nil {
+		f.Fatal("a snapshot naming core 40 as a sharer restored")
+	}
+	f.Add(sharer)
 	f.Add([]byte("PSSN"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := MachineA()
@@ -414,6 +441,12 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		}
 		if !bytes.Equal(out, data) {
 			t.Fatalf("restored %d bytes but re-snapshot is %d bytes and differs", len(data), len(out))
+		}
+		// An accepted state must also run.
+		buf := make([]byte, 8)
+		for c := 0; c < m.Cores(); c++ {
+			m.Core(c).Read(pmem, buf)
+			m.Core(c).Write(pmem, buf)
 		}
 	})
 }

@@ -17,6 +17,7 @@ package snap
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Writer serializes values into a growing buffer. The zero value is
@@ -47,6 +48,15 @@ func (w *Writer) U64(v uint64) {
 
 // I64 appends a little-endian two's-complement int64.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
+
+// U64s appends each of vs as U64 would, with no length prefix; the
+// reader must know the count.
+func (w *Writer) U64s(vs []uint64) {
+	w.buf = slices.Grow(w.buf, 8*len(vs))
+	for _, v := range vs {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+	}
+}
 
 // Raw appends b with no length prefix; the reader must know the size.
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
@@ -146,6 +156,34 @@ func (r *Reader) U64() uint64 {
 
 // I64 reads a little-endian two's-complement int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
+
+// U64s reads len(dst) values written by Writer.U64s into dst. On a
+// truncation dst is left unchanged.
+func (r *Reader) U64s(dst []uint64) {
+	b := r.take(8 * len(dst))
+	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+}
+
+// Count reads a uint64 element count and checks it against the bytes
+// left: n elements of at least size bytes each must fit, or Count
+// latches an error and returns 0. A decoder may then size a table from
+// the count without trusting it.
+func (r *Reader) Count(size int) int {
+	n := r.U64()
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(len(r.buf)-r.off)/uint64(size) {
+		r.fail("bad count %d (only %d bytes left)", n, len(r.buf)-r.off)
+		return 0
+	}
+	return int(n)
+}
 
 // Raw reads exactly len(dst) bytes into dst.
 func (r *Reader) Raw(dst []byte) {

@@ -118,6 +118,63 @@ func TestDoneTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestU64sMatchesU64 writes a slice with U64s and reads it back both
+// in bulk and value by value: the two encodings are the same bytes,
+// and a short buffer latches a truncation without touching dst.
+func TestU64sMatchesU64(t *testing.T) {
+	vs := []uint64{0, 1, 1 << 63, 0xdeadbeefcafebabe}
+	bulk, one := NewWriter(), NewWriter()
+	bulk.U64s(vs)
+	for _, v := range vs {
+		one.U64(v)
+	}
+	data := bulk.Finish()
+	if !bytes.Equal(data, one.Finish()) {
+		t.Fatal("U64s encodes differently from U64")
+	}
+	got := make([]uint64, len(vs))
+	r := NewReader(data)
+	r.U64s(got)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range vs {
+		if got[i] != vs[i] {
+			t.Fatalf("value %d = %#x; want %#x", i, got[i], vs[i])
+		}
+	}
+	dst := []uint64{7, 7, 7, 7, 7}
+	r = NewReader(data)
+	r.U64s(dst)
+	if r.Err() == nil || dst[0] != 7 {
+		t.Fatalf("reading 5 values from 4: err %v, dst %v", r.Err(), dst)
+	}
+}
+
+// TestCountBoundsByBytesLeft reads element counts: a count whose
+// elements fit in the bytes left is returned, and one that cannot fit
+// latches an error and reads as 0, so a decoder may size a table from
+// it.
+func TestCountBoundsByBytesLeft(t *testing.T) {
+	w := NewWriter()
+	w.U64(2)
+	w.Raw(make([]byte, 32))
+	r := NewReader(w.Finish())
+	if n := r.Count(16); n != 2 || r.Err() != nil {
+		t.Fatalf("Count(16) = %d, %v; want 2", n, r.Err())
+	}
+	r = NewReader(w.Finish())
+	if n := r.Count(17); n != 0 || r.Err() == nil {
+		t.Fatalf("Count(17) = %d, %v; want 0 and an error", n, r.Err())
+	}
+	w = NewWriter()
+	w.U64(^uint64(0))
+	r = NewReader(w.Finish())
+	if n := r.Count(1); n != 0 || r.Err() == nil {
+		t.Fatalf("Count of 2^64-1 = %d, %v; want 0 and an error", n, r.Err())
+	}
+}
+
 // FuzzReader drives a reader over arbitrary bytes with an arbitrary
 // sequence of reads. It never panics, never reads past the buffer, and
 // once an error latches it never changes and every read returns the

@@ -174,13 +174,6 @@ func decodeState(data []byte) (*forkState, error) {
 		lineSize: r.U64(), bucketBytes: r.U64(), maxLines: r.U64(),
 		nearRewrite: r.U64(), nearReread: r.U64(),
 	}
-	count := func(size int) int {
-		n := r.U64()
-		if r.Err() != nil || n > uint64(len(body))/uint64(size) {
-			return -1
-		}
-		return int(n)
-	}
 	// Addresses must strictly ascend, as encode writes them; besides
 	// keeping the encoding canonical this rules out duplicate keys. The
 	// flat index reserves the all-ones key, which no line or bucket
@@ -192,9 +185,9 @@ func decodeState(data []byte) (*forkState, error) {
 		return ok
 	}
 
-	n := count(lineRecBytes)
-	if n < 0 {
-		return nil, errors.New("telemetry: recorder state: bad line count")
+	n := r.Count(lineRecBytes)
+	if r.Err() != nil {
+		return nil, fmt.Errorf("telemetry: recorder state: lines: %w", r.Err())
 	}
 	st.lines = newTable[lineRec](n)
 	for i := 0; i < n; i++ {
@@ -213,9 +206,9 @@ func decodeState(data []byte) (*forkState, error) {
 		*st.lines.add(a) = li
 	}
 
-	n = count(bucketRecBytes)
-	if n < 0 {
-		return nil, errors.New("telemetry: recorder state: bad bucket count")
+	n = r.Count(bucketRecBytes)
+	if r.Err() != nil {
+		return nil, fmt.Errorf("telemetry: recorder state: buckets: %w", r.Err())
 	}
 	st.buckets = newTable[bucketRec](n)
 	for i := 0; i < n; i++ {
