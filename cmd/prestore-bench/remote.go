@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -70,14 +69,14 @@ func runRemote(ctx context.Context, w io.Writer, base string, exps []bench.Exper
 		res := h.res
 		if res == nil {
 			strCtx, str := obs.Start(h.ctx, "stream", obs.KV("job", h.id))
-			r, err := streamRemote(strCtx, c, w, base, h.id)
+			st, err := c.Follow(strCtx, base, h.id, w)
 			str.End()
 			h.root.End()
 			if err != nil {
 				cancelRemote(c, base, handles[i:])
 				return results, fmt.Errorf("streaming %s (%s): %w", exps[i].ID, h.id, err)
 			}
-			res = r
+			res = st.Result
 			// The job is terminal: its server-side spans are complete
 			// and safe to merge into the artifact.
 			spans.fetch(ctx, c, base, h.id)
@@ -118,64 +117,12 @@ func runJob(ctx context.Context, w io.Writer, base, path string, body []byte) (*
 		_, err := io.WriteString(w, st.Result.Output)
 		return &st, st.Result, err
 	}
-	res, err := streamRemote(ctx, c, w, base, st.ID)
+	final, err := c.Follow(ctx, base, st.ID, w)
 	if err != nil {
 		cancelRemote(c, base, []handle{{id: st.ID}})
+		return &st, nil, err
 	}
-	return &st, res, err
-}
-
-// maxStreamReconnects bounds consecutive fruitless reconnect attempts;
-// an attempt that delivers new output bytes resets the budget.
-const maxStreamReconnects = 5
-
-// streamRemote follows one job's NDJSON stream, copying output chunks
-// to w as they arrive, and returns the final result. A mid-job
-// disconnect is not fatal: the client tracks the bytes it has
-// consumed and reconnects with ?offset=N to the same daemon, so it
-// replays only what is missing and no output byte is ever written
-// twice. A definitive answer — an HTTP error status, a local write
-// failure, cancellation — ends the stream without a retry.
-func streamRemote(ctx context.Context, c *server.Client, w io.Writer, base, id string) (*bench.Result, error) {
-	consumed, attempts := 0, 0
-	for {
-		before := consumed
-		var res *bench.Result
-		var writeErr error
-		err := c.Stream(ctx, base, id, consumed, func(ev server.StreamEvent) error {
-			switch ev.Event {
-			case "output":
-				if _, writeErr = io.WriteString(w, ev.Data); writeErr != nil {
-					return writeErr
-				}
-				consumed += len(ev.Data)
-			case "done":
-				res = ev.Job.Result
-			}
-			return nil
-		})
-		var se *server.StatusError
-		switch {
-		case err == nil && res == nil:
-			return nil, fmt.Errorf("done event without result")
-		case err == nil:
-			return res, nil
-		case writeErr != nil || errors.As(err, &se):
-			return nil, err
-		case ctx.Err() != nil:
-			return nil, ctx.Err()
-		}
-		if consumed > before {
-			attempts = 0 // the connection was productive; fresh budget
-		}
-		if attempts >= maxStreamReconnects {
-			return nil, fmt.Errorf("stream broken after %d reconnect attempts: %w", attempts, err)
-		}
-		if serr := c.Backoff.Sleep(ctx, attempts); serr != nil {
-			return nil, serr
-		}
-		attempts++
-	}
+	return &st, final.Result, nil
 }
 
 // cancelRemote best-effort cancels jobs the client will no longer

@@ -184,10 +184,11 @@ const uploadPart = 4 << 20
 // doUpload ships a recording to a prestored daemon (or cluster
 // coordinator) with the resumable upload protocol, submits a chunked
 // analysis of it and writes the report to w. The job-API client
-// retries 429s on open, commit and submit, and bounds each unary call
-// with its request timeout. Offset mismatches (409) are resumed from
-// the server's offset, so a retried or interrupted upload never
-// re-sends bytes the server already has.
+// retries 429s on open, commit and submit, bounds each unary call with
+// its request timeout, and follows the analysis across dropped streams.
+// Offset mismatches (409) are resumed from the server's offset, so a
+// retried or interrupted upload never re-sends bytes the server
+// already has.
 func doUpload(ctx context.Context, c *server.Client, w io.Writer, base, path, app string, lineSize uint64) error {
 	base = strings.TrimRight(base, "/")
 	f, err := os.Open(path)
@@ -250,15 +251,11 @@ func doUpload(ctx context.Context, c *server.Client, w io.Writer, base, path, ap
 		return err
 	}
 	if st.Result == nil { // not a cache hit: follow the job to its end
-		err := c.Stream(ctx, base, st.ID, 0, func(ev server.StreamEvent) error {
-			if ev.Event == "done" {
-				st = *ev.Job
-			}
-			return nil
-		})
+		final, err := c.Follow(ctx, base, st.ID, io.Discard)
 		if err != nil {
 			return err
 		}
+		st = *final
 	}
 	if st.State != "done" || st.Result == nil {
 		msg := st.State

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"sync"
 
-	"prestores/internal/bench"
 	"prestores/internal/dirtbuster"
 	"prestores/internal/obs"
 	"prestores/internal/trace"
@@ -65,16 +64,11 @@ type analysisSpec struct {
 	Config   dirtbuster.Config `json:"config"`
 }
 
-func (s *Server) handleSubmitAnalysis(w http.ResponseWriter, r *http.Request) {
-	var spec analysisSpec
-	if !decodeBody(w, r, &spec) {
-		return
-	}
+func (s *Server) prepareAnalysis(spec *analysisSpec) (any, runFunc, error) {
 	info, ok := s.traces.info(spec.Trace)
 	if !ok {
-		WriteError(w, http.StatusNotFound,
+		return nil, nil, httpErrorf(http.StatusNotFound,
 			"unknown trace %q; upload it first (POST /v1/traces) — GET /v1/traces lists stored traces", spec.Trace)
-		return
 	}
 	// Canonicalize defaults before the spec becomes the cache key.
 	if spec.App == "" {
@@ -83,7 +77,7 @@ func (s *Server) handleSubmitAnalysis(w http.ResponseWriter, r *http.Request) {
 	if spec.LineSize == 0 {
 		spec.LineSize = 64
 	}
-	s.accept(w, r, "analysis", spec, s.analysisJob(spec, info))
+	return *spec, s.analysisJob(*spec, info), nil
 }
 
 func shortAddr(addr string) string {
@@ -97,7 +91,7 @@ func shortAddr(addr string) string {
 // two-pass map/reduce pipeline over the stored trace's chunks, with
 // per-pass progress in the job stream and the rendered report as the
 // result output.
-func (s *Server) analysisJob(spec analysisSpec, info TraceInfo) func(context.Context, *job) bench.Result {
+func (s *Server) analysisJob(spec analysisSpec, info TraceInfo) runFunc {
 	id := "analysis/" + shortAddr(spec.Trace)
 	title := fmt.Sprintf("chunked DirtBuster analysis of trace %s (%d chunks, %d records)",
 		shortAddr(spec.Trace), info.Chunks, info.Records)

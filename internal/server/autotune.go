@@ -3,58 +3,40 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
-	"net/http"
 
 	"prestores/internal/autotune"
-	"prestores/internal/bench"
 	"prestores/internal/scenario"
 )
 
-// evalSpec is the POST /v1/eval body: a single-point scenario spec
-// (no sweep axes, exactly one op) evaluated to raw metrics instead of
-// a rendered table. This is the autotuner's distributed measurement
-// primitive — the cluster coordinator routes candidate plans here.
-type evalSpec struct {
-	Spec  json.RawMessage `json:"spec"`
-	Quick bool            `json:"quick"`
+func (s *Server) prepareEval(body *specBody) (any, runFunc, error) {
+	sp, canon, err := decodeSpec(body.Spec, "a single-point scenario spec object", func(sp *scenario.Spec) error {
+		if err := sp.CheckSinglePoint(); err != nil {
+			return fmt.Errorf("invalid eval spec: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return specBody{Spec: canon, Quick: body.Quick}, s.evalRun(sp, body.Quick), nil
 }
 
-func (s *Server) handleSubmitEval(w http.ResponseWriter, r *http.Request) {
-	var body evalSpec
-	if !decodeBody(w, r, &body) {
-		return
-	}
-	if len(body.Spec) == 0 {
-		WriteError(w, http.StatusBadRequest, "spec: required (a single-point scenario spec object)")
-		return
-	}
-	sp, err := scenario.Decode(body.Spec)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
-		return
-	}
-	if err := sp.CheckSinglePoint(); err != nil {
-		WriteError(w, http.StatusBadRequest, "invalid eval spec: %v", err)
-		return
-	}
-	canon, err := sp.Canonical()
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
-		return
-	}
-	key := evalSpec{Spec: canon, Quick: body.Quick}
-	s.accept(w, r, "eval", key, s.evalRun(sp, body.Quick))
-}
-
-// evalRun builds the run function for an eval job. The result's Output
-// is exactly the metrics map as canonical JSON (sorted keys) plus a
-// newline — machine-consumable, byte-stable, cache-friendly.
-func (s *Server) evalRun(sp scenario.Spec, quick bool) func(context.Context, *job) bench.Result {
+// evalRun builds the run function for an eval job: a single-point spec
+// (no sweep axes, one op) evaluated to raw metrics — the autotuner's
+// distributed measurement primitive. The result's Output is exactly the
+// metrics map as canonical JSON plus a newline; a telemetry block
+// records the run into artifacts, as for a scenario job.
+func (s *Server) evalRun(sp scenario.Spec, quick bool) runFunc {
 	name := sp.Workload.Name
 	return s.guarded("eval/"+name, "single-point evaluation of "+name,
-		func(ctx context.Context, _ *job, out io.Writer) error {
-			m, err := sp.EvalPoint(ctx, quick)
+		func(ctx context.Context, j *job, out io.Writer) error {
+			var m scenario.Metrics
+			_, err := recorded(ctx, j, sp.Telemetry, func(ctx context.Context) (err error) {
+				m, err = sp.EvalPoint(ctx, quick)
+				return err
+			})
 			if err != nil {
 				return err
 			}
@@ -83,41 +65,29 @@ type autotuneKey struct {
 	Params autotune.Params `json:"params"`
 }
 
-func (s *Server) handleSubmitAutotune(w http.ResponseWriter, r *http.Request) {
-	var body autotuneSpec
-	if !decodeBody(w, r, &body) {
-		return
-	}
-	if len(body.Spec) == 0 {
-		WriteError(w, http.StatusBadRequest, "spec: required (a single-point scenario spec object; the search varies policy.window and policy.table)")
-		return
-	}
-	sp, err := scenario.Decode(body.Spec)
+func (s *Server) prepareAutotune(body *autotuneSpec) (any, runFunc, error) {
+	var par autotune.Params
+	sp, canon, err := decodeSpec(body.Spec,
+		"a single-point scenario spec object; the search varies policy.window and policy.table",
+		func(sp *scenario.Spec) (err error) {
+			if par, err = autotune.Normalize(sp, body.Params); err != nil {
+				return fmt.Errorf("invalid autotune request: %w", err)
+			}
+			return nil
+		})
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
-		return
-	}
-	par, err := autotune.Normalize(&sp, body.Params)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "invalid autotune request: %v", err)
-		return
-	}
-	canon, err := sp.Canonical()
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
-		return
+		return nil, nil, err
 	}
 	keyPar := par
 	keyPar.Parallel = 0
-	key := autotuneKey{Spec: canon, Params: keyPar}
-	s.accept(w, r, "autotune", key, s.autotuneRun(sp, par))
+	return autotuneKey{Spec: canon, Params: keyPar}, s.autotuneRun(sp, par), nil
 }
 
 // autotuneRun builds the run function for an autotuning search job.
 // Each NDJSON progress event the engine emits reaches the job's
 // progress log (and any attached stream) as it is written. The full
 // trajectory and the winner summary become job artifacts.
-func (s *Server) autotuneRun(sp scenario.Spec, par autotune.Params) func(context.Context, *job) bench.Result {
+func (s *Server) autotuneRun(sp scenario.Spec, par autotune.Params) runFunc {
 	name := sp.Workload.Name
 	return s.guarded("autotune/"+name, "autotuning search over "+name,
 		func(ctx context.Context, j *job, out io.Writer) error {

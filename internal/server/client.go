@@ -18,8 +18,9 @@ import (
 // Client speaks the job API to a daemon or a coordinator — the two
 // serve the same surface. The coordinator calls its worker shards
 // through it, and prestore-bench and prestore-trace call the daemon or
-// coordinator they are pointed at. Each caller layers its own recovery
-// policy on top.
+// coordinator they are pointed at, both following their jobs through
+// Follow. The coordinator layers its own recovery policy (requeue onto
+// the next ring shard) on Stream.
 type Client struct {
 	api     *http.Client // unary calls: a hung server must fail the call
 	stream  *http.Client // progress streams: they live as long as the job
@@ -176,6 +177,57 @@ func (c *Client) Stream(ctx context.Context, base, id string, offset int, fn fun
 		return err
 	}
 	return errors.New("stream ended without a done event")
+}
+
+// maxFollowReconnects bounds Follow's consecutive fruitless reconnects;
+// an attach that delivers new output bytes resets the budget.
+const maxFollowReconnects = 5
+
+// Follow follows job id's stream on base to its end, copying output to
+// w, and returns the final status (with its Result). A broken stream
+// reattaches at the output offset consumed, on the Backoff schedule, so
+// no byte is written twice; a definitive answer — an HTTP error status,
+// a failed write, ctx's end — ends it without a retry.
+func (c *Client) Follow(ctx context.Context, base, id string, w io.Writer) (*JobStatus, error) {
+	consumed, attempts := 0, 0
+	for {
+		before := consumed
+		var final *JobStatus
+		var writeErr error
+		err := c.Stream(ctx, base, id, consumed, func(ev StreamEvent) error {
+			switch ev.Event {
+			case "output":
+				if _, writeErr = io.WriteString(w, ev.Data); writeErr != nil {
+					return writeErr
+				}
+				consumed += len(ev.Data)
+			case "done":
+				final = ev.Job
+			}
+			return nil
+		})
+		var se *StatusError
+		switch {
+		case err == nil && final.Result == nil:
+			return nil, errors.New("done event without a result")
+		case err == nil:
+			return final, nil
+		case writeErr != nil || errors.As(err, &se):
+			return nil, err
+		case ctx.Err() != nil:
+			return nil, ctx.Err()
+		}
+		if consumed > before {
+			attempts = 0 // the attach was productive; fresh budget
+		}
+		if attempts >= maxFollowReconnects {
+			return nil, fmt.Errorf("stream broken after %d reconnect attempts: %w", attempts, err)
+		}
+		if err := c.Backoff.Sleep(ctx, attempts); err != nil {
+			return nil, err
+		}
+		attempts++
+	}
 }
 
 // Cancel asks base to cancel job id (DELETE /v1/jobs/{id}).

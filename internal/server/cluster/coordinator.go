@@ -296,15 +296,15 @@ func (c *Coordinator) routes() {
 func (c *Coordinator) jobOp(name string) func(http.ResponseWriter, *http.Request, *cjob) {
 	switch name {
 	case "status":
-		return c.handleGetJob
+		return c.proxy("GET", "", lostRequeue)
+	case "cancel":
+		return c.proxy("DELETE", "", lostCancelled)
 	case "stream":
 		return c.handleStreamJob
 	case "spans":
 		return c.handleJobSpans
-	case "cancel":
-		return c.handleCancelJob
 	}
-	return c.artifactHandler(name)
+	return c.proxy("GET", "/"+name, lostBadGateway)
 }
 
 // relay passes a shard's answer through to the client verbatim.
@@ -380,15 +380,14 @@ func (c *Coordinator) dispatch(ctx context.Context, op, key string, skip int,
 	return -1, nil, fmt.Errorf("every healthy shard failed: %w", lastErr)
 }
 
-// submit routes one job: it content-addresses the body, dispatches it
-// to the key's shard, and registers the accepted job under a
-// coordinator ID. The job's root span continues the span in ctx (the
-// client's traceparent for HTTP submits, the search's span for
-// autotune evals), and every shard attempt propagates it downstream,
-// so caller, coordinator routing and shard-side execution share a
-// trace ID. A shard's application-level answer (400 bad spec, 404
-// unknown experiment, 429 when every shard stayed busy) comes back as
-// a nil job with the response, for the caller to relay.
+// submit routes one job: it content-addresses the body and places it.
+// The job's root span continues the span in ctx (the client's
+// traceparent for HTTP submits, the search's span for autotune evals),
+// and every shard attempt propagates it downstream, so caller,
+// coordinator routing and shard-side execution share a trace ID. A
+// shard's application-level answer (400 bad spec, 404 unknown
+// experiment, 429 when every shard stayed busy) comes back as a nil
+// job with the response, for the caller to relay.
 func (c *Coordinator) submit(ctx context.Context, kind string, body []byte) (*cjob, *server.Response, error) {
 	if c.isClosed() {
 		return nil, nil, errClosed
@@ -397,54 +396,83 @@ func (c *Coordinator) submit(ctx context.Context, kind string, body []byte) (*cj
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", errBadBody, err)
 	}
-	path := c.paths[kind]
 	parent, _ := obs.SpanFromContext(ctx)
-	sc := c.tracer.Child(parent)
-	submitted := time.Now()
-	ctx = obs.ContextWithSpan(ctx, sc)
+	j := &cjob{kind: kind, key: key, body: body,
+		sc: c.tracer.Child(parent), parentSpan: parent.Span, submitted: time.Now()}
+	_, sr, err := c.place(ctx, j, -1)
+	if err != nil {
+		if ctx.Err() == nil {
+			c.m.rejected.Add(1)
+			c.flight.Record("job.rejected", "", j.sc.Trace.String(), kind)
+		}
+		return nil, nil, err
+	}
+	if j.id == "" { // no shard accepted it
+		return nil, sr, nil
+	}
+	return j, sr, nil
+}
 
-	shard, sr, err := c.dispatch(ctx, "submit", key, -1, func(ctx context.Context, shard int) (*server.Response, error) {
+// place is the one placement routine, for submits and requeues: it
+// POSTs j's original body to its key's ring shards, skipping the lost
+// shard from (-1 on a submit), with a route span per attempt, and
+// adopts a job-status answer as j's placement — a 200 (the shard's
+// cached result) also as its terminal status — moving the routed or
+// cache-hit counter. A submitted job gets its coordinator ID at its
+// first acceptance. Any other answer is returned untouched.
+func (c *Coordinator) place(ctx context.Context, j *cjob, from int) (int, *server.Response, error) {
+	op := "submit"
+	if from >= 0 {
+		op = "requeue"
+	}
+	ctx = obs.ContextWithSpan(ctx, j.sc)
+	start := time.Now()
+	shard, sr, err := c.dispatch(ctx, op, j.key, from, func(ctx context.Context, shard int) (*server.Response, error) {
 		attempt := time.Now()
-		sr, err := c.client.Do(ctx, "POST", c.cfg.Shards[shard]+path, "application/json", body)
+		sr, err := c.client.Do(ctx, "POST", c.cfg.Shards[shard]+c.paths[j.kind], "application/json", j.body)
 		outcome := "shard-failed"
 		if err == nil {
 			outcome = strconv.Itoa(sr.Code) // 200 is a shard cache hit
 		}
-		c.tracer.Record(sc, "route", attempt, time.Now(),
-			obs.KV("shard", c.cfg.Shards[shard]), obs.KV("kind", kind), obs.KV("outcome", outcome))
+		c.tracer.Record(j.sc, "route", attempt, time.Now(),
+			obs.KV("shard", c.cfg.Shards[shard]), obs.KV("kind", j.kind), obs.KV("outcome", outcome))
 		return sr, err
 	})
-	if err != nil {
-		if ctx.Err() == nil {
-			c.m.rejected.Add(1)
-			c.flight.Record("job.rejected", "", sc.Trace.String(), kind)
-		}
-		return nil, nil, err
+	var st *server.JobStatus
+	if err == nil {
+		st = sr.Job()
 	}
-	st := sr.Job()
 	if st == nil {
-		return nil, sr, nil
+		return shard, sr, err
 	}
-	url := c.cfg.Shards[shard]
-	j := &cjob{kind: kind, key: key, body: body,
-		shard: shard, remoteID: st.ID,
-		sc: sc, parentSpan: parent.Span, submitted: submitted}
-	cached := sr.Code == http.StatusOK
-	c.addJob(j)
-	if cached { // shard cache hit: born terminal
-		c.m.cacheHits.Inc(url)
-		res := j.rewrite(*st)
-		j.mu.Lock()
-		j.result = &res
-		j.mu.Unlock()
-		c.closeRootSpan(j, res.State)
+	if j.id == "" {
+		c.addJob(j)
+	}
+	to, cached := c.cfg.Shards[shard], sr.Code == http.StatusOK
+	j.mu.Lock()
+	j.shard, j.remoteID = shard, st.ID
+	j.mu.Unlock()
+	if cached {
+		c.m.cacheHits.Inc(to)
+		c.setResult(j, j.rewrite(*st))
 	} else {
-		c.m.routed.Inc(url)
-		c.flight.Recordf("job.routed", j.id, sc.Trace.String(), "%s -> %s (%s)", kind, url, j.remoteID)
+		c.m.routed.Inc(to)
 	}
-	c.log.Info("job routed", "job", j.id, "kind", kind, "shard", url, "remote", j.remoteID,
-		"cached", cached, "trace", sc.Trace.String())
-	return j, sr, nil
+	if from < 0 {
+		if !cached {
+			c.flight.Recordf("job.routed", j.id, j.sc.Trace.String(), "%s -> %s (%s)", j.kind, to, st.ID)
+		}
+		c.log.Info("job routed", "job", j.id, "kind", j.kind, "shard", to, "remote", st.ID,
+			"cached", cached, "trace", j.sc.Trace.String())
+		return shard, sr, nil
+	}
+	lost := c.cfg.Shards[from]
+	c.m.requeued.Inc(lost)
+	c.tracer.Record(j.sc, "requeue", start, time.Now(),
+		obs.KV("from", lost), obs.KV("to", to), obs.KV("remote", st.ID), obs.KV("cached", strconv.FormatBool(cached)))
+	c.flight.Recordf("job.requeued", j.id, j.sc.Trace.String(), "%s -> %s (%s, cached=%v)", lost, to, st.ID, cached)
+	c.log.Warn("job requeued", "job", j.id, "from", lost, "to", to, "remote", st.ID, "cached", cached)
+	return shard, sr, nil
 }
 
 // submitHandler serves one submit endpoint: submit, then stream the job
@@ -457,14 +485,10 @@ func (c *Coordinator) submitHandler(kind string) http.HandlerFunc {
 			server.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 			return
 		}
-		// A malformed ?offset is refused before the job is routed, as
-		// the daemon does.
-		stream, off := server.StreamRequested(r), 0
-		if stream {
-			var ok bool
-			if off, ok = server.StreamOffset(w, r); !ok {
-				return
-			}
+		// A malformed ?offset is refused before the job is routed.
+		stream, off, ok := server.StreamRequested(w, r)
+		if !ok {
+			return
 		}
 		ctx := r.Context()
 		if sc, ok := obs.Extract(r.Header); ok {
@@ -555,7 +579,12 @@ func (c *Coordinator) shardFailed(shard int, op string, err error) {
 	c.prober.markDown(shard)
 }
 
-// setResult records a terminal status (ID/key already rewritten).
+// setResult records a routed job's terminal status (ID/key already
+// rewritten) the first time one is seen, and closes the job's root
+// span, submit to terminal status: route and requeue spans nest under
+// it, so one trace shows the job's history across every shard it
+// touched. A job a shard ran to done counts as done; a shard's cached
+// answer does not.
 func (c *Coordinator) setResult(j *cjob, st server.JobStatus) {
 	j.mu.Lock()
 	first := j.result == nil
@@ -566,20 +595,13 @@ func (c *Coordinator) setResult(j *cjob, st server.JobStatus) {
 	if !first {
 		return
 	}
-	c.closeRootSpan(j, st.State)
-	if st.State == "done" {
-		c.m.jobsDone.Add(1)
-	}
-}
-
-// closeRootSpan emits the routed job's root span, spanning submit to
-// terminal status. Route/requeue child spans nest under it, so one
-// trace shows the job's full history across every shard it touched.
-func (c *Coordinator) closeRootSpan(j *cjob, state string) {
 	c.tracer.Add(obs.Span{Trace: j.sc.Trace, ID: j.sc.Span, Parent: j.parentSpan, Name: "job",
 		Start: j.submitted.UnixNano(), End: time.Now().UnixNano(),
-		Attrs: []obs.Attr{obs.KV("kind", j.kind), obs.KV("job", j.id), obs.KV("state", state)}})
-	c.flight.Record("job."+state, j.id, j.sc.Trace.String(), j.kind)
+		Attrs: []obs.Attr{obs.KV("kind", j.kind), obs.KV("job", j.id), obs.KV("state", st.State)}})
+	c.flight.Record("job."+st.State, j.id, j.sc.Trace.String(), j.kind)
+	if st.State == "done" && !st.Cached {
+		c.m.jobsDone.Add(1)
+	}
 }
 
 // rewrite maps a shard's job status into the coordinator's namespace.
@@ -589,22 +611,16 @@ func (j *cjob) rewrite(st server.JobStatus) server.JobStatus {
 	return st
 }
 
-// requeue reroutes a job off a lost shard to the next healthy ring
-// position, resubmitting the original body verbatim. The failover
-// target's local cache may already hold the result (it ran the key
-// before, or the job finished just before the shard died and another
-// client warmed it) — then the requeue resolves to a terminal status
-// immediately. Safe to call from concurrent proxies: only the caller
-// that still observes the failed placement moves the job.
+// requeue reroutes a job off a lost shard through place. The failover
+// target's cache may already hold the result (it ran the key before,
+// or another client warmed it) — then the requeue resolves to a
+// terminal status at once. Safe to call from concurrent proxies: only
+// the caller that still observes the failed placement moves the job.
 func (c *Coordinator) requeue(ctx context.Context, j *cjob, failedShard int, failedRemoteID string) error {
 	j.routeMu.Lock()
 	defer j.routeMu.Unlock()
-	shard, remoteID, res := j.placement()
-	if res != nil {
-		return nil // finished before we got here
-	}
-	if shard != failedShard || remoteID != failedRemoteID {
-		return nil // a concurrent proxy already moved it
+	if shard, remoteID, res := j.placement(); res != nil || shard != failedShard || remoteID != failedRemoteID {
+		return nil // finished, or a concurrent proxy already moved it
 	}
 	// Each job may move at most twice per shard in the fleet.
 	maxRequeues := 2 * len(c.cfg.Shards)
@@ -617,46 +633,28 @@ func (c *Coordinator) requeue(ctx context.Context, j *cjob, failedShard int, fai
 	if over {
 		return fmt.Errorf("job %s exceeded %d requeues", j.id, maxRequeues)
 	}
-
-	// The resubmit continues the job's trace: the replacement shard's
-	// spans land under the same trace ID as the lost shard's, so the
-	// merged span tree shows the whole failover.
-	ctx = obs.ContextWithSpan(ctx, j.sc)
-	rqStart := time.Now()
-	target, sr, err := c.dispatch(ctx, "requeue", j.key, failedShard, func(ctx context.Context, shard int) (*server.Response, error) {
-		return c.client.Do(ctx, "POST", c.cfg.Shards[shard]+c.paths[j.kind], "application/json", j.body)
-	})
-	if err != nil {
-		return err
+	// The resubmit continues the job's trace, so the merged span tree
+	// shows the whole failover.
+	target, sr, err := c.place(ctx, j, failedShard)
+	if err == nil && sr.Job() == nil {
+		err = fmt.Errorf("shard %s rejected requeued job: %d %s", c.cfg.Shards[target], sr.Code, bytes.TrimSpace(sr.Body))
 	}
-	from, to := c.cfg.Shards[failedShard], c.cfg.Shards[target]
-	st := sr.Job()
-	if st == nil {
-		return fmt.Errorf("shard %s rejected requeued job: %d %s", to, sr.Code, bytes.TrimSpace(sr.Body))
-	}
-	cached := sr.Code == http.StatusOK
-	c.m.requeued.Inc(from)
-	if cached {
-		c.m.cacheHits.Inc(to)
-	} else {
-		j.mu.Lock()
-		j.shard, j.remoteID = target, st.ID
-		j.mu.Unlock()
-		c.m.routed.Inc(to)
-	}
-	c.tracer.Record(j.sc, "requeue", rqStart, time.Now(),
-		obs.KV("from", from), obs.KV("to", to), obs.KV("remote", st.ID), obs.KV("cached", strconv.FormatBool(cached)))
-	c.flight.Recordf("job.requeued", j.id, j.sc.Trace.String(), "%s -> %s (%s, cached=%v)", from, to, st.ID, cached)
-	c.log.Warn("job requeued", "job", j.id, "from", from, "to", to, "remote", st.ID, "cached", cached)
-	if cached { // the target already held the result
-		c.setResult(j, j.rewrite(*st))
-	}
-	return nil
+	return err
 }
 
-// jobCall calls a routed job's endpoint on its owning shard: suffix ""
-// is the job itself, "/linereport" one of its artifacts. A shard that
-// fails to answer is demoted.
+// lostPolicy is what a job proxy does when the owning shard does not
+// answer.
+type lostPolicy int
+
+const (
+	lostRequeue    lostPolicy = iota // move the job on (also when the shard forgot it)
+	lostCancelled                    // report it cancelled: the job died with its shard
+	lostBadGateway                   // answer 502
+)
+
+// jobCall calls a routed job's endpoint on its owning shard: suffix
+// "" is the job itself, "/linereport" one of its artifacts. A shard
+// that fails to answer is demoted.
 func (c *Coordinator) jobCall(ctx context.Context, j *cjob, method, suffix string) (shard int, remoteID string, sr *server.Response, err error) {
 	shard, remoteID, _ = j.placement()
 	sr, err = c.client.Do(ctx, method, c.cfg.Shards[shard]+"/v1/jobs/"+remoteID+suffix, "", nil)
@@ -666,65 +664,44 @@ func (c *Coordinator) jobCall(ctx context.Context, j *cjob, method, suffix strin
 	return shard, remoteID, sr, err
 }
 
-func (c *Coordinator) handleGetJob(w http.ResponseWriter, r *http.Request, j *cjob) {
-	if _, _, res := j.placement(); res != nil {
-		server.WriteJSON(w, http.StatusOK, *res)
-		return
-	}
-	shard, remoteID, sr, err := c.jobCall(r.Context(), j, "GET", "")
-	switch {
-	case r.Context().Err() != nil:
-	case err != nil || sr.Code == http.StatusNotFound: // shard lost, or restarted and lost its jobs
-		if err := c.requeue(r.Context(), j, shard, remoteID); err != nil {
-			server.WriteError(w, http.StatusBadGateway, "shard lost and requeue failed: %v", err)
-		} else if _, _, res := j.placement(); res != nil {
-			server.WriteJSON(w, http.StatusOK, *res)
-		} else {
-			server.WriteJSON(w, http.StatusOK, server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "queued"})
-		}
-	case sr.Job() == nil:
-		relay(w, sr)
-	default:
-		st := j.rewrite(*sr.Job())
-		switch st.State {
-		case "done", "failed", "cancelled":
-			c.setResult(j, st)
-		}
-		server.WriteJSON(w, http.StatusOK, st)
-	}
-}
-
-func (c *Coordinator) handleCancelJob(w http.ResponseWriter, r *http.Request, j *cjob) {
-	if _, _, res := j.placement(); res != nil {
-		server.WriteJSON(w, http.StatusOK, *res)
-		return
-	}
-	_, _, sr, err := c.jobCall(r.Context(), j, "DELETE", "")
-	switch {
-	case r.Context().Err() != nil:
-	case err != nil:
-		// A dead shard's job is dead with it; report it cancelled
-		// rather than requeuing work nobody wants anymore.
-		st := server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "cancelled"}
-		c.setResult(j, st)
-		server.WriteJSON(w, http.StatusOK, st)
-	case sr.Job() == nil:
-		relay(w, sr)
-	default:
-		server.WriteJSON(w, sr.Code, j.rewrite(*sr.Job()))
-	}
-}
-
-// artifactHandler proxies a job's telemetry artifact from its shard.
-func (c *Coordinator) artifactHandler(name string) func(http.ResponseWriter, *http.Request, *cjob) {
+// proxy is the one owning-shard proxy: it serves method on a routed
+// job's /v1/jobs/{id}{suffix} from its shard. For the job itself
+// (suffix "") a terminal status already held answers without a call,
+// and the shard's job status is rewritten into the coordinator's
+// namespace, a terminal one recorded. Anything else is relayed.
+func (c *Coordinator) proxy(method, suffix string, lost lostPolicy) func(http.ResponseWriter, *http.Request, *cjob) {
 	return func(w http.ResponseWriter, r *http.Request, j *cjob) {
-		_, _, sr, err := c.jobCall(r.Context(), j, "GET", "/"+name)
+		ctx := r.Context()
+		if _, _, res := j.placement(); res != nil && suffix == "" {
+			server.WriteJSON(w, http.StatusOK, *res)
+			return
+		}
+		shard, remoteID, sr, err := c.jobCall(ctx, j, method, suffix)
 		switch {
-		case r.Context().Err() != nil:
+		case ctx.Err() != nil:
+		case lost == lostRequeue && (err != nil || sr.Code == http.StatusNotFound):
+			if err := c.requeue(ctx, j, shard, remoteID); err != nil {
+				server.WriteError(w, http.StatusBadGateway, "shard lost and requeue failed: %v", err)
+			} else if _, _, res := j.placement(); res != nil {
+				server.WriteJSON(w, http.StatusOK, *res)
+			} else {
+				server.WriteJSON(w, http.StatusOK, server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "queued"})
+			}
+		case lost == lostCancelled && err != nil:
+			st := server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "cancelled"}
+			c.setResult(j, st)
+			server.WriteJSON(w, http.StatusOK, st)
 		case err != nil:
 			server.WriteError(w, http.StatusBadGateway, "owning shard unreachable: %v", err)
-		default:
+		case suffix != "" || sr.Job() == nil:
 			relay(w, sr)
+		default:
+			st := j.rewrite(*sr.Job())
+			switch st.State {
+			case "done", "failed", "cancelled":
+				c.setResult(j, st)
+			}
+			server.WriteJSON(w, sr.Code, st)
 		}
 	}
 }
@@ -764,7 +741,7 @@ func (c *Coordinator) handleJobSpans(w http.ResponseWriter, r *http.Request, j *
 // handleStreamJob follows a routed job for an HTTP client as NDJSON,
 // from ?offset=N; a submit with ?stream=1 is answered the same way.
 func (c *Coordinator) handleStreamJob(w http.ResponseWriter, r *http.Request, j *cjob) {
-	if off, ok := server.StreamOffset(w, r); ok {
+	if off, ok := server.Offset(w, r); ok {
 		c.follow(r.Context(), j, off, server.NDJSON(w))
 	}
 }

@@ -38,6 +38,12 @@ func (s jobState) String() string {
 	return fmt.Sprintf("jobState(%d)", int(s))
 }
 
+// runFunc executes a job's work, writing human-readable output to the
+// job's progress log as it is produced, and returns the final Result.
+// It receives the job so it can attach artifacts (setArtifact) such as
+// recorded telemetry.
+type runFunc func(ctx context.Context, j *job) bench.Result
+
 // job is one unit of work on the scheduler: an experiment run, a
 // DirtBuster analysis or a trace analysis. Its context is the
 // cancellation channel — DELETE, a last-watcher disconnect and a
@@ -47,11 +53,7 @@ type job struct {
 	id   string
 	kind string
 	key  string
-	// run executes the work, writing human-readable output to the
-	// job's progress log as it is produced, and returns the final
-	// Result. It receives the job so it can attach artifacts
-	// (setArtifact) such as recorded telemetry.
-	run func(ctx context.Context, j *job) bench.Result
+	run  runFunc
 
 	ctx       context.Context
 	cancel    context.CancelFunc

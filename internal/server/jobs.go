@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 
 	"prestores/internal/bench"
 	"prestores/internal/dirtbuster"
@@ -38,13 +39,44 @@ type traceSpec struct {
 	PMSize   uint64 `json:"pm_size,omitempty"`
 }
 
+// The prepare functions are the per-kind step of the submit pipeline
+// (submitRoute): each validates a decoded body into the job's
+// cache-key value and run function.
+
+func (s *Server) prepareExperiment(spec *experimentSpec) (any, runFunc, error) {
+	e, ok := s.cfg.Lookup(spec.ID)
+	if !ok {
+		return nil, nil, httpErrorf(http.StatusNotFound,
+			"unknown experiment %q; GET /v1/experiments lists the registry", spec.ID)
+	}
+	return *spec, s.experimentRun(e, spec.Quick), nil
+}
+
+func (s *Server) prepareDirtbuster(spec *dirtbusterSpec) (any, runFunc, error) {
+	wl, err := s.workload(spec.Workload, spec.Quick)
+	if err != nil {
+		return nil, nil, err
+	}
+	return *spec, s.dirtbusterRun(wl), nil
+}
+
+func (s *Server) prepareTrace(spec *traceSpec) (any, runFunc, error) {
+	// Trace recordings always use smoke-sized workloads, like
+	// prestore-trace: full traces of full-size workloads are huge.
+	wl, err := s.workload(spec.Workload, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	return *spec, s.traceRun(wl, *spec), nil
+}
+
 // experimentRun builds the run function for an experiment job: the
 // bench runner's single-experiment harness (panic containment,
 // timeout, cooperative cancellation, SimOps accounting), streaming
 // output into the progress log as rows are produced. The output bytes
 // are exactly what bench.RunOne writes for the same experiment, which
 // is what the golden-determinism guard asserts.
-func (s *Server) experimentRun(e bench.Experiment, quick bool) func(context.Context, *job) bench.Result {
+func (s *Server) experimentRun(e bench.Experiment, quick bool) runFunc {
 	return s.guarded(e.ID, e.Title, func(ctx context.Context, _ *job, out io.Writer) error {
 		return bench.RunOne(ctx, out, e, quick)
 	})
@@ -58,7 +90,7 @@ func (s *Server) experimentRun(e bench.Experiment, quick bool) func(context.Cont
 // written, so an attached stream follows it live. The body receives
 // the job so it can attach artifacts.
 func (s *Server) guarded(id, title string,
-	body func(ctx context.Context, j *job, out io.Writer) error) func(context.Context, *job) bench.Result {
+	body func(ctx context.Context, j *job, out io.Writer) error) runFunc {
 	return func(ctx context.Context, j *job) bench.Result {
 		res, _ := bench.Guarded(ctx, j.out, id, title, s.cfg.JobTimeout, func(ctx context.Context, out io.Writer) error {
 			return body(ctx, j, out)
@@ -75,18 +107,20 @@ func attachOps(ctx context.Context, wl dirtbuster.Workload) dirtbuster.Workload 
 	return wl
 }
 
-// lookupWorkload finds a DirtBuster-analyzable workload by name.
-func (s *Server) lookupWorkload(name string, quick bool) (dirtbuster.Workload, bool) {
+// workload finds a DirtBuster-analyzable workload by name; an unknown
+// name is a 404.
+func (s *Server) workload(name string, quick bool) (dirtbuster.Workload, error) {
 	for _, w := range s.cfg.Workloads(quick) {
 		if w.Name == name {
-			return w, true
+			return w, nil
 		}
 	}
-	return dirtbuster.Workload{}, false
+	return dirtbuster.Workload{}, httpErrorf(http.StatusNotFound,
+		"unknown workload %q; GET /v1/registry lists them under dirtbuster_workloads", name)
 }
 
 // dirtbusterRun builds the run function for a DirtBuster analysis job.
-func (s *Server) dirtbusterRun(wl dirtbuster.Workload) func(context.Context, *job) bench.Result {
+func (s *Server) dirtbusterRun(wl dirtbuster.Workload) runFunc {
 	return s.guarded("dirtbuster/"+wl.Name, "DirtBuster analysis of "+wl.Name,
 		func(ctx context.Context, _ *job, out io.Writer) error {
 			wl := attachOps(ctx, wl)
@@ -102,7 +136,7 @@ func (s *Server) dirtbusterRun(wl dirtbuster.Workload) func(context.Context, *jo
 // the same two-pass pipeline as /v1/analyses, "report" as its pass 1,
 // "pmcheck" one chunk at a time. Cancellation is checked between the
 // record and analyze stages.
-func (s *Server) traceRun(wl dirtbuster.Workload, spec traceSpec) func(context.Context, *job) bench.Result {
+func (s *Server) traceRun(wl dirtbuster.Workload, spec traceSpec) runFunc {
 	mode := spec.Mode
 	if mode == "" {
 		mode = "dirtbuster"

@@ -212,6 +212,64 @@ func TestScenarioTelemetryArtifacts(t *testing.T) {
 	}
 }
 
+// TestEvalTelemetryArtifacts: an eval whose spec carries a telemetry
+// block is recorded like a scenario job, so its line report is served
+// as an artifact, while its output stays exactly the metrics JSON line
+// an unrecorded eval of the same point produces.
+func TestEvalTelemetryArtifacts(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	eval := func(spec string) JobStatus {
+		t.Helper()
+		code, data := postRaw(t, ts.URL+"/v1/eval", `{"spec": `+spec+`, "quick": true}`)
+		if code != http.StatusAccepted {
+			t.Fatalf("eval submit: status %d: %s", code, data)
+		}
+		var st JobStatus
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatal(err)
+		}
+		st = waitFinal(t, ts.URL, st.ID)
+		if st.State != "done" || st.Result == nil {
+			t.Fatalf("eval job did not finish cleanly: %+v", st)
+		}
+		return st
+	}
+	lineOnly := strings.Replace(telemetryScenario,
+		`"telemetry": {"timeline": true, "line_report": true}`,
+		`"telemetry": {"line_report": true}`, 1)
+	recorded := eval(lineOnly)
+
+	code, body, _ := getArtifact(t, ts.URL, recorded.ID, "linereport")
+	if code != http.StatusOK {
+		t.Fatalf("GET linereport: status %d: %s", code, body)
+	}
+	var rep struct {
+		Lines []json.RawMessage `json:"lines"`
+	}
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatalf("line report is not valid JSON: %v", err)
+	}
+	if len(rep.Lines) == 0 {
+		t.Fatal("line report tracked no lines")
+	}
+	if code, body, _ := getArtifact(t, ts.URL, recorded.ID, "timeline"); code != http.StatusNotFound {
+		t.Fatalf("GET timeline of a line-report-only eval: status %d, want 404: %s", code, body)
+	}
+
+	plain := eval(strings.Replace(telemetryScenario,
+		`,
+  "telemetry": {"timeline": true, "line_report": true}`, "", 1))
+	if recorded.Result.Output != plain.Result.Output {
+		t.Fatalf("recorded eval output %q, want the unrecorded eval's %q",
+			recorded.Result.Output, plain.Result.Output)
+	}
+	var m map[string]float64
+	if err := json.Unmarshal([]byte(recorded.Result.Output), &m); err != nil || len(m) == 0 ||
+		strings.Count(recorded.Result.Output, "\n") != 1 {
+		t.Fatalf("eval output is not one metrics JSON line (%v): %q", err, recorded.Result.Output)
+	}
+}
+
 func TestArtifactErrorPaths(t *testing.T) {
 	e := synthExperiment("a1", "no artifacts here")
 	_, ts := newTestServer(t, Config{Workers: 1, Lookup: lookupOf(e)})

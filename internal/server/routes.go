@@ -40,13 +40,13 @@ type Route struct {
 func (s *Server) Routes() []Route {
 	jh := s.jobHandler
 	return []Route{
-		{"POST /v1/experiments", Routed, "experiment", s.handleSubmitExperiment},
-		{"POST /v1/dirtbuster", Routed, "dirtbuster", s.handleSubmitDirtbuster},
-		{"POST /v1/trace", Routed, "trace", s.handleSubmitTrace},
-		{"POST /v1/scenarios", Routed, "scenario", s.handleSubmitScenario},
-		{"POST /v1/eval", Routed, "eval", s.handleSubmitEval},
+		{"POST /v1/experiments", Routed, "experiment", submitRoute(s, "experiment", s.prepareExperiment)},
+		{"POST /v1/dirtbuster", Routed, "dirtbuster", submitRoute(s, "dirtbuster", s.prepareDirtbuster)},
+		{"POST /v1/trace", Routed, "trace", submitRoute(s, "trace", s.prepareTrace)},
+		{"POST /v1/scenarios", Routed, "scenario", submitRoute(s, "scenario", s.prepareScenario)},
+		{"POST /v1/eval", Routed, "eval", submitRoute(s, "eval", s.prepareEval)},
 
-		{"POST /v1/autotune", Embedded, "", s.handleSubmitAutotune},
+		{"POST /v1/autotune", Embedded, "", submitRoute(s, "autotune", s.prepareAutotune)},
 		{"POST /v1/traces", Embedded, "", s.handleTracePost},
 		{"GET /v1/traces", Embedded, "", s.handleTraceList},
 		{"PUT /v1/traces/uploads/{id}", Embedded, "", s.handleTraceUploadPut},
@@ -54,7 +54,7 @@ func (s *Server) Routes() []Route {
 		{"DELETE /v1/traces/uploads/{id}", Embedded, "", s.handleTraceUploadAbort},
 		{"GET /v1/traces/{address}", Embedded, "", s.handleTraceGet},
 		{"DELETE /v1/traces/{address}", Embedded, "", s.handleTraceDelete},
-		{"POST /v1/analyses", Embedded, "", s.handleSubmitAnalysis},
+		{"POST /v1/analyses", Embedded, "", submitRoute(s, "analysis", s.prepareAnalysis)},
 		{"GET /v1/experiments", Embedded, "", s.handleListExperiments},
 		{"GET /v1/registry", Embedded, "", s.handleRegistry},
 

@@ -16,52 +16,50 @@ import (
 	"prestores/internal/workloads/kv"
 )
 
-// scenarioSpec is the POST /v1/scenarios body: a full declarative
-// scenario spec (see internal/scenario) plus the quick flag.
-type scenarioSpec struct {
+// specBody is the POST /v1/scenarios and /v1/eval body: a scenario spec
+// (see internal/scenario) and the quick flag. Holding the canonical
+// spec, it is also their cache-key value, so reordered keys or extra
+// whitespace still hit the same cache entry.
+type specBody struct {
 	Spec  json.RawMessage `json:"spec"`
 	Quick bool            `json:"quick"`
 }
 
-// scenarioKey is the cache-key form of a scenario submit: the spec's
-// canonical bytes rather than the client's formatting, so semantically
-// identical submits — reordered keys, extra whitespace — coalesce onto
-// the same cache entry.
-type scenarioKey struct {
-	Spec  json.RawMessage `json:"spec"`
-	Quick bool            `json:"quick"`
-}
-
-func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
-	var body scenarioSpec
-	if !decodeBody(w, r, &body) {
-		return
+// decodeSpec validates the spec of a scenario, eval or autotune submit:
+// required (hint says what it must be), decoded, passed through check
+// (nil for none) and canonicalized for the cache key. Failures are 400s.
+func decodeSpec(raw json.RawMessage, hint string, check func(*scenario.Spec) error) (scenario.Spec, json.RawMessage, error) {
+	if len(raw) == 0 {
+		return scenario.Spec{}, nil, httpErrorf(http.StatusBadRequest, "spec: required (%s)", hint)
 	}
-	if len(body.Spec) == 0 {
-		WriteError(w, http.StatusBadRequest, "spec: required (a scenario spec object; GET /v1/registry lists the building blocks)")
-		return
-	}
-	sp, err := scenario.Decode(body.Spec)
+	sp, err := scenario.Decode(raw)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
-		return
+		return sp, nil, httpErrorf(http.StatusBadRequest, "invalid scenario spec: %v", err)
+	}
+	if check != nil {
+		if err := check(&sp); err != nil {
+			return sp, nil, httpErrorf(http.StatusBadRequest, "%v", err)
+		}
 	}
 	canon, err := sp.Canonical()
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
-		return
+		return sp, nil, httpErrorf(http.StatusBadRequest, "invalid scenario spec: %v", err)
 	}
-	key := scenarioKey{Spec: canon, Quick: body.Quick}
-	s.accept(w, r, "scenario", key, s.scenarioRun(sp, body.Quick))
+	return sp, canon, nil
+}
+
+func (s *Server) prepareScenario(body *specBody) (any, runFunc, error) {
+	sp, canon, err := decodeSpec(body.Spec, "a scenario spec object; GET /v1/registry lists the building blocks", nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return specBody{Spec: canon, Quick: body.Quick}, s.scenarioRun(sp, body.Quick), nil
 }
 
 // scenarioRun builds the run function for a scenario job: the guarded
-// analysis harness around the declarative grid runner. A spec with a
-// telemetry block gets a per-job recorder attached (via the context,
-// so concurrent jobs never see each other's machines); the
-// recorded timeline and line report become job artifacts served from
-// GET /v1/jobs/{id}/timeline and .../linereport.
-func (s *Server) scenarioRun(sp scenario.Spec, quick bool) func(context.Context, *job) bench.Result {
+// harness around the declarative grid runner, recorded when the spec
+// has a telemetry block; a line report is also appended as text.
+func (s *Server) scenarioRun(sp scenario.Spec, quick bool) runFunc {
 	name := sp.Name
 	if name == "" {
 		name = "custom"
@@ -72,34 +70,48 @@ func (s *Server) scenarioRun(sp scenario.Spec, quick bool) func(context.Context,
 	}
 	return s.guarded("scenario/"+name, title,
 		func(ctx context.Context, j *job, out io.Writer) error {
-			t := sp.Telemetry
-			if t == nil {
+			rep, err := recorded(ctx, j, sp.Telemetry, func(ctx context.Context) error {
 				return bench.RunSpec(ctx, out, sp, quick)
-			}
-			rec := telemetry.New(telemetry.Config{
-				Timeline:    t.Timeline,
-				LineReport:  t.LineReport,
-				MaxEvents:   t.MaxEvents,
-				BucketBytes: t.BucketBytes,
 			})
-			err := bench.RunSpec(scenario.WithRecorder(ctx, rec), out, sp, quick)
-			if t.Timeline {
-				var b bytes.Buffer
-				if werr := rec.WriteTimeline(&b); werr == nil {
-					j.setArtifact("timeline", b.Bytes())
-				}
-			}
-			if t.LineReport {
-				rep := rec.LineReport(telemetry.ReportLines)
-				var b bytes.Buffer
-				if werr := rep.WriteJSON(&b); werr == nil {
-					j.setArtifact("linereport", b.Bytes())
-				}
+			if rep != nil {
 				fmt.Fprintln(out)
 				rep.WriteText(out)
 			}
 			return err
 		})
+}
+
+// recorded runs body under a per-job telemetry recorder when t asks for
+// one (in the context, so concurrent jobs never see each other's
+// machines), attaches the timeline and line report as job artifacts
+// (GET /v1/jobs/{id}/timeline, .../linereport) and returns the report.
+func recorded(ctx context.Context, j *job, t *scenario.TelemetrySpec,
+	body func(context.Context) error) (*telemetry.LineReport, error) {
+	if t == nil {
+		return nil, body(ctx)
+	}
+	rec := telemetry.New(telemetry.Config{
+		Timeline:    t.Timeline,
+		LineReport:  t.LineReport,
+		MaxEvents:   t.MaxEvents,
+		BucketBytes: t.BucketBytes,
+	})
+	err := body(scenario.WithRecorder(ctx, rec))
+	if t.Timeline {
+		var b bytes.Buffer
+		if werr := rec.WriteTimeline(&b); werr == nil {
+			j.setArtifact("timeline", b.Bytes())
+		}
+	}
+	if !t.LineReport {
+		return nil, err
+	}
+	rep := rec.LineReport(telemetry.ReportLines)
+	var b bytes.Buffer
+	if werr := rep.WriteJSON(&b); werr == nil {
+		j.setArtifact("linereport", b.Bytes())
+	}
+	return rep, err
 }
 
 // registryDevices describes the device-kind registry: the kinds a

@@ -7,33 +7,18 @@
 // coalescing, NDJSON progress streaming, Prometheus-text metrics, and
 // graceful shutdown that drains running jobs.
 //
-// API (all JSON unless noted):
-//
-//	POST   /v1/experiments        {"id":"fig3","quick":true}    submit an experiment job
-//	POST   /v1/dirtbuster         {"workload":"clht","quick":true}
-//	POST   /v1/trace              {"workload":"clht","mode":"dirtbuster|report|pmcheck"}
-//	POST   /v1/scenarios          {"spec":{...},"quick":true}   run a declarative scenario spec
-//	POST   /v1/traces             encoded trace body (binary)   store a recording; ?resume=1 opens a resumable upload
-//	PUT    /v1/traces/uploads/{id}?offset=N                     append one part (409 carries the offset to resume from)
-//	POST   /v1/traces/uploads/{id}/commit                       validate and store the assembled upload
-//	GET    /v1/traces             stored-trace listing; GET/DELETE /v1/traces/{address} fetch/evict one
-//	POST   /v1/analyses           {"trace":"<address>"}         chunked DirtBuster analysis of a stored trace
-//	POST   /v1/analyses/chunks    framed chunk (binary)         one synchronous per-chunk map step (cluster fan-out primitive)
-//	       ?stream=1 on any submit streams NDJSON progress instead of returning a job handle
-//	GET    /v1/experiments        registry listing
-//	GET    /v1/registry           scenario building blocks (machines, devices, workloads, stores, formats)
-//	                              and the DirtBuster workloads (dirtbuster_workloads)
-//	GET    /v1/jobs/{id}          job status (+ result when finished)
-//	GET    /v1/jobs/{id}/stream   NDJSON progress stream (attach/replay; ?offset=N resumes at byte N)
-//	DELETE /v1/jobs/{id}          cooperative cancellation
-//	GET    /metrics               Prometheus text format
-//	GET    /healthz               liveness ("ok", or 503 while draining)
-//
-// Submits return 202 with a job handle (or 200 with the result on a
-// cache hit), 429 when the queue is full, and 503 while shutting down.
-// Routes declares the whole table once: the daemon's mux and a cluster
+// The API is declared once, in Routes: submits for experiments,
+// DirtBuster and trace analyses, scenarios, evals, autotuning searches
+// and chunked analyses of stored traces; the resumable trace store;
+// the /v1/jobs/{id} status, stream (?offset=N resumes), cancel and
+// artifact routes (spans, timeline, linereport, trajectory, winner);
+// the listings; and the process routes (/metrics, /healthz,
+// /v1/debug/flightrecorder). The daemon's mux and a cluster
 // coordinator's are both built from it, and Client is the one client
-// of the API.
+// of the API. A submit runs through one pipeline (submitRoute): 202
+// with a job handle, 200 with the result on a cache hit, ?stream=1 for
+// NDJSON progress instead, 429 when the queue is full and 503 while
+// shutting down.
 //
 // /v1/dirtbuster runs the live sampling pipeline on a bundled workload.
 // /v1/trace records a bundled workload into an in-memory chunked trace
@@ -47,7 +32,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -122,11 +106,6 @@ const maxFinished = 1024
 // also report via -version and the build_info gauge — one notion of
 // "what build is this" across the fleet.
 var version = obs.Version()
-
-var (
-	errQueueFull    = errors.New("job queue full")
-	errShuttingDown = errors.New("server shutting down")
-)
 
 // Server is the prestored daemon: scheduler, cache and HTTP surface.
 // Create with New, serve s.Handler(), stop with Shutdown.
@@ -251,13 +230,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// worker drains the job queue. Dequeued jobs that were cancelled while
-// waiting have already been finalized and are skipped.
+// worker drains the job queue.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
 		if !j.trySetRunning() {
-			continue
+			continue // cancelled in the queue, and finalized then
 		}
 		wait := time.Since(j.submitted)
 		s.m.queueWait.Observe(wait, j.kind)
@@ -286,25 +264,26 @@ func (s *Server) worker() {
 		runSpan.End()
 		s.m.running.Add(-1)
 		s.m.runDur.Observe(dur, j.kind)
-		s.finalize(j, res)
+		s.finalize(j, res, stateRunning)
 	}
 }
 
 // submit is the scheduling core: content-address the request, answer
 // from the cache, coalesce onto an identical in-flight job, or enqueue
-// a new one (429 when the queue is full). detached jobs run to
+// a new one. A full queue (429) or a closed intake (503) is refused
+// with an *httpError. detached jobs run to
 // completion even if every watcher disconnects. parent is the caller's
 // span context (extracted from the request's traceparent header): the
 // new job's trace continues it, so a coordinator — or the bench client
 // — sees its remote work under its own trace ID.
 func (s *Server) submit(kind string, spec any, detached bool, parent obs.SpanContext,
-	run func(context.Context, *job) bench.Result) (JobStatus, *job, error) {
+	run runFunc) (JobStatus, *job, error) {
 	key := cacheKey(kind, spec, version)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return JobStatus{}, nil, errShuttingDown
+		return JobStatus{}, nil, httpErrorf(http.StatusServiceUnavailable, "shutting down")
 	}
 	if res, ok := s.cache[key]; ok {
 		s.m.cacheHits.Add(1)
@@ -359,7 +338,8 @@ func (s *Server) submit(kind string, spec any, detached bool, parent obs.SpanCon
 		cancel()
 		s.m.rejected.Add(1)
 		s.flight.Record("rejected", "", parent.Trace.String(), kind+": queue full")
-		return JobStatus{}, nil, errQueueFull
+		return JobStatus{}, nil, httpErrorf(http.StatusTooManyRequests,
+			"job queue full (depth %d); retry later", s.cfg.QueueDepth)
 	}
 	s.jobs[j.id] = j
 	s.inflight[key] = j
@@ -369,9 +349,15 @@ func (s *Server) submit(kind string, spec any, detached bool, parent obs.SpanCon
 	return st, j, nil
 }
 
-// finalize moves a job to its final state, caches successful results,
-// updates metrics, evicts old finished jobs, and releases streamers.
-func (s *Server) finalize(j *job, res bench.Result) {
+// finalize is every job's last step, for a worker's run job (from
+// running) and a job cancelled in the queue (from queued) alike. It
+// moves j from state from to its final state — checked and set in one
+// step under the job lock, so exactly one caller finalizes a job —
+// counting it before the state becomes visible, so a client that sees
+// the job finished always finds it on /metrics. Then it caches a
+// success, releases the in-flight entry, trims retention, closes the
+// root span, and notes the outcome in the flight recorder and the log.
+func (s *Server) finalize(j *job, res bench.Result, from jobState) {
 	final := stateDone
 	switch {
 	case j.ctx.Err() != nil:
@@ -379,8 +365,20 @@ func (s *Server) finalize(j *job, res bench.Result) {
 	case res.Err != "":
 		final = stateFailed
 	}
-	s.countFinished(j.kind, final)
 	j.mu.Lock()
+	if j.state != from {
+		j.mu.Unlock()
+		return
+	}
+	s.m.finished.Inc(j.kind, final.String())
+	switch final {
+	case stateDone:
+		s.m.jobsDone.Add(1)
+	case stateFailed:
+		s.m.jobsFailed.Add(1)
+	case stateCancelled:
+		s.m.jobsCancelled.Add(1)
+	}
 	j.state = final
 	j.result = &res
 	j.mu.Unlock()
@@ -437,21 +435,6 @@ func (s *Server) finalize(j *job, res bench.Result) {
 	close(j.done)
 }
 
-// countFinished counts a job reaching its final state. Callers count
-// before they publish that state, so a client that sees a job finished
-// always finds it on /metrics.
-func (s *Server) countFinished(kind string, final jobState) {
-	switch final {
-	case stateDone:
-		s.m.jobsDone.Add(1)
-	case stateFailed:
-		s.m.jobsFailed.Add(1)
-	case stateCancelled:
-		s.m.jobsCancelled.Add(1)
-	}
-	s.m.finished.Inc(kind, final.String())
-}
-
 // watch registers a streaming connection on a job.
 func (s *Server) watch(j *job) {
 	j.mu.Lock()
@@ -475,52 +458,12 @@ func (s *Server) unwatch(j *job) {
 	}
 }
 
-// cancelJob handles DELETE and abandonment: cancel the context; a job
-// still in the queue is finalized immediately (the worker skips it at
-// dequeue), a running one stops cooperatively.
+// cancelJob handles DELETE and abandonment: a running job stops
+// cooperatively, a queued one is finalized at once (its worker skips it).
 func (s *Server) cancelJob(j *job) {
-	j.mu.Lock()
-	wasQueued := j.state == stateQueued
-	if wasQueued {
-		s.countFinished(j.kind, stateCancelled)
-		j.state = stateCancelled
-	}
-	j.mu.Unlock()
 	j.cancel()
-	if wasQueued {
-		s.finalizeAbandoned(j)
-	}
-}
-
-// finalizeAbandoned records the final state of a job cancelled before
-// a worker picked it up. The state is already stateCancelled and
-// counted (by the caller under the job lock, which is what makes the
-// worker skip it), so finalize's bookkeeping runs with a synthetic
-// result.
-func (s *Server) finalizeAbandoned(j *job) {
-	res := bench.Result{ID: j.kind, Title: "cancelled before start", Err: "cancelled: " + context.Canceled.Error()}
-	j.mu.Lock()
-	j.result = &res
-	j.mu.Unlock()
-
-	s.mu.Lock()
-	if s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
-	}
-	s.finished = append(s.finished, j.id)
-	s.mu.Unlock()
-	s.tracer.Add(obs.Span{
-		Trace: j.sc.Trace, ID: j.sc.Span, Parent: j.parent,
-		Name: "job", Start: j.submitted.UnixNano(), End: time.Now().UnixNano(),
-		Attrs: []obs.Attr{
-			obs.KV("kind", j.kind), obs.KV("job", j.id),
-			obs.KV("state", stateCancelled.String()), obs.KV("abandoned", "queued"),
-		},
-	})
-	s.flight.Record("job.cancelled", j.id, j.sc.Trace.String(), j.kind+": before start")
-	s.log.InfoContext(j.logCtx(), "job cancelled", "job", j.id, "kind", j.kind, "queued", true)
-	j.out.close()
-	close(j.done)
+	s.finalize(j, bench.Result{ID: j.kind, Title: "cancelled before start",
+		Err: "cancelled: " + context.Canceled.Error()}, stateQueued)
 }
 
 // cacheKey content-addresses a request: kind, canonical spec JSON and
@@ -603,14 +546,46 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+// httpError is an error that carries the HTTP status it answers with.
+type httpError struct {
+	code int
+	msg  string
+}
+
+func (e *httpError) Error() string { return e.msg }
+
+func httpErrorf(code int, format string, args ...any) *httpError {
+	return &httpError{code: code, msg: fmt.Sprintf(format, args...)}
+}
+
+// writeHTTPError answers with err's status, or 500 when it carries none.
+func writeHTTPError(w http.ResponseWriter, err error) {
+	if he, ok := err.(*httpError); ok {
+		WriteError(w, he.code, "%s", he.msg)
+		return
 	}
-	return true
+	WriteError(w, http.StatusInternalServerError, "%v", err)
+}
+
+// submitRoute is the one submit pipeline, for every job kind: decode
+// the body as a T, let prepare turn it into the job's cache-key value
+// and run function (or an *httpError), and accept the job.
+func submitRoute[T any](s *Server, kind string, prepare func(*T) (any, runFunc, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var body T
+		dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&body); err != nil {
+			WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+			return
+		}
+		key, run, err := prepare(&body)
+		if err != nil {
+			writeHTTPError(w, err)
+			return
+		}
+		s.accept(w, r, kind, key, run)
+	}
 }
 
 // accept schedules a validated submit and answers it: it streams the
@@ -619,26 +594,16 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // (202) or the cached result (200). The request's traceparent header,
 // when valid, parents the job's trace; without one this daemon is the
 // trace root.
-func (s *Server) accept(w http.ResponseWriter, r *http.Request, kind string, spec any,
-	run func(context.Context, *job) bench.Result) {
-	// A malformed ?offset is refused before the job exists: a watched
-	// job queued for a stream that never attaches would run for nobody.
-	stream, off := StreamRequested(r), 0
-	if stream {
-		var ok bool
-		if off, ok = StreamOffset(w, r); !ok {
-			return
-		}
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, kind string, spec any, run runFunc) {
+	stream, off, ok := StreamRequested(w, r)
+	if !ok {
+		return
 	}
 	parent, _ := obs.Extract(r.Header)
 	st, j, err := s.submit(kind, spec, !stream, parent, run)
 	switch {
-	case errors.Is(err, errQueueFull):
-		WriteError(w, http.StatusTooManyRequests, "job queue full (depth %d); retry later", s.cfg.QueueDepth)
-	case errors.Is(err, errShuttingDown):
-		WriteError(w, http.StatusServiceUnavailable, "shutting down")
 	case err != nil:
-		WriteError(w, http.StatusInternalServerError, "%v", err)
+		writeHTTPError(w, err)
 	case j == nil: // cache hit
 		WriteJSON(w, http.StatusOK, st)
 	case stream:
@@ -649,51 +614,16 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request, kind string, spe
 }
 
 // StreamRequested reports whether a submit asked for its progress
-// stream (?stream=1) instead of a job handle.
-func StreamRequested(r *http.Request) bool {
-	v := r.URL.Query().Get("stream")
-	return v == "1" || v == "true"
-}
-
-func (s *Server) handleSubmitExperiment(w http.ResponseWriter, r *http.Request) {
-	var spec experimentSpec
-	if !decodeBody(w, r, &spec) {
-		return
+// stream (?stream=1) instead of a job handle, and from which ?offset.
+// A malformed offset is answered 400 and reported !ok before any job
+// exists: a watched job queued for a stream that never attaches would
+// run for nobody.
+func StreamRequested(w http.ResponseWriter, r *http.Request) (stream bool, off int, ok bool) {
+	if v := r.URL.Query().Get("stream"); v != "1" && v != "true" {
+		return false, 0, true
 	}
-	e, ok := s.cfg.Lookup(spec.ID)
-	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown experiment %q; GET /v1/experiments lists the registry", spec.ID)
-		return
-	}
-	s.accept(w, r, "experiment", spec, s.experimentRun(e, spec.Quick))
-}
-
-func (s *Server) handleSubmitDirtbuster(w http.ResponseWriter, r *http.Request) {
-	var spec dirtbusterSpec
-	if !decodeBody(w, r, &spec) {
-		return
-	}
-	wl, ok := s.lookupWorkload(spec.Workload, spec.Quick)
-	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown workload %q; GET /v1/registry lists them under dirtbuster_workloads", spec.Workload)
-		return
-	}
-	s.accept(w, r, "dirtbuster", spec, s.dirtbusterRun(wl))
-}
-
-func (s *Server) handleSubmitTrace(w http.ResponseWriter, r *http.Request) {
-	var spec traceSpec
-	if !decodeBody(w, r, &spec) {
-		return
-	}
-	// Trace recordings always use smoke-sized workloads, like
-	// prestore-trace: full traces of full-size workloads are huge.
-	wl, ok := s.lookupWorkload(spec.Workload, true)
-	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown workload %q; GET /v1/registry lists them under dirtbuster_workloads", spec.Workload)
-		return
-	}
-	s.accept(w, r, "trace", spec, s.traceRun(wl, spec))
+	off, ok = Offset(w, r)
+	return true, off, ok
 }
 
 func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
@@ -740,7 +670,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request, j *job)
 // handleStreamJob follows a job for an HTTP client as NDJSON, from
 // ?offset=N.
 func (s *Server) handleStreamJob(w http.ResponseWriter, r *http.Request, j *job) {
-	if off, ok := StreamOffset(w, r); ok {
+	if off, ok := Offset(w, r); ok {
 		s.streamJob(w, r, j, off)
 	}
 }
@@ -795,9 +725,10 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job, off i
 	emit(StreamEvent{Event: "done", Job: &st})
 }
 
-// StreamOffset reads a stream request's ?offset=N (0 when absent); on a
-// malformed one it answers 400 and reports false.
-func StreamOffset(w http.ResponseWriter, r *http.Request) (int, bool) {
+// Offset reads a request's ?offset=N (0 when absent): the byte a stream
+// resumes at, or an upload part's position. On a malformed one it
+// answers 400 and reports false.
+func Offset(w http.ResponseWriter, r *http.Request) (int, bool) {
 	v := r.URL.Query().Get("offset")
 	if v == "" {
 		return 0, true

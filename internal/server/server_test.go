@@ -744,9 +744,8 @@ func TestListEndpoints(t *testing.T) {
 // two steps: its completion counter moves before its final state is
 // published, so a client that sees "done" or "cancelled" and then
 // scrapes /metrics always finds the job counted. The test holds the
-// scheduler lock, which finalize and finalizeAbandoned need after
-// publishing the state, so a counter still pending behind that lock
-// reads as zero.
+// scheduler lock, which the finalizer needs after publishing the
+// state, so a counter still pending behind that lock reads as zero.
 func TestFinishedJobCountedBeforeVisible(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer func() {
@@ -793,5 +792,64 @@ func TestFinishedJobCountedBeforeVisible(t *testing.T) {
 	}
 	if done != 1 {
 		t.Errorf("job visible as done with prestored_jobs_completed_total = %d; want 1", done)
+	}
+}
+
+// TestCancelledQueuedJobsRespectRetention: a job cancelled while still
+// queued goes through the same finalizer as a job that ran, so the
+// finished-job bound holds however many queued jobs are cancelled —
+// the daemon's memory is bounded, not a function of uptime.
+func TestCancelledQueuedJobsRespectRetention(t *testing.T) {
+	const n = maxFinished + 200
+	started := make(chan struct{})
+	release := make(chan struct{})
+	blocker := bench.Experiment{ID: "block", Title: "holds the only worker", Paper: "n/a",
+		Run: func(ctx context.Context, w io.Writer, _ bool) {
+			close(started)
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+		}}
+	lookup := func(id string) (bench.Experiment, bool) {
+		if id == blocker.ID {
+			return blocker, true
+		}
+		return synthExperiment(id, "never runs"), true
+	}
+	s := New(Config{Workers: 1, QueueDepth: n, Lookup: lookup})
+	defer func() {
+		close(release)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	serve := func(method, path, body string) JobStatus {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		var st JobStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code/100 != 2 {
+			t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body.Bytes())
+		}
+		return st
+	}
+	serve("POST", "/v1/experiments", `{"id":"block"}`)
+	<-started
+	for i := 0; i < n; i++ {
+		st := serve("POST", "/v1/experiments", fmt.Sprintf(`{"id":"q%d"}`, i))
+		if st := serve("DELETE", "/v1/jobs/"+st.ID, ""); st.State != "cancelled" {
+			t.Fatalf("cancelled queued job %s is %s", st.ID, st.State)
+		}
+	}
+	s.mu.Lock()
+	jobs, finished := len(s.jobs), len(s.finished)
+	s.mu.Unlock()
+	if finished > maxFinished || jobs > maxFinished+1 {
+		t.Fatalf("daemon retains %d jobs (%d finished) after %d cancelled in the queue; want at most %d finished plus the running one",
+			jobs, finished, n, maxFinished)
+	}
+	if got := s.m.jobsCancelled.Load(); got != n {
+		t.Fatalf("prestored_jobs_cancelled_total = %d, want %d", got, n)
 	}
 }

@@ -95,22 +95,11 @@ func validateTrace(data []byte) (chunks int, records uint64, err error) {
 	}
 }
 
-type storeError struct {
-	code int
-	msg  string
-}
-
-func (e *storeError) Error() string { return e.msg }
-
-func storeErrf(code int, format string, args ...any) *storeError {
-	return &storeError{code: code, msg: fmt.Sprintf(format, args...)}
-}
-
 // put stores a complete encoded trace, validating it first.
 func (ts *traceStore) put(data []byte) (TraceInfo, error) {
 	chunks, records, err := validateTrace(data)
 	if err != nil {
-		return TraceInfo{}, storeErrf(http.StatusBadRequest, "invalid trace: %v", err)
+		return TraceInfo{}, httpErrorf(http.StatusBadRequest, "invalid trace: %v", err)
 	}
 	addr := traceAddress(data)
 	ts.mu.Lock()
@@ -119,7 +108,7 @@ func (ts *traceStore) put(data []byte) (TraceInfo, error) {
 		return st.info, nil
 	}
 	if ts.used+int64(len(data)) > ts.quota {
-		return TraceInfo{}, storeErrf(http.StatusRequestEntityTooLarge,
+		return TraceInfo{}, httpErrorf(http.StatusRequestEntityTooLarge,
 			"trace store quota exceeded (%d of %d bytes used)", ts.used, ts.quota)
 	}
 	st := &storedTrace{
@@ -138,7 +127,7 @@ func (ts *traceStore) begin() (string, error) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	if len(ts.uploads) >= maxOpenUploads {
-		return "", storeErrf(http.StatusTooManyRequests,
+		return "", httpErrorf(http.StatusTooManyRequests,
 			"too many open uploads (%d); commit or abort one first", len(ts.uploads))
 	}
 	ts.useq++
@@ -156,18 +145,18 @@ func (ts *traceStore) appendPart(id string, offset int64, data []byte) (int64, e
 	defer ts.mu.Unlock()
 	up, ok := ts.uploads[id]
 	if !ok {
-		return 0, storeErrf(http.StatusNotFound, "unknown upload %q", id)
+		return 0, httpErrorf(http.StatusNotFound, "unknown upload %q", id)
 	}
 	cur := int64(len(up.buf))
 	if offset != cur {
 		if offset < cur && offset+int64(len(data)) <= cur {
 			return cur, nil // duplicate of bytes we already have
 		}
-		return cur, storeErrf(http.StatusConflict,
+		return cur, httpErrorf(http.StatusConflict,
 			"upload %s is at offset %d, not %d; resume from %d", id, cur, offset, cur)
 	}
 	if ts.used+int64(len(data)) > ts.quota {
-		return cur, storeErrf(http.StatusRequestEntityTooLarge,
+		return cur, httpErrorf(http.StatusRequestEntityTooLarge,
 			"trace store quota exceeded (%d of %d bytes used)", ts.used, ts.quota)
 	}
 	up.buf = append(up.buf, data...)
@@ -185,7 +174,7 @@ func (ts *traceStore) commit(id string) (TraceInfo, error) {
 	}
 	ts.mu.Unlock()
 	if !ok {
-		return TraceInfo{}, storeErrf(http.StatusNotFound, "unknown upload %q", id)
+		return TraceInfo{}, httpErrorf(http.StatusNotFound, "unknown upload %q", id)
 	}
 	return ts.put(up.buf)
 }
@@ -195,7 +184,7 @@ func (ts *traceStore) abort(id string) error {
 	defer ts.mu.Unlock()
 	up, ok := ts.uploads[id]
 	if !ok {
-		return storeErrf(http.StatusNotFound, "unknown upload %q", id)
+		return httpErrorf(http.StatusNotFound, "unknown upload %q", id)
 	}
 	delete(ts.uploads, id)
 	ts.used -= int64(len(up.buf))
@@ -253,14 +242,6 @@ func (ts *traceStore) usage() (used int64, stored int) {
 
 // ---- HTTP handlers ----
 
-func writeStoreError(w http.ResponseWriter, err error) {
-	if se, ok := err.(*storeError); ok {
-		WriteError(w, se.code, "%s", se.msg)
-		return
-	}
-	WriteError(w, http.StatusInternalServerError, "%v", err)
-}
-
 func readPart(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	data, err := io.ReadAll(io.LimitReader(r.Body, maxUploadPart+1))
 	if err != nil {
@@ -283,7 +264,7 @@ func (s *Server) handleTracePost(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("resume"); v == "1" || v == "true" {
 		id, err := s.traces.begin()
 		if err != nil {
-			writeStoreError(w, err)
+			writeHTTPError(w, err)
 			return
 		}
 		WriteJSON(w, http.StatusCreated, map[string]any{"upload": id, "offset": 0})
@@ -294,8 +275,14 @@ func (s *Server) handleTracePost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, err := s.traces.put(data)
+	s.answerStored(w, info, err)
+}
+
+// answerStored answers the storing of a trace, one-shot or committed,
+// and counts the upload.
+func (s *Server) answerStored(w http.ResponseWriter, info TraceInfo, err error) {
 	if err != nil {
-		writeStoreError(w, err)
+		writeHTTPError(w, err)
 		return
 	}
 	s.m.traceUploads.Add(1)
@@ -305,28 +292,23 @@ func (s *Server) handleTracePost(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTraceUploadPut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var offset int64
-	if v := r.URL.Query().Get("offset"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			WriteError(w, http.StatusBadRequest, "bad offset %q (want a non-negative integer)", v)
-			return
-		}
-		offset = n
+	offset, ok := Offset(w, r)
+	if !ok {
+		return
 	}
 	data, ok := readPart(w, r)
 	if !ok {
 		return
 	}
-	newOff, err := s.traces.appendPart(id, offset, data)
+	newOff, err := s.traces.appendPart(id, int64(offset), data)
 	if err != nil {
-		if se, ok := err.(*storeError); ok && se.code == http.StatusConflict {
+		if se, ok := err.(*httpError); ok && se.code == http.StatusConflict {
 			// 409 carries the current offset so the client resumes
 			// without a second round trip.
 			WriteJSON(w, http.StatusConflict, map[string]any{"error": se.msg, "upload": id, "offset": newOff})
 			return
 		}
-		writeStoreError(w, err)
+		writeHTTPError(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{"upload": id, "offset": newOff})
@@ -334,18 +316,12 @@ func (s *Server) handleTraceUploadPut(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTraceUploadCommit(w http.ResponseWriter, r *http.Request) {
 	info, err := s.traces.commit(r.PathValue("id"))
-	if err != nil {
-		writeStoreError(w, err)
-		return
-	}
-	s.m.traceUploads.Add(1)
-	s.m.traceUploadBytes.Add(info.Bytes)
-	WriteJSON(w, http.StatusCreated, info)
+	s.answerStored(w, info, err)
 }
 
 func (s *Server) handleTraceUploadAbort(w http.ResponseWriter, r *http.Request) {
 	if err := s.traces.abort(r.PathValue("id")); err != nil {
-		writeStoreError(w, err)
+		writeHTTPError(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]string{"status": "aborted"})
