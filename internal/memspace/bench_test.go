@@ -10,10 +10,12 @@ import (
 // BenchmarkStore times the backing store's translation path, the
 // memspace rung of the layer benchmarks. One op is one ReadU64 in
 // sequential (a 64-byte stride through 8 MiB of written pages, so one
-// access in 64 misses the translation cache) and random (written pages
-// scattered over a 4 GiB heap, so nearly every access misses it), and
-// one restore of a 256-page snapshot plus the copy-on-write first write
-// of one of its pages in restore-cow.
+// access per page, one in four, misses the translation cache) and
+// random (written pages scattered over a 4 GiB heap, so nearly every
+// access misses it); one restore of a 256-page snapshot plus the
+// copy-on-write first write of one of its pages in restore-cow; and one
+// 128-byte Fill at a random 64-byte-aligned address in 8 MiB of written
+// pages in fill, as listing2's memsets do.
 func BenchmarkStore(b *testing.B) {
 	const heapBase = uint64(1) << 40
 	b.Run("sequential", func(b *testing.B) {
@@ -44,6 +46,21 @@ func BenchmarkStore(b *testing.B) {
 			sum += s.ReadU64(addrs[i%pages])
 		}
 		sink = sum
+	})
+	b.Run("fill", func(b *testing.B) {
+		const size, fills = 8 << 20, 4096
+		s := NewStore()
+		s.Fill(heapBase, size, 1)
+		rng := xrand.New(1)
+		addrs := make([]uint64, fills)
+		for i := range addrs {
+			addrs[i] = heapBase + rng.Uint64n(size/64-1)*64
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Fill(addrs[i%fills], 128, byte(i))
+		}
 	})
 	b.Run("restore-cow", func(b *testing.B) {
 		const pages = 256

@@ -6,6 +6,9 @@
 // simulator (key-value stores, matrices, message rings) are functionally
 // correct, not just timing models: a value written through the simulated
 // hierarchy reads back byte-identical.
+//
+// The store pages memory at 256 bytes (PageSize, which says why) under
+// one two-level page table of 8 KiB directories and leaves.
 package memspace
 
 import (
@@ -19,31 +22,33 @@ import (
 
 // PageSize is the granularity of the sparse backing store, and so of
 // what a restored store copies on its first write to a page (see
-// Store) and of what a snapshot holds around each written byte. 1 KiB
-// keeps both close to the 64-byte lines a run actually writes.
+// Store) and of what a snapshot holds around each written byte. 256
+// bytes keeps both close to the 64-byte lines a run actually writes: a
+// device-style block much larger than the lines dirtied would carry
+// mostly bytes nobody wrote.
 const PageSize = 1 << pageShift
 
-const pageShift = 10
+const pageShift = 8
 
-// leafShift sets a leaf's span in pages: 1,024 page slots, 1 MiB of
+// leafShift sets a leaf's span in pages: 1,024 page slots, 256 KiB of
 // address space.
 const leafShift = 10
 
 const leafPages = 1 << leafShift
 
-// extentShift sets an extent's span in pages: 1 GiB of address space,
-// aligned to its size, whatever the page size. Its directory holds
-// 1,024 leaves.
-const extentShift = 30 - pageShift
+// extentShift sets an extent's span in pages: 256 MiB of address space,
+// aligned to its size. Its directory holds 1,024 leaves, so a
+// directory and a full leaf each cost 8 KiB.
+const extentShift = 28 - pageShift
 
 const extentLeaves = 1 << (extentShift - leafShift)
 
-// Private pages are carved from slabs of slabMin pages, doubling per
-// slab up to slabMax (256 KiB), so a store makes one allocation per
-// slab rather than one per page.
+// Private pages are carved from slabs of slabMin pages (4 KiB),
+// doubling per slab up to slabMax (256 KiB), so a store makes one
+// allocation per slab rather than one per page.
 const (
-	slabMin = 4
-	slabMax = 256
+	slabMin = 4 << 10 / PageSize
+	slabMax = 256 << 10 / PageSize
 )
 
 type page [PageSize]byte
@@ -52,21 +57,30 @@ type page [PageSize]byte
 // copied from here instead of being zeroed one byte at a time.
 var zeroPage page
 
-// leaf holds leafPages consecutive page slots. shared[k] marks pages[k]
-// as aliasing restored checkpoint bytes.
+// leaf holds leafPages consecutive page slots. Bit k of shared, one
+// bit per slot, marks pages[k] as aliasing restored checkpoint bytes.
 type leaf struct {
 	pages  [leafPages]*page
-	shared [leafPages]bool
+	shared [leafPages / 64]uint64
 }
 
-// extent is the two-level page table over one aligned 1 GiB span: page
-// number pn lives in slot pn&(leafPages-1) of leaf
+// isShared reports whether slot k aliases restored bytes.
+func (l *leaf) isShared(k uint64) bool { return l.shared[k>>6]&(1<<(k&63)) != 0 }
+
+// setShared marks slot k as aliasing restored bytes.
+func (l *leaf) setShared(k uint64) { l.shared[k>>6] |= 1 << (k & 63) }
+
+// setPrivate clears slot k's shared mark.
+func (l *leaf) setPrivate(k uint64) { l.shared[k>>6] &^= 1 << (k & 63) }
+
+// extent is the two-level page table over one aligned 256 MiB span:
+// page number pn lives in slot pn&(leafPages-1) of leaf
 // (pn>>leafShift)&(extentLeaves-1). An extent exists once a page in its
 // span has been written (or restored), and its leaves exist only where
 // pages are, so a scattered few pages in a 4 GiB heap cost a few 8 KiB
 // directories.
 type extent struct {
-	num    uint64 // pn >> extentShift: which 1 GiB span
+	num    uint64 // pn >> extentShift: which 256 MiB span
 	leaves *[extentLeaves]*leaf
 }
 
@@ -158,7 +172,7 @@ func (s *Store) pageFor(addr uint64, create bool) (*page, uint64) {
 	k := pn & (leafPages - 1)
 	l := s.leafFor(pn, false)
 	if l != nil {
-		p, shared = l.pages[k], l.shared[k]
+		p, shared = l.pages[k], l.isShared(k)
 	}
 	switch {
 	case p == nil && !create:
@@ -178,7 +192,8 @@ func (s *Store) pageFor(addr uint64, create bool) (*page, uint64) {
 		if l == nil {
 			l = s.leafFor(pn, true)
 		}
-		l.pages[k], l.shared[k] = p, false
+		l.pages[k] = p
+		l.setPrivate(k)
 	}
 	s.lastPN, s.lastPage = pn, p
 	return p, off
@@ -263,9 +278,11 @@ func (s *Store) Fill(addr uint64, n uint64, v byte) {
 		if chunk > n {
 			chunk = n
 		}
+		// Set one byte, then double the set prefix with copy.
 		seg := p[off : off+chunk]
-		for i := range seg {
-			seg[i] = v
+		seg[0] = v
+		for k := 1; k < len(seg); k *= 2 {
+			copy(seg[k:], seg[:k])
 		}
 		addr += chunk
 		n -= chunk

@@ -250,10 +250,11 @@ func TestRegionContains(t *testing.T) {
 // bytes, and only written pages are materialized.
 func TestStoreExtentsKeepPages(t *testing.T) {
 	s := NewStore()
-	const gib = uint64(1) << 30
+	const leafSpan, extentSpan = PageSize << leafShift, PageSize << extentShift
+	const base = 5 * extentSpan
 	addrs := []uint64{
-		5*gib + 0x10_0000, 5*gib + 0x20_0000 - PageSize, 5*gib + 0x20_0000, // a leaf boundary
-		6*gib - PageSize, 6 * gib, // an extent boundary
+		base + leafSpan/2, base + 2*leafSpan - PageSize, base + 2*leafSpan, // a leaf boundary
+		base + extentSpan - PageSize, base + extentSpan, // an extent boundary
 		0x1000, // a new lowest extent
 	}
 	for i, a := range addrs {

@@ -56,7 +56,8 @@ func (s *Store) RestoreState(r *snap.Reader) error {
 		}
 		prev = pn
 		k := pn & (leafPages - 1)
-		l.pages[k], l.shared[k] = (*page)(b), true
+		l.pages[k] = (*page)(b)
+		l.setShared(k)
 	}
 	if err := r.Err(); err != nil {
 		return err

@@ -140,7 +140,7 @@ func TestRestoreCopyOnWrite(t *testing.T) {
 
 // TestRestoreTableMemory forks a store whose pages are scattered over
 // a 4 GiB range, as a warm ycsb eval does with its value heap: the
-// restore must allocate well under the 8 MiB that one pointer per page
+// restore must allocate well under the 128 MiB that one pointer per page
 // slot would take.
 func TestRestoreTableMemory(t *testing.T) {
 	const base, heap = uint64(1) << 40, uint64(4 << 30)
@@ -229,7 +229,7 @@ func privatePages(s *Store) int {
 				continue
 			}
 			for k, p := range l.pages {
-				if p != nil && !l.shared[k] {
+				if p != nil && !l.isShared(uint64(k)) {
 					n++
 				}
 			}
@@ -239,11 +239,11 @@ func privatePages(s *Store) int {
 }
 
 // TestRestoreFirstWriteCopiesOnePage writes 8 bytes into a restored
-// store: exactly one 1 KiB page becomes private, every other page
+// store: exactly one 256-byte page becomes private, every other page
 // still aliases the checkpoint, and the checkpoint bytes are unchanged.
 func TestRestoreFirstWriteCopiesOnePage(t *testing.T) {
-	if PageSize != 1<<10 {
-		t.Fatalf("PageSize = %d; want 1 KiB", PageSize)
+	if PageSize != 256 {
+		t.Fatalf("PageSize = %d; want 256", PageSize)
 	}
 	src := cowSource()
 	buf := snapshotBytes(src)

@@ -369,10 +369,11 @@ func TestConcurrentForksShareCheckpoint(t *testing.T) {
 }
 
 // TestOldSnapshotFormatLoadsCold stores a warm state whose machine
-// payload carries the previous snapshot format's version (3) under the
-// current build's key, as a disk tier written by an older binary of the
-// same build string holds. The run must treat it as a miss: load cold,
-// print the cold output, and store a fresh checkpoint over it.
+// payload carries the previous snapshot format's version (4, whose MEMS
+// pages were 1 KiB) under the current build's key, as a disk tier
+// written by an older binary of the same build string holds. The run
+// must treat it as a miss: load cold, print the cold output, and store
+// a fresh checkpoint over it.
 func TestOldSnapshotFormatLoadsCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a small KV sweep three times; skipped with -short")
@@ -410,7 +411,7 @@ func TestOldSnapshotFormatLoadsCold(t *testing.T) {
 	if i < 0 {
 		t.Fatal("no machine payload in the checkpoint")
 	}
-	binary.LittleEndian.PutUint64(old[i+4:], 3)
+	binary.LittleEndian.PutUint64(old[i+4:], 4)
 	store.Put(key, old)
 
 	if got := run(ctx); !bytes.Equal(got, cold) {
@@ -418,5 +419,68 @@ func TestOldSnapshotFormatLoadsCold(t *testing.T) {
 	}
 	if data, _ := store.Get(key); bytes.Equal(data, old) {
 		t.Error("the old-format checkpoint was restored instead of replaced by a cold run's")
+	}
+}
+
+// TestWarmStateMachineBytes pins the size of the machine payload of two
+// warm states: the post-load snapshot of a kv-tune-shaped search point
+// (10,000-record CLHT on machine-a, values in PMEM) and of a service
+// ycsb miss (5,000 records on machine-b-slow, values on the FPGA). The
+// payload is deterministic, so a change to the snapshot encoding or the
+// page size moves these figures, and must move the pins with it. The
+// checkpoint envelope around the payload holds the build stamp and is
+// not pinned.
+func TestWarmStateMachineBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads two KV stores cold; skipped with -short")
+	}
+	spec := func(preset string, params map[string]any) scenario.Spec {
+		return scenario.Spec{
+			Version:  scenario.Version,
+			Name:     "warm-size",
+			Machine:  scenario.MachineSpec{Preset: preset},
+			Workload: scenario.WorkloadSpec{Name: "ycsb", Params: params},
+			Policy: scenario.PolicySpec{
+				Ops:     []string{"none"},
+				Columns: []scenario.Column{{Title: "elapsed", Op: "none", Metric: "elapsed"}},
+			},
+		}
+	}
+	cases := []struct {
+		name string
+		spec scenario.Spec
+		want int
+	}{
+		{"kv-tune", spec("machine-a", map[string]any{
+			"store": "clht", "records": 10000, "ops": 2000, "threads": 2,
+			"mix": "A", "window": sim.WindowPMEM, "seed": 1,
+		}), 7_210_268},
+		{"service-miss", spec("machine-b-slow", map[string]any{
+			"records": 5000, "ops": 2000, "threads": 2, "mix": "C", "window": "fpga", "seed": 1,
+		}), 3_265_758},
+	}
+	for _, c := range cases {
+		store, err := checkpoint.NewStore(0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.spec.EvalPoint(checkpoint.NewContext(context.Background(), store.View()), false); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		key, err := c.spec.FirstWarmKey(checkpoint.Build(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, ok := store.Get(key)
+		if !ok {
+			t.Fatalf("%s: the eval stored no warm state", c.name)
+		}
+		ck, err := sim.DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(ck.Machine); got != c.want {
+			t.Errorf("%s: machine payload is %d bytes; want %d", c.name, got, c.want)
+		}
 	}
 }

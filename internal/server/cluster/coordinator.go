@@ -605,9 +605,14 @@ func (c *Coordinator) setResult(j *cjob, st server.JobStatus) {
 }
 
 // rewrite maps a shard's job status into the coordinator's namespace.
+// A shard's cached answer names no trace (the job that produced it ran
+// in another one), so it takes the routed job's own.
 func (j *cjob) rewrite(st server.JobStatus) server.JobStatus {
 	st.ID = j.id
 	st.Key = j.key
+	if st.Cached {
+		st.Trace = j.sc.Trace.String()
+	}
 	return st
 }
 
@@ -724,13 +729,18 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // coordinator's own spans (root, queue routing, requeues) plus the
 // owning shard's spans for the same trace, fetched live. The shard
 // fetch is best-effort — a dead shard degrades the artifact to the
-// coordinator's side of the story rather than failing the request.
+// coordinator's side of the story rather than failing the request. A
+// job answered from a shard's cache has no shard job of its own (its
+// placement names the one that produced the result, in another trace),
+// so it serves the coordinator's spans alone.
 func (c *Coordinator) handleJobSpans(w http.ResponseWriter, r *http.Request, j *cjob) {
 	spans, dropped := c.spans.Spans(j.sc.Trace)
-	shard, remoteID, _ := j.placement()
-	if remote, d, err := c.client.Spans(r.Context(), c.cfg.Shards[shard], remoteID); err == nil {
-		spans = append(spans, remote...)
-		dropped += d
+	shard, remoteID, res := j.placement()
+	if res == nil || !res.Cached {
+		if remote, d, err := c.client.Spans(r.Context(), c.cfg.Shards[shard], remoteID); err == nil {
+			spans = append(spans, remote...)
+			dropped += d
+		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	telemetry.WriteSpanTimeline(w, spans, dropped)

@@ -139,6 +139,37 @@ func TestClusterSpanTreeEndToEnd(t *testing.T) {
 	_ = shards
 }
 
+// TestClusterCachedSubmitOwnTrace submits one experiment twice: the
+// second submit, answered from the shard's result cache, carries its
+// own trace ID, and its span artifact holds only that trace's spans —
+// the coordinator's route and job spans — none of the first job's.
+func TestClusterCachedSubmitOwnTrace(t *testing.T) {
+	_, cts, _ := newCluster(t, 2, synth("e1"))
+	first := submitExp(t, cts.URL, "e1")
+	waitFinal(t, cts.URL, first.ID)
+	second := submitExp(t, cts.URL, "e1")
+	if !second.Cached {
+		t.Fatalf("repeat submit not a cache hit: %+v", second)
+	}
+	if second.Trace == "" || second.Trace == first.Trace {
+		t.Fatalf("cached submit trace %q; want its own, not %q", second.Trace, first.Trace)
+	}
+	if st := waitFinal(t, cts.URL, second.ID); st.Trace != second.Trace {
+		t.Fatalf("cached job status trace %q; want %q", st.Trace, second.Trace)
+	}
+	doc := getSpanDoc(t, cts.URL, second.ID)
+	names := map[string]int{}
+	for _, sp := range doc.Spans {
+		if got := sp.Trace.String(); got != second.Trace {
+			t.Fatalf("span %s/%s on trace %s; want the cached job's %s", sp.Service, sp.Name, got, second.Trace)
+		}
+		names[sp.Name]++
+	}
+	if len(names) != 2 || names["route"] != 1 || names["job"] != 1 {
+		t.Fatalf("cached job's spans = %v; want one route and one job span", names)
+	}
+}
+
 // TestClusterRequeueSpansCoverBothShards kills the shard running a job
 // mid-flight and asserts the merged span tree shows both shards under
 // one trace ID: a route span naming the dead shard, a requeue span

@@ -17,7 +17,7 @@ import (
 // payload layout; the checkpoint version covers the outer envelope.
 const (
 	snapshotMagic   = "PSSN"
-	snapshotVersion = 4 // 4: 1 KiB MEMS pages; CACH writes its way arrays whole
+	snapshotVersion = 5 // 5: 256-byte MEMS pages; CACH writes its way arrays whole
 
 	checkpointMagic   = "PSCK"
 	checkpointVersion = 1

@@ -364,8 +364,9 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	f.Add(fresh)
 	const pmem = uint64(1) << 40 // machine A's PMEM window, 1 GiB aligned
 	m := MachineA()
-	// snapStep's writes fill a 2 MiB table leaf, one write lands in the
-	// next leaf and one in the next 1 GiB extent.
+	// snapStep's writes cover 2 MiB, eight 256 KiB table leaves; one
+	// write lands in the leaf past them and one 1 GiB up, four 256 MiB
+	// extents on.
 	rng := xrand.New(7)
 	buf := make([]byte, 512)
 	for i := 0; i < 300; i++ {
@@ -387,7 +388,20 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(edge)
-	// The same two pages listed in descending order, which no snapshot
+	// At 256-byte pages a table leaf spans 256 KiB and an extent 256
+	// MiB: one write straddles a leaf boundary, one an extent boundary.
+	m = MachineA()
+	m.Core(0).Write(pmem+(256<<10)-4, []byte("leaf edge"))
+	m.Core(1).Write(pmem+(256<<20)-4, []byte("extent edge"))
+	edges, err := m.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if i := bytes.Index(edges, []byte("MEMS")) + 4; binary.LittleEndian.Uint64(edges[i:]) != 4 {
+		f.Fatal("the leaf- and extent-edge writes did not materialize four pages")
+	}
+	f.Add(edges)
+	// The extent-boundary pages listed in descending order, which no snapshot
 	// writes: the restore must reject it.
 	swapped := bytes.Clone(edge)
 	i := bytes.Index(swapped, []byte("MEMS")) + 4
