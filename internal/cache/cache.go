@@ -100,8 +100,9 @@ type Eviction struct {
 }
 
 // Per-line metadata is split into parallel arrays (see set): an 8-byte
-// recency/insertion stamp and a flags byte packing the dirty bit with
-// the 2-bit SRRIP re-reference prediction value.
+// recency/insertion stamp, kept only by policies that read it, and a
+// flags byte packing the dirty bit with the 2-bit SRRIP re-reference
+// prediction value.
 const (
 	dirtyBit  uint8 = 1 << 0
 	rrpvShift       = 1
@@ -113,21 +114,18 @@ const (
 // occur.
 const invalidTag = ^uint64(0)
 
-// set keeps per-way metadata in parallel dense arrays: the tag scan is
-// the single hottest loop in the simulator, and the large-LLC metadata
-// working set is what the simulator itself misses on, so every way
-// costs 17 bytes (tag + stamp + flags) instead of a 48-byte struct.
-//
-// stamps holds one timestamp per way. For FIFO caches it is the
-// insertion tick (hits do not refresh it); for every other policy it is
-// the last-use tick. Only one of the two meanings is ever read, because
-// a cache has exactly one replacement policy.
+// set is one set's header: a view of its tags, which the hot scan
+// reads, and its replacement state. The per-way metadata lives in the
+// cache's parallel dense arrays: the tag scan is the single hottest
+// loop in the simulator, and the large-LLC metadata working set is what
+// the simulator itself misses on, so every way costs 9 bytes (tag +
+// flags), plus an 8-byte stamp where the policy reads one, instead of a
+// 48-byte struct. A set's stamps and flags are reached by index
+// (si*ways + way); the header keeps no slice for them and is 40 bytes.
 type set struct {
 	tags   []uint64 // line address per way, invalidTag when empty
-	stamps []uint64 // recency (or FIFO insertion) tick per way
-	flags  []uint8  // dirtyBit | rrpv<<rrpvShift per way
-	nvalid int
-	plru   uint64 // tree-PLRU bits
+	plru   uint64   // tree-PLRU bits
+	nvalid int32
 	// mru is a way predictor: the way of the set's most recent hit or
 	// fill, checked before the tag scan. Tags are unique within a set,
 	// so a predictor hit returns the same way the scan would.
@@ -155,17 +153,34 @@ type Cache struct {
 	plruClr []uint64
 
 	waysPow2 bool
-	// stampOnHit is false for FIFO, whose victim choice depends on
-	// insertion order: hits must then leave the stamp alone.
+	// stampOnHit is set when hits refresh the stamp: the cache keeps
+	// stamps and is not FIFO, whose victim choice depends on insertion
+	// order.
 	stampOnHit bool
 
 	// tags, stamps and flags hold every way's metadata, set by set;
-	// each set's slices are views into them, and a snapshot copies
-	// them whole. They sit last, away from the fields the access path
-	// reads.
+	// each set's tags slice is a view into tags, and a snapshot copies
+	// them whole. stamps holds one timestamp per way, and only for
+	// policies that pick victims by it (see readsStamps); it is nil
+	// otherwise. For FIFO caches it is the insertion tick (hits do not
+	// refresh it); for every other policy it is the last-use tick. They
+	// sit last, away from the fields the access path reads.
 	tags   []uint64
 	stamps []uint64
 	flags  []uint8
+}
+
+// readsStamps reports whether cfg's policy ever picks a victim by
+// stamp: LRU and FIFO always, PLRU and QLRU only at non-power-of-two
+// way counts, where the tree falls back to LRU. Random and SRRIP never.
+func readsStamps(cfg Config) bool {
+	switch cfg.Policy {
+	case LRU, FIFO:
+		return true
+	case PLRU, QLRU:
+		return !units.IsPow2(uint64(cfg.Ways))
+	}
+	return false
 }
 
 // New returns a cache for cfg. It panics on inconsistent geometry so
@@ -193,7 +208,7 @@ func New(cfg Config) *Cache {
 		lineBits:   units.Log2(cfg.LineSize),
 		rng:        xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15),
 		waysPow2:   units.IsPow2(uint64(cfg.Ways)),
-		stampOnHit: cfg.Policy != FIFO,
+		stampOnHit: readsStamps(cfg) && cfg.Policy != FIFO,
 	}
 	c.plruSet = make([]uint64, cfg.Ways)
 	c.plruClr = make([]uint64, cfg.Ways)
@@ -218,13 +233,13 @@ func New(cfg Config) *Cache {
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
-	c.stamps = make([]uint64, len(c.sets)*cfg.Ways)
+	if readsStamps(cfg) {
+		c.stamps = make([]uint64, len(c.sets)*cfg.Ways)
+	}
 	c.flags = make([]uint8, len(c.sets)*cfg.Ways)
 	for i := range c.sets {
 		lo, hi := i*cfg.Ways, (i+1)*cfg.Ways
 		c.sets[i].tags = c.tags[lo:hi:hi]
-		c.sets[i].stamps = c.stamps[lo:hi:hi]
-		c.sets[i].flags = c.flags[lo:hi:hi]
 	}
 	return c
 }
@@ -284,9 +299,8 @@ func (c *Cache) Contains(addr uint64) bool {
 // IsDirty reports whether the line holding addr is present and dirty.
 func (c *Cache) IsDirty(addr uint64) bool {
 	si, tag := c.locate(addr)
-	s := &c.sets[si]
-	i := s.find(tag)
-	return i >= 0 && s.flags[i]&dirtyBit != 0
+	i := c.sets[si].find(tag)
+	return i >= 0 && c.flags[si*c.cfg.Ways+i]&dirtyBit != 0
 }
 
 // Access looks up the line containing addr, filling it on a miss.
@@ -298,14 +312,15 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, ev Eviction, evicted 
 	s := &c.sets[si]
 	if i := s.find(tag); i >= 0 {
 		c.stats.Hits++
+		w := si*c.cfg.Ways + i
 		if c.stampOnHit {
-			s.stamps[i] = c.tick
+			c.stamps[w] = c.tick
 		}
-		f := s.flags[i] &^ rrpvMask // hit promotion
+		f := c.flags[w] &^ rrpvMask // hit promotion
 		if write {
 			f |= dirtyBit
 		}
-		s.flags[i] = f
+		c.flags[w] = f
 		c.touchPLRU(s, i)
 		return true, Eviction{}, false
 	}
@@ -329,14 +344,15 @@ func (c *Cache) Touch(addr uint64, write bool) bool {
 	}
 	c.tick++
 	c.stats.Hits++
+	w := si*c.cfg.Ways + i
 	if c.stampOnHit {
-		s.stamps[i] = c.tick
+		c.stamps[w] = c.tick
 	}
-	f := s.flags[i] &^ rrpvMask // hit promotion
+	f := c.flags[w] &^ rrpvMask // hit promotion
 	if write {
 		f |= dirtyBit
 	}
-	s.flags[i] = f
+	c.flags[w] = f
 	c.touchPLRU(s, i)
 	return true
 }
@@ -360,11 +376,12 @@ func (c *Cache) Insert(addr uint64, dirty bool) (ev Eviction, evicted bool) {
 	si, tag := c.locate(addr)
 	s := &c.sets[si]
 	if i := s.find(tag); i >= 0 {
+		w := si*c.cfg.Ways + i
 		if c.stampOnHit {
-			s.stamps[i] = c.tick
+			c.stamps[w] = c.tick
 		}
 		if dirty {
-			s.flags[i] |= dirtyBit
+			c.flags[w] |= dirtyBit
 		}
 		c.touchPLRU(s, i)
 		return Eviction{}, false
@@ -375,8 +392,9 @@ func (c *Cache) Insert(addr uint64, dirty bool) (ev Eviction, evicted bool) {
 func (c *Cache) fill(si int, tag uint64, dirty bool) (ev Eviction, evicted bool) {
 	s := &c.sets[si]
 	c.stats.Fills++
+	base := si * c.cfg.Ways
 	victim := -1
-	if s.nvalid < len(s.tags) { // a full set has no free way to scan for
+	if int(s.nvalid) < len(s.tags) { // a full set has no free way to scan for
 		for i, t := range s.tags {
 			if t == invalidTag {
 				victim = i
@@ -385,8 +403,8 @@ func (c *Cache) fill(si int, tag uint64, dirty bool) (ev Eviction, evicted bool)
 		}
 	}
 	if victim < 0 {
-		victim = c.pickVictim(s)
-		oldDirty := s.flags[victim]&dirtyBit != 0
+		victim = c.pickVictim(base, s)
+		oldDirty := c.flags[base+victim]&dirtyBit != 0
 		ev = Eviction{Addr: c.reconstruct(si, s.tags[victim]), Dirty: oldDirty}
 		evicted = true
 		c.stats.Evictions++
@@ -397,13 +415,15 @@ func (c *Cache) fill(si int, tag uint64, dirty bool) (ev Eviction, evicted bool)
 		s.nvalid++
 	}
 	s.tags[victim] = tag
-	s.stamps[victim] = c.tick
+	if c.stamps != nil {
+		c.stamps[base+victim] = c.tick
+	}
 	s.mru = uint8(victim)
 	f := uint8(srripInsert << rrpvShift)
 	if dirty {
 		f |= dirtyBit
 	}
-	s.flags[victim] = f
+	c.flags[base+victim] = f
 	c.touchPLRU(s, victim)
 	return ev, evicted
 }
@@ -414,17 +434,17 @@ const (
 	srripInsert uint8 = 2
 )
 
-// srripVictim finds a line predicted distant (rrpv == max), aging the
-// set until one exists.
-func (c *Cache) srripVictim(s *set) int {
+// srripVictim returns the first way predicted distant (rrpv == max) of
+// the set whose per-way flags are flags, aging the set until one exists.
+func srripVictim(flags []uint8) int {
 	for {
-		for i, f := range s.flags {
+		for i, f := range flags {
 			if f>>rrpvShift >= srripMax {
 				return i
 			}
 		}
-		for i := range s.flags {
-			s.flags[i] += 1 << rrpvShift
+		for i := range flags {
+			flags[i] += 1 << rrpvShift
 		}
 	}
 }
@@ -437,23 +457,26 @@ func (c *Cache) reconstruct(si int, tag uint64) uint64 {
 	return tag << c.lineBits
 }
 
-func (c *Cache) pickVictim(s *set) int {
+// pickVictim picks the way to evict from the full set s, whose ways
+// start at index base of the cache's metadata arrays.
+func (c *Cache) pickVictim(base int, s *set) int {
+	ways := c.cfg.Ways
 	switch c.cfg.Policy {
 	case LRU, FIFO:
 		// Both pick the minimum stamp; the stamp's meaning (last use
 		// vs insertion) is fixed per policy by stampOnHit.
-		return oldest(s.stamps)
+		return oldest(c.stamps[base : base+ways])
 	case Random:
-		return c.rng.Intn(len(s.stamps))
+		return c.rng.Intn(ways)
 	case PLRU:
-		return c.plruVictim(s)
+		return c.plruVictim(base, s)
 	case QLRU:
 		if c.rng.Float64() < c.cfg.RandomMix {
-			return c.rng.Intn(len(s.stamps))
+			return c.rng.Intn(ways)
 		}
-		return c.plruVictim(s)
+		return c.plruVictim(base, s)
 	case SRRIP:
-		return c.srripVictim(s)
+		return srripVictim(c.flags[base : base+ways])
 	default:
 		panic("cache: unknown policy")
 	}
@@ -471,10 +494,10 @@ func oldest(stamps []uint64) int {
 
 // plruVictim walks the PLRU tree away from recently-used leaves. For
 // non-power-of-two way counts it falls back to LRU.
-func (c *Cache) plruVictim(s *set) int {
-	ways := len(s.tags)
+func (c *Cache) plruVictim(base int, s *set) int {
+	ways := c.cfg.Ways
 	if !c.waysPow2 {
-		return oldest(s.stamps)
+		return oldest(c.stamps[base : base+ways])
 	}
 	// touchPLRU sets a node's bit when the left half was used recently,
 	// so a set bit sends the victim walk right. The walk is branchless:
@@ -500,9 +523,8 @@ func (c *Cache) touchPLRU(s *set, i int) {
 // needed). The line remains cached — this is the CLWB semantics.
 func (c *Cache) CleanLine(addr uint64) (wasDirty bool) {
 	si, tag := c.locate(addr)
-	s := &c.sets[si]
-	if i := s.find(tag); i >= 0 && s.flags[i]&dirtyBit != 0 {
-		s.flags[i] &^= dirtyBit
+	if i := c.sets[si].find(tag); i >= 0 && c.flags[si*c.cfg.Ways+i]&dirtyBit != 0 {
+		c.flags[si*c.cfg.Ways+i] &^= dirtyBit
 		c.stats.Cleans++
 		return true
 	}
@@ -515,10 +537,13 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	si, tag := c.locate(addr)
 	s := &c.sets[si]
 	if i := s.find(tag); i >= 0 {
-		present, dirty = true, s.flags[i]&dirtyBit != 0
+		w := si*c.cfg.Ways + i
+		present, dirty = true, c.flags[w]&dirtyBit != 0
 		s.tags[i] = invalidTag
-		s.stamps[i] = 0
-		s.flags[i] = 0
+		if c.stamps != nil {
+			c.stamps[w] = 0
+		}
+		c.flags[w] = 0
 		s.nvalid--
 		c.stats.Invalidations++
 	}
@@ -530,9 +555,8 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // hardware cache flush.
 func (c *Cache) DirtyLines(fn func(addr uint64)) {
 	for si := range c.sets {
-		s := &c.sets[si]
-		for li, tag := range s.tags {
-			if tag != invalidTag && s.flags[li]&dirtyBit != 0 {
+		for li, tag := range c.sets[si].tags {
+			if tag != invalidTag && c.flags[si*c.cfg.Ways+li]&dirtyBit != 0 {
 				fn(c.reconstruct(si, tag))
 			}
 		}
@@ -543,7 +567,7 @@ func (c *Cache) DirtyLines(fn func(addr uint64)) {
 func (c *Cache) ValidLines() int {
 	n := 0
 	for si := range c.sets {
-		n += c.sets[si].nvalid
+		n += int(c.sets[si].nvalid)
 	}
 	return n
 }
@@ -556,14 +580,13 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Clear invalidates every line without write-backs (for test setup).
 func (c *Cache) Clear() {
+	for i := range c.tags {
+		c.tags[i] = invalidTag
+	}
+	clear(c.stamps)
+	clear(c.flags)
 	for si := range c.sets {
-		s := &c.sets[si]
-		for li := range s.tags {
-			s.tags[li] = invalidTag
-			s.stamps[li] = 0
-			s.flags[li] = 0
-		}
-		s.nvalid = 0
-		s.plru = 0
+		c.sets[si].nvalid = 0
+		c.sets[si].plru = 0
 	}
 }

@@ -132,6 +132,43 @@ func TestPLRUVictimIsNotMRU(t *testing.T) {
 	}
 }
 
+// TestNonPow2TreeFallsBackToLRU: at three ways PLRU and QLRU have no
+// tree and evict the least recently used line by its stamp. QLRU runs
+// at a random mix of 1e-9 (zero selects the default), so it takes the
+// tree's victim here.
+func TestNonPow2TreeFallsBackToLRU(t *testing.T) {
+	for _, pol := range []Policy{PLRU, QLRU} {
+		c := New(Config{Name: "t", Size: 3 * 64 * 16, Ways: 3, LineSize: 64, Policy: pol, RandomMix: 1e-9, Seed: 1})
+		setStride := uint64(16 * 64) // lines mapping to set 0
+		for i := uint64(0); i < 3; i++ {
+			c.Access(i*setStride, false)
+		}
+		c.Access(0, false) // refresh line 0
+		_, ev, evicted := c.Access(3*setStride, false)
+		if !evicted || ev.Addr != setStride {
+			t.Errorf("%v at 3 ways: victim %#x (evicted=%v), want the least recent %#x", pol, ev.Addr, evicted, setStride)
+		}
+	}
+}
+
+// TestStampsOnlyWherePolicyReadsThem: a cache allocates recency stamps
+// only for a policy that picks victims by them.
+func TestStampsOnlyWherePolicyReadsThem(t *testing.T) {
+	for _, c := range []struct {
+		pol  Policy
+		ways int
+		want bool
+	}{
+		{LRU, 4, true}, {FIFO, 4, true}, {PLRU, 3, true}, {QLRU, 3, true},
+		{PLRU, 4, false}, {QLRU, 4, false}, {Random, 4, false}, {Random, 3, false}, {SRRIP, 4, false},
+	} {
+		cc := New(Config{Name: "t", Size: uint64(c.ways) * 64 * 16, Ways: c.ways, LineSize: 64, Policy: c.pol, Seed: 1})
+		if got := cc.stamps != nil; got != c.want {
+			t.Errorf("%v at %d ways keeps stamps: %v, want %v", c.pol, c.ways, got, c.want)
+		}
+	}
+}
+
 func TestInvalidate(t *testing.T) {
 	c := smallCache(LRU)
 	c.Access(0x3000, true)

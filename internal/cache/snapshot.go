@@ -9,10 +9,12 @@ import (
 // SnapshotState serializes all mutable cache state: the replacement
 // clock, the RNG, the counters, every set's valid count, tree bits and
 // way predictor, then the tag, stamp and flag arrays of all sets, each
-// written whole. The configuration itself is not written — restore
-// targets are constructed from the same config, and the machine-level
-// config hash guards against mismatches; the geometry stamp here is a
-// second, cheaper line of defence that catches corrupt payloads early.
+// written whole. The stamp array is written only by caches that keep
+// one (see readsStamps): the policy fixes the layout. The configuration
+// itself is not written — restore targets are constructed from the same
+// config, and the machine-level config hash guards against mismatches;
+// the geometry stamp here is a second, cheaper line of defence that
+// catches corrupt payloads early.
 func (c *Cache) SnapshotState(w *snap.Writer) {
 	w.Section("CACH")
 	w.U64(uint64(len(c.sets)))
@@ -66,15 +68,22 @@ func (c *Cache) RestoreState(r *snap.Reader) error {
 	c.stats.Invalidations = r.U64()
 	for si := range c.sets {
 		s := &c.sets[si]
-		s.nvalid = int(r.I64())
+		nvalid := r.I64()
 		s.plru = r.U64()
 		s.mru = r.U8()
-		if r.Err() == nil && int(s.mru) >= len(s.tags) {
+		if r.Err() != nil {
+			break
+		}
+		if nvalid < 0 || nvalid > int64(c.cfg.Ways) {
+			return fmt.Errorf("cache %q: set %d counts %d valid ways of %d", c.cfg.Name, si, nvalid, c.cfg.Ways)
+		}
+		s.nvalid = int32(nvalid)
+		if int(s.mru) >= len(s.tags) {
 			return fmt.Errorf("cache %q: set %d predicts way %d of %d", c.cfg.Name, si, s.mru, len(s.tags))
 		}
 	}
 	r.U64s(c.tags)
-	r.U64s(c.stamps)
+	r.U64s(c.stamps) // nil, and so nothing read, where the policy keeps no stamps
 	r.Raw(c.flags)
 	if err := r.Err(); err != nil {
 		return err
@@ -87,7 +96,7 @@ func (c *Cache) RestoreState(r *snap.Reader) error {
 				n++
 			}
 		}
-		if n != s.nvalid {
+		if n != int(s.nvalid) {
 			return fmt.Errorf("cache %q: set %d counts %d valid ways but holds %d", c.cfg.Name, si, s.nvalid, n)
 		}
 	}

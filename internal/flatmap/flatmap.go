@@ -13,8 +13,6 @@
 // Put panics on it to keep misuse loud.
 package flatmap
 
-import "slices"
-
 // empty marks an unoccupied slot.
 const empty = ^uint64(0)
 
@@ -188,16 +186,6 @@ func (m *Map[V]) Clear() {
 	}
 	clear(m.vals)
 	m.n = 0
-}
-
-// Clone returns an independent copy of the map: its tables are copied,
-// never shared, so either map may be mutated without affecting the
-// other.
-func (m *Map[V]) Clone() Map[V] {
-	out := *m
-	out.keys = slices.Clone(m.keys)
-	out.vals = slices.Clone(m.vals)
-	return out
 }
 
 // Range calls fn for every entry until fn returns false. The map must

@@ -117,36 +117,6 @@ func TestClear(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	var m Map[int]
-	for i := uint64(0); i < 100; i++ {
-		m.Put(i*64, int(i))
-	}
-	c := m.Clone()
-	c.Put(64, -1)
-	c.Delete(128)
-	c.Put(1<<20, 5) // may grow the clone's tables
-	m.Put(192, -3)
-	if v, _ := m.Get(64); v != 1 {
-		t.Errorf("writing the clone changed the original: Get(64) = %d", v)
-	}
-	if _, ok := m.Get(128); !ok {
-		t.Error("deleting from the clone deleted from the original")
-	}
-	if v, _ := c.Get(192); v != 3 {
-		t.Errorf("writing the original changed the clone: Get(192) = %d", v)
-	}
-	if m.Len() != 100 || c.Len() != 100 {
-		t.Errorf("Len = %d (original), %d (clone); want 100, 100", m.Len(), c.Len())
-	}
-	var empty Map[int]
-	e := empty.Clone()
-	e.Put(64, 1)
-	if empty.Len() != 0 {
-		t.Error("a clone of the zero map shares its tables")
-	}
-}
-
 // TestNewSized checks that a map sized for n entries takes n Puts
 // without growing, and that its table is no larger than growth from
 // empty would have made it.

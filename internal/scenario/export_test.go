@@ -5,6 +5,10 @@ import "fmt"
 // WarmKey exposes warmKey to the external warm-key tests.
 var WarmKey = warmKey
 
+// SiblingKey exposes siblingKey, under which a run's recorder state is
+// stored beside its machine checkpoint.
+var SiblingKey = siblingKey
+
 // FirstWarmKey returns the warm key the runner gives the spec's first
 // grid point on build: the point's machine and its effective
 // parameters, exactly as Exec resolves them.

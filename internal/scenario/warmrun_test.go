@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"reflect"
 	"sync"
@@ -369,9 +370,10 @@ func TestConcurrentForksShareCheckpoint(t *testing.T) {
 }
 
 // TestOldSnapshotFormatLoadsCold stores a warm state whose machine
-// payload carries the previous snapshot format's version (4, whose MEMS
-// pages were 1 KiB) under the current build's key, as a disk tier
-// written by an older binary of the same build string holds. The run
+// payload carries the previous snapshot format's version (5, whose
+// caches all wrote per-way stamps) under the current build's key, as a
+// disk tier written by an older binary of the same build string holds.
+// The run
 // must treat it as a miss: load cold, print the cold output, and store
 // a fresh checkpoint over it.
 func TestOldSnapshotFormatLoadsCold(t *testing.T) {
@@ -411,7 +413,7 @@ func TestOldSnapshotFormatLoadsCold(t *testing.T) {
 	if i < 0 {
 		t.Fatal("no machine payload in the checkpoint")
 	}
-	binary.LittleEndian.PutUint64(old[i+4:], 4)
+	binary.LittleEndian.PutUint64(old[i+4:], 5)
 	store.Put(key, old)
 
 	if got := run(ctx); !bytes.Equal(got, cold) {
@@ -419,6 +421,65 @@ func TestOldSnapshotFormatLoadsCold(t *testing.T) {
 	}
 	if data, _ := store.Get(key); bytes.Equal(data, old) {
 		t.Error("the old-format checkpoint was restored instead of replaced by a cold run's")
+	}
+}
+
+// TestOldRecorderStateLoadsCold stores a recorder state that carries
+// the previous encoding's version (PSRS 1, fixed-width records) beside
+// a current machine checkpoint, as a disk tier written by an older
+// binary of the same build string holds. The recorded run must treat it
+// as a miss: load cold, produce the cold run's table and line report,
+// and store a fresh recorder state over it.
+func TestOldRecorderStateLoadsCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a small KV sweep three times; skipped with -short")
+	}
+	spec := ycsbSpec(nil)
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := telemetry.Config{LineReport: true}
+	run := func(ctx context.Context) (table, lines []byte) {
+		t.Helper()
+		rec := telemetry.New(cfg)
+		var buf, rep bytes.Buffer
+		if err := spec.Exec(scenario.WithRecorder(ctx, rec), &buf, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.LineReport(256).WriteJSON(&rep); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), rep.Bytes()
+	}
+	coldTable, coldLines := run(context.Background())
+
+	store, err := checkpoint.NewStore(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := checkpoint.NewContext(context.Background(), store.View())
+	run(ctx)
+	key, err := spec.FirstWarmKey(checkpoint.Build(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forkKey := scenario.SiblingKey(key, telemetry.New(cfg).AttachFork(sim.MachineA()).Key())
+	data, ok := store.Get(forkKey)
+	if !ok || !bytes.HasPrefix(data, []byte("PSRS")) {
+		t.Fatal("the recorded run stored no recorder state")
+	}
+	// The version follows the section tag; the checksum covers it.
+	old := bytes.Clone(data[:len(data)-4])
+	binary.LittleEndian.PutUint64(old[4:], 1)
+	old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(old, crc32.MakeTable(crc32.Castagnoli)))
+	store.Put(forkKey, old)
+
+	table, lines := run(ctx)
+	if !bytes.Equal(table, coldTable) || !bytes.Equal(lines, coldLines) {
+		t.Error("a run over a version-1 recorder state differs from the cold run")
+	}
+	if data, _ := store.Get(forkKey); bytes.Equal(data, old) {
+		t.Error("the version-1 recorder state was restored instead of replaced by a cold run's")
 	}
 }
 
@@ -454,10 +515,10 @@ func TestWarmStateMachineBytes(t *testing.T) {
 		{"kv-tune", spec("machine-a", map[string]any{
 			"store": "clht", "records": 10000, "ops": 2000, "threads": 2,
 			"mix": "A", "window": sim.WindowPMEM, "seed": 1,
-		}), 7_210_268},
+		}), 6_317_340},
 		{"service-miss", spec("machine-b-slow", map[string]any{
 			"records": 5000, "ops": 2000, "threads": 2, "mix": "C", "window": "fpga", "seed": 1,
-		}), 3_265_758},
+		}), 3_003_614},
 	}
 	for _, c := range cases {
 		store, err := checkpoint.NewStore(0, "")

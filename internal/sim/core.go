@@ -653,9 +653,12 @@ func (c *Core) l1Evicted(ev cache.Eviction) {
 }
 
 // handlePrivateEvict absorbs an eviction out of the last private level
-// into the shared LLC.
+// (the L2, or the L1 when the machine has no private L2) into the
+// shared LLC. The level that evicted the line no longer holds it, so
+// only the other private level is probed before the directory drops
+// the core as a sharer.
 func (c *Core) handlePrivateEvict(ev cache.Eviction) {
-	if !c.l1.Contains(ev.Addr) && (c.l2 == nil || !c.l2.Contains(ev.Addr)) {
+	if c.l2 == nil || !c.l1.Contains(ev.Addr) {
 		c.m.dir.Evicted(c.id, ev.Addr)
 	}
 	c.insertLLC(ev.Addr, ev.Dirty)

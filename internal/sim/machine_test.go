@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"prestores/internal/memdev"
@@ -300,5 +301,22 @@ func TestDrainModeString(t *testing.T) {
 func TestPrestoreOpString(t *testing.T) {
 	if Demote.String() != "demote" || Clean.String() != "clean" {
 		t.Fatal("op names")
+	}
+}
+
+// TestNewMachineAllocBytes bounds what building machine A allocates,
+// which every warm fork pays before its restore. Its caches are
+// PLRU/QLRU at power-of-two ways, which keep no recency stamps, and
+// 40-byte set headers: about 1.47 MB. Per-way stamps and 96-byte
+// headers took 2.9 MB; stamps on the LLC alone would cross the bound.
+func TestNewMachineAllocBytes(t *testing.T) {
+	const bound = 1_600_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewMachine(ConfigA())
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
+		t.Fatalf("NewMachine(ConfigA()) allocated %d bytes; want under %d", got, bound)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // payload layout; the checkpoint version covers the outer envelope.
 const (
 	snapshotMagic   = "PSSN"
-	snapshotVersion = 5 // 5: 256-byte MEMS pages; CACH writes its way arrays whole
+	snapshotVersion = 6 // 6: CACH writes stamps only where the policy reads them
 
 	checkpointMagic   = "PSCK"
 	checkpointVersion = 1

@@ -351,11 +351,11 @@ func TestRestoredOpsAccounting(t *testing.T) {
 	}
 }
 
-// FuzzRestoreSnapshot feeds arbitrary bytes to a fresh Machine A. The
-// restore must never panic, and a restore that succeeds must have
-// accepted the canonical encoding: re-snapshotting reproduces the input
-// byte for byte (so, for example, MEMS pages listed out of order are
-// rejected rather than silently reordered).
+// FuzzRestoreSnapshot feeds arbitrary bytes to a fresh Machine A and a
+// fresh Machine B. The restore must never panic, and a restore that
+// succeeds must have accepted the canonical encoding: re-snapshotting
+// reproduces the input byte for byte (so, for example, MEMS pages
+// listed out of order are rejected rather than silently reordered).
 func FuzzRestoreSnapshot(f *testing.F) {
 	fresh, err := MachineA().Snapshot()
 	if err != nil {
@@ -443,24 +443,43 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		f.Fatal("a snapshot naming core 40 as a sharer restored")
 	}
 	f.Add(sharer)
+	// Machine A's caches are all PLRU/QLRU at power-of-two ways and keep
+	// no stamps. Machine B's L1 is LRU, which keeps them, and its LLC
+	// Random, which does not: a driven machine B holds both CACH
+	// layouts. Its far window sits where machine A's PMEM does.
+	mb := MachineBFast()
+	rng = xrand.New(9)
+	for i := 0; i < 300; i++ {
+		snapStep(mb, rng, buf)
+	}
+	both, err := mb.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := MachineBFast().RestoreSnapshot(both); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(both)
 	f.Add([]byte("PSSN"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := MachineA()
-		if m.RestoreSnapshot(data) != nil {
-			return
-		}
-		out, err := m.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out, data) {
-			t.Fatalf("restored %d bytes but re-snapshot is %d bytes and differs", len(data), len(out))
-		}
-		// An accepted state must also run.
-		buf := make([]byte, 8)
-		for c := 0; c < m.Cores(); c++ {
-			m.Core(c).Read(pmem, buf)
-			m.Core(c).Write(pmem, buf)
+		for _, newMachine := range []func() *Machine{MachineA, MachineBFast} {
+			m := newMachine()
+			if m.RestoreSnapshot(data) != nil {
+				continue
+			}
+			out, err := m.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, data) {
+				t.Fatalf("restored %d bytes but re-snapshot is %d bytes and differs", len(data), len(out))
+			}
+			// An accepted state must also run.
+			buf := make([]byte, 8)
+			for c := 0; c < m.Cores(); c++ {
+				m.Core(c).Read(pmem, buf)
+				m.Core(c).Write(pmem, buf)
+			}
 		}
 	})
 }

@@ -1,13 +1,15 @@
-// Package snap implements the fixed-width little-endian binary codec
+// Package snap implements the little-endian binary codec
 // used by the simulator's checkpoint/restore machinery.
 //
-// The format is deliberately trivial: every value is written at a fixed
-// width (no varints), multi-byte values are little-endian, and
-// variable-length data is length-prefixed with a uint64. Determinism is
-// the point — the same machine state must always serialize to the same
-// bytes, because warm-forked sweeps are proven byte-identical to cold
-// sweeps, and any encoder cleverness (map iteration order, varint width
-// choices) is a place for that guarantee to leak.
+// The format is deliberately trivial: values are written at a fixed
+// width, multi-byte values are little-endian, and variable-length data
+// is length-prefixed with a uint64. Determinism is the point — the same
+// machine state must always serialize to the same bytes, because
+// warm-forked sweeps are proven byte-identical to cold sweeps, and any
+// encoder cleverness (map iteration order, varint width choices) is a
+// place for that guarantee to leak. The one variable-width value,
+// Uvarint, is written at its minimal width, and the reader rejects any
+// other width, so a value still has exactly one encoding.
 //
 // Readers latch their first error: after a failure every subsequent
 // read returns the zero value, so decode paths can be written straight-
@@ -48,6 +50,10 @@ func (w *Writer) U64(v uint64) {
 
 // I64 appends a little-endian two's-complement int64.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
+
+// Uvarint appends v as a minimal unsigned LEB128 varint (1 to 10
+// bytes, see encoding/binary).
+func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
 // U64s appends each of vs as U64 would, with no length prefix; the
 // reader must know the count.
@@ -156,6 +162,30 @@ func (r *Reader) U64() uint64 {
 
 // I64 reads a little-endian two's-complement int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
+
+// Uvarint reads a varint written by Writer.Uvarint. A truncated varint,
+// one that overflows 64 bits, or one longer than its value needs (its
+// last byte is zero, as in 0x80 0x00 for 0) latches an error: Writer
+// never writes those, so accepting one would decode bytes that do not
+// re-encode to themselves.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf[r.off:])
+	switch {
+	case n == 0:
+		r.fail("truncated varint")
+	case n < 0:
+		r.fail("varint overflows 64 bits")
+	case n > 1 && r.buf[r.off+n-1] == 0:
+		r.fail("non-minimal varint")
+	default:
+		r.off += n
+		return v
+	}
+	return 0
+}
 
 // U64s reads len(dst) values written by Writer.U64s into dst. On a
 // truncation dst is left unchanged.

@@ -175,6 +175,44 @@ func TestCountBoundsByBytesLeft(t *testing.T) {
 	}
 }
 
+// TestUvarintCanonical round-trips values at every encoded width and
+// checks that the reader rejects each varint the writer never writes,
+// without consuming it.
+func TestUvarintCanonical(t *testing.T) {
+	vals := []uint64{0, 1, 127, 128, 300, 1 << 40, ^uint64(0)}
+	w := NewWriter()
+	for _, v := range vals {
+		w.Uvarint(v)
+	}
+	r := NewReader(w.Finish())
+	for _, v := range vals {
+		if got := r.Uvarint(); got != v {
+			t.Fatalf("Uvarint round trip: got %d, want %d", got, v)
+		}
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		in   []byte
+		want string
+	}{
+		"zero in two bytes":  {[]byte{0x80, 0x00}, "non-minimal"},
+		"one in three bytes": {[]byte{0x81, 0x80, 0x00}, "non-minimal"},
+		"past 64 bits":       {[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, "overflows"},
+		"truncated":          {[]byte{0x80}, "truncated"},
+		"empty":              {nil, "truncated"},
+	} {
+		r := NewReader(c.in)
+		if v := r.Uvarint(); v != 0 || r.Err() == nil || !strings.Contains(r.Err().Error(), c.want) {
+			t.Errorf("%s: Uvarint = %d, %v; want 0 and a %q error", name, v, r.Err(), c.want)
+		}
+		if r.off != 0 {
+			t.Errorf("%s: a rejected varint moved the offset to %d", name, r.off)
+		}
+	}
+}
+
 // FuzzReader drives a reader over arbitrary bytes with an arbitrary
 // sequence of reads. It never panics, never reads past the buffer, and
 // once an error latches it never changes and every read returns the
@@ -185,14 +223,16 @@ func FuzzReader(f *testing.F) {
 	w.U64(3)
 	w.Bool(true)
 	w.String("key")
-	f.Add(w.Finish(), []byte{6, 2, 1, 4, 5})
+	w.Uvarint(300)
+	f.Add(w.Finish(), []byte{6, 2, 1, 4, 7, 5})
 	f.Add([]byte{1, 2, 3}, []byte{2, 2})
+	f.Add([]byte{0x80, 0x00, 0xff}, []byte{7, 7}) // a non-minimal varint
 	f.Fuzz(func(t *testing.T, data, ops []byte) {
 		r := NewReader(data)
 		var latched error
 		for _, op := range ops {
 			zero := true
-			switch op % 7 {
+			switch op % 8 {
 			case 0:
 				zero = r.U8() == 0
 			case 1:
@@ -207,6 +247,8 @@ func FuzzReader(f *testing.F) {
 				zero = r.View(int(op>>3)) == nil
 			case 6:
 				r.Section("MEMS")
+			case 7:
+				zero = r.Uvarint() == 0
 			}
 			if latched != nil {
 				if r.Err() != latched {

@@ -65,13 +65,13 @@ func (f *Fork) Save() ([]byte, bool) {
 
 // Restore replaces the machine's share of the recorder's state with the
 // one Save encoded and v's store holds under key. The store decodes an
-// entry once and keeps the decoded tables beside its bytes (see
-// checkpoint.Decoded), so the forks of one warm state each copy them
-// instead of decoding again. Restore changes nothing and returns an
-// error when key is not stored, its bytes are truncated or corrupt, they
-// were saved under other settings or another line size, or they hold
-// more lines than fit under MaxLines next to the other machines' (a
-// cold run would have dropped some).
+// entry once and keeps the decoded records and addresses beside its
+// bytes (see checkpoint.Decoded), so the forks of one warm state each
+// copy them, and index their copy, instead of decoding again. Restore
+// changes nothing and returns an error when key is not stored, its
+// bytes are truncated or corrupt, they were saved under other settings
+// or another line size, or they hold more lines than fit under MaxLines
+// next to the other machines' (a cold run would have dropped some).
 func (f *Fork) Restore(v *checkpoint.View, key string) error {
 	st, err := checkpoint.Decoded(v, key, decodeEntry)
 	if err != nil {
@@ -95,7 +95,9 @@ func (f *Fork) Restore(v *checkpoint.View, key string) error {
 }
 
 // forkState is one machine's saved line-report state and the settings
-// it was recorded under.
+// it was recorded under. Its tables are templates: decodeState fills
+// their records and addresses but builds no index, since a template is
+// only ever cloned, and clone indexes the copy.
 type forkState struct {
 	lineSize, bucketBytes, maxLines, nearRewrite, nearReread uint64
 
@@ -104,7 +106,7 @@ type forkState struct {
 }
 
 // decodeEntry decodes a stored state for the checkpoint store, which
-// charges it the memory its tables hold.
+// charges it the memory its templates hold.
 func decodeEntry(data []byte) (*forkState, int64, error) {
 	st, err := decodeState(data)
 	if err != nil {
@@ -115,14 +117,18 @@ func decodeEntry(data []byte) (*forkState, int64, error) {
 
 // The encoding is the snap codec: a section tag, a version, the
 // settings, the lines and buckets in ascending address order, and a
-// CRC-32C of everything before it. The order makes the encoding
-// canonical, and the checksum turns a damaged store entry into a clean
-// decode error instead of a wrong report.
+// CRC-32C of everything before it. Each record's address is written as
+// its distance from the previous record's (the first as itself), and
+// the address and every count as a minimal varint: most counts are
+// small, and a line record shrinks from 73 bytes to about 14. The order
+// and the minimal varints make the encoding canonical, and the checksum
+// turns a damaged store entry into a clean decode error instead of a
+// wrong report.
 const (
 	stateTag       = "PSRS"
-	stateVersion   = 1
-	lineRecBytes   = 9*8 + 1 // the address, eight fields, the written flag
-	bucketRecBytes = 4 * 8   // the base, three byte counts
+	stateVersion   = 2     // 2: delta-coded addresses, varint fields
+	lineRecBytes   = 9 + 1 // at least: the address, eight fields, the written flag
+	bucketRecBytes = 4     // at least: the base, three byte counts
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -135,20 +141,26 @@ func (st *forkState) encode() []byte {
 		w.U64(v)
 	}
 	w.U64(uint64(st.lines.len()))
+	var prev uint64
 	for _, i := range st.lines.ascending() {
 		li := &st.lines.recs[i]
-		for _, v := range []uint64{st.lines.addrs[i], li.writes, li.Rewrites, li.RewriteDistSum, li.NearRewrites,
+		a := st.lines.addrs[i]
+		for _, v := range []uint64{a - prev, li.writes, li.Rewrites, li.RewriteDistSum, li.NearRewrites,
 			li.Rereads, li.RereadDistSum, li.NearRereads, li.LastWrite} {
-			w.U64(v)
+			w.Uvarint(v)
 		}
 		w.Bool(li.Written)
+		prev = a
 	}
 	w.U64(uint64(st.buckets.len()))
+	prev = 0
 	for _, i := range st.buckets.ascending() {
 		b := &st.buckets.recs[i]
-		for _, v := range []uint64{st.buckets.addrs[i], b.appWriteBytes, b.deviceWriteBytes, b.deviceReadBytes} {
-			w.U64(v)
+		a := st.buckets.addrs[i]
+		for _, v := range []uint64{a - prev, b.appWriteBytes, b.deviceWriteBytes, b.deviceReadBytes} {
+			w.Uvarint(v)
 		}
+		prev = a
 	}
 	body := w.Finish()
 	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
@@ -174,54 +186,57 @@ func decodeState(data []byte) (*forkState, error) {
 		lineSize: r.U64(), bucketBytes: r.U64(), maxLines: r.U64(),
 		nearRewrite: r.U64(), nearReread: r.U64(),
 	}
-	// Addresses must strictly ascend, as encode writes them; besides
+	// Addresses must strictly ascend, as encode writes them: every
+	// delta after the first is non-zero and does not wrap. Besides
 	// keeping the encoding canonical this rules out duplicate keys. The
-	// flat index reserves the all-ones key, which no line or bucket
-	// base can be.
+	// flat index a fork builds reserves the all-ones key, which no line
+	// or bucket base can be.
 	var prev uint64
-	ascending := func(i int, a uint64) bool {
+	next := func(i int) (uint64, bool) {
+		a := prev + r.Uvarint()
 		ok := (i == 0 || a > prev) && a != ^uint64(0)
 		prev = a
-		return ok
+		return a, ok
 	}
 
 	n := r.Count(lineRecBytes)
 	if r.Err() != nil {
 		return nil, fmt.Errorf("telemetry: recorder state: lines: %w", r.Err())
 	}
-	st.lines = newTable[lineRec](n)
+	st.lines = table[lineRec]{addrs: make([]uint64, n), recs: make([]lineRec, n)}
 	for i := 0; i < n; i++ {
-		a := r.U64()
-		var li lineRec
-		li.writes, li.Rewrites, li.RewriteDistSum, li.NearRewrites = r.U64(), r.U64(), r.U64(), r.U64()
-		li.Rereads, li.RereadDistSum, li.NearRereads, li.LastWrite = r.U64(), r.U64(), r.U64(), r.U64()
+		a, ok := next(i)
+		li := &st.lines.recs[i]
+		li.writes, li.Rewrites, li.RewriteDistSum, li.NearRewrites = r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+		li.Rereads, li.RereadDistSum, li.NearRereads, li.LastWrite = r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
 		flag := r.U8()
 		li.Written = flag == 1
 		if r.Err() != nil {
 			return nil, fmt.Errorf("telemetry: recorder state: %w", r.Err())
 		}
-		if flag > 1 || !ascending(i, a) {
+		if flag > 1 || !ok {
 			return nil, errors.New("telemetry: recorder state is not canonical")
 		}
-		*st.lines.add(a) = li
+		st.lines.addrs[i] = a
 	}
 
 	n = r.Count(bucketRecBytes)
 	if r.Err() != nil {
 		return nil, fmt.Errorf("telemetry: recorder state: buckets: %w", r.Err())
 	}
-	st.buckets = newTable[bucketRec](n)
+	st.buckets = table[bucketRec]{addrs: make([]uint64, n), recs: make([]bucketRec, n)}
+	prev = 0
 	for i := 0; i < n; i++ {
-		base := r.U64()
-		var b bucketRec
-		b.appWriteBytes, b.deviceWriteBytes, b.deviceReadBytes = r.U64(), r.U64(), r.U64()
+		a, ok := next(i)
+		b := &st.buckets.recs[i]
+		b.appWriteBytes, b.deviceWriteBytes, b.deviceReadBytes = r.Uvarint(), r.Uvarint(), r.Uvarint()
 		if r.Err() != nil {
 			return nil, fmt.Errorf("telemetry: recorder state: %w", r.Err())
 		}
-		if !ascending(i, base) {
+		if !ok {
 			return nil, errors.New("telemetry: recorder state is not canonical")
 		}
-		*st.buckets.add(base) = b
+		st.buckets.addrs[i] = a
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("telemetry: recorder state: %w", err)

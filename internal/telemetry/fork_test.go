@@ -6,11 +6,14 @@ import (
 	"hash/crc32"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"prestores/internal/checkpoint"
+	"prestores/internal/core"
 	"prestores/internal/sim"
+	"prestores/internal/snap"
 	"prestores/internal/xrand"
 )
 
@@ -268,6 +271,11 @@ func FuzzDecodeState(f *testing.F) {
 	f.Add(state[:len(state)/2])
 	f.Add([]byte{})
 	f.Add([]byte("PSRS"))
+	// Bodies the encoder never writes, which the fuzz target checksums:
+	// a non-minimal varint, a zero and an overflowing address delta.
+	for _, c := range nonCanonicalStates() {
+		f.Add(c.body)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, binary.LittleEndian.AppendUint32(append([]byte(nil), data...), crc32.Checksum(data, castagnoli))} {
 			st, err := decodeState(in)
@@ -279,6 +287,79 @@ func FuzzDecodeState(f *testing.F) {
 			}
 		}
 	})
+}
+
+// stateBody encodes a recorder-state body, without its checksum, with
+// the default settings and the given line records, each its address
+// delta (raw varint bytes) followed by eight one-byte varint fields and
+// the written flag, and no buckets.
+func stateBody(deltas ...[]byte) []byte {
+	var w snap.Writer
+	w.Section(stateTag)
+	w.U64(stateVersion)
+	for _, v := range []uint64{64, 64 << 10, 1 << 20, core.NearRewrite, core.NearReread} {
+		w.U64(v)
+	}
+	w.U64(uint64(len(deltas)))
+	for _, d := range deltas {
+		w.Raw(d)
+		w.Raw([]byte{1, 0, 0, 0, 0, 0, 0, 5, 1})
+	}
+	w.U64(0)
+	return w.Finish()
+}
+
+// nonCanonicalStates returns recorder-state bodies that decode to a
+// state whose encoding differs from them, or to one with duplicate or
+// wrapped addresses, and the error each must fail with.
+func nonCanonicalStates() []struct {
+	name string
+	body []byte
+	want string
+} {
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	return []struct {
+		name string
+		body []byte
+		want string
+	}{
+		{"canonical", stateBody(uv(1<<40), uv(64)), ""},
+		{"non-minimal varint", stateBody(uv(1<<40), []byte{0xc0, 0x00}), "non-minimal varint"},
+		{"zero address delta", stateBody(uv(1<<40), uv(0)), "not canonical"},
+		{"overflowing address delta", stateBody(uv(1<<40), uv(^uint64(0)-(1<<40)+64)), "not canonical"},
+	}
+}
+
+// TestDecodeStateRejectsNonCanonical checks each rejection behind the
+// checksum on a body that differs from a canonical one in one record.
+func TestDecodeStateRejectsNonCanonical(t *testing.T) {
+	for _, c := range nonCanonicalStates() {
+		in := binary.LittleEndian.AppendUint32(bytes.Clone(c.body), crc32.Checksum(c.body, castagnoli))
+		st, err := decodeState(in)
+		if c.want == "" {
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if !bytes.Equal(st.encode(), in) {
+				t.Fatalf("%s: re-encodes to other bytes", c.name)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: decode error %v; want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestRecorderStateBytes pins the length of the kv-tune-shaped stored
+// recorder state (kvState): 49,728 lines in 296 buckets. The encoding
+// is deterministic, so a change to it moves this figure and must move
+// the pin with it. Fixed 73-byte line records took 3,639,688 bytes.
+func TestRecorderStateBytes(t *testing.T) {
+	const want = 686_964
+	if got := len(kvState(t)); got != want {
+		t.Errorf("kv-tune-shaped recorder state is %d bytes; want %d", got, want)
+	}
 }
 
 // TestForksOfOneStateShareNothing restores one stored state into two

@@ -91,16 +91,13 @@ type machineState struct {
 // table is one machine's address-keyed record table: a flat index from
 // address to slot over the records and their addresses, held by slot in
 // insertion order. Records are values in one slice, so a recorded run
-// allocates no record at a time, and a forked table is three copies.
+// allocates no record at a time, and a forked table is two copies and
+// an index built over them. A decoded recorder state holds tables with
+// no index (templates, see forkState), which are only cloned.
 type table[T any] struct {
 	index flatmap.Map[int32]
 	addrs []uint64
 	recs  []T
-}
-
-// newTable returns an empty table sized to hold n records.
-func newTable[T any](n int) table[T] {
-	return table[T]{index: flatmap.New[int32](n), addrs: make([]uint64, 0, n), recs: make([]T, 0, n)}
 }
 
 func (t *table[T]) len() int { return len(t.recs) }
@@ -140,9 +137,14 @@ func (t *table[T]) ascending() []int {
 	return slots
 }
 
-// clone returns a copy that shares no memory with t.
+// clone returns a copy that shares no memory with t, indexing the copy
+// from its addresses: t's own index is not read, so t may be a template.
 func (t *table[T]) clone() table[T] {
-	return table[T]{index: t.index.Clone(), addrs: slices.Clone(t.addrs), recs: slices.Clone(t.recs)}
+	c := table[T]{index: flatmap.New[int32](len(t.addrs)), addrs: slices.Clone(t.addrs), recs: slices.Clone(t.recs)}
+	for i, a := range c.addrs {
+		c.index.Put(a, int32(i))
+	}
+	return c
 }
 
 // lineRec is one line's write count and DirtBuster's per-line reuse
