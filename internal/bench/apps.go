@@ -8,79 +8,25 @@ import (
 	"prestores/internal/scenario"
 	"prestores/internal/sim"
 	"prestores/internal/workloads/nas"
-	"prestores/internal/workloads/tensor"
 )
 
 func init() {
-	register(Experiment{
-		ID:    "fig7",
-		Title: "TensorFlow training proxy on Machine A: clean vs skip, batch-size sweep",
-		Paper: "Fig 7: clean +47% at batch 1 dropping to +20% at large batches; skip loses ~20%",
-		Run:   runFig7,
-	})
-	register(Experiment{
-		ID:    "fig8",
-		Title: "TensorFlow training proxy on Machine A: write amplification",
-		Paper: "Fig 8: cleaning lowers amplification from ~3.7x to ~2.7x (only one function patched)",
-		Run:   runFig8,
-	})
+	// Code, not a spec: per-kernel quick scales and a checksum-equality
+	// column.
 	register(Experiment{
 		ID:    "fig9",
 		Title: "NAS kernels on Machine A: normalized runtime with clean pre-stores",
 		Paper: "Fig 9: MG/FT/SP/UA/BT up to 40% faster; lower is better",
 		Run:   runFig9,
 	})
+	// Code, not a spec: three sectioned tables, each with its own
+	// machine, kernels and columns.
 	register(Experiment{
 		ID:    "overhead",
 		Title: "Pre-store overhead when not needed (Section 7.4)",
 		Paper: "NAS/tensor cleans on Machine B <=0.3% overhead; FT fftz2 manual clean ~3x slowdown; IS rank: no effect",
 		Run:   runOverhead,
 	})
-}
-
-func fig7Batches(quick bool) []int {
-	if quick {
-		return []int{1, 32}
-	}
-	return []int{1, 8, 32, 64, 128, 250}
-}
-
-func trainCfg(batch int, mode tensor.Mode, quick bool) tensor.TrainConfig {
-	feat := 2048
-	steps := 2
-	if quick {
-		feat = 1024
-		steps = 1
-	}
-	return tensor.TrainConfig{BatchSize: batch, Features: feat, Steps: steps, Mode: mode}
-}
-
-func runFig7(ctx context.Context, w io.Writer, quick bool) {
-	scenario.Row(w, "batch", "base Mcyc", "clean gain", "skip gain")
-	for _, batch := range fig7Batches(quick) {
-		if cancelled(ctx) {
-			return
-		}
-		base := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Baseline, quick))
-		clean := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Clean, quick))
-		skip := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Skip, quick))
-		scenario.Row(w, fmt.Sprint(batch),
-			fmt.Sprintf("%.1f", float64(base.Elapsed)/1e6),
-			pct(float64(base.Elapsed)/float64(clean.Elapsed)),
-			pct(float64(base.Elapsed)/float64(skip.Elapsed)))
-	}
-}
-
-func runFig8(ctx context.Context, w io.Writer, quick bool) {
-	scenario.Row(w, "batch", "base amp", "clean amp")
-	for _, batch := range fig7Batches(quick) {
-		if cancelled(ctx) {
-			return
-		}
-		base := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Baseline, quick))
-		clean := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Clean, quick))
-		scenario.Row(w, fmt.Sprint(batch), f2(base.WriteAmp), f2(clean.WriteAmp))
-	}
 }
 
 func nasKernels(quick bool) []nas.Kernel {
@@ -96,36 +42,42 @@ func runFig9(ctx context.Context, w io.Writer, quick bool) {
 		if cancelled(ctx) {
 			return
 		}
-		cfg := nas.Config{Kernel: k, Iters: 1, Seed: 3}
-		if quick {
-			cfg.Scale = quickScale(k)
-		}
-		cfg.Mode = nas.Baseline
-		base := nas.Run(sim.MachineA().AttachOps(ctx), cfg)
-		cfg.Mode = nas.Clean
-		clean := nas.Run(sim.MachineA().AttachOps(ctx), cfg)
+		base, clean := nasPair(ctx, sim.MachineA, nasConfig(k, quick), nas.Clean)
 		scenario.Row(w, string(k), f2(base.WriteAmp), f2(clean.WriteAmp),
 			f2(float64(clean.Elapsed)/float64(base.Elapsed)),
 			fmt.Sprint(base.Checksum == clean.Checksum))
 	}
 }
 
-// quickScale shrinks each kernel for smoke runs.
-func quickScale(k nas.Kernel) int {
+// nasConfig is one iteration of kernel k with seed 3; quick mode
+// shrinks each kernel for smoke runs.
+func nasConfig(k nas.Kernel, quick bool) nas.Config {
+	cfg := nas.Config{Kernel: k, Iters: 1, Seed: 3}
+	if !quick {
+		return cfg
+	}
 	switch k {
 	case nas.MG, nas.SP:
-		return 64
+		cfg.Scale = 64
 	case nas.BT:
-		return 40
+		cfg.Scale = 40
 	case nas.FT:
-		return 32
+		cfg.Scale = 32
 	case nas.UA:
-		return 1 << 14
+		cfg.Scale = 1 << 14
 	case nas.IS:
-		return 1 << 17
-	default:
-		return 0
+		cfg.Scale = 1 << 17
 	}
+	return cfg
+}
+
+// nasPair runs cfg's kernel twice, each on a fresh machine from
+// newMachine: as the baseline, then in mode.
+func nasPair(ctx context.Context, newMachine func() *sim.Machine, cfg nas.Config, mode nas.Mode) (base, other nas.Result) {
+	cfg.Mode = nas.Baseline
+	base = runOn(ctx, newMachine(), nas.Run, cfg)
+	cfg.Mode = mode
+	return base, runOn(ctx, newMachine(), nas.Run, cfg)
 }
 
 func runOverhead(ctx context.Context, w io.Writer, quick bool) {
@@ -138,14 +90,9 @@ func runOverhead(ctx context.Context, w io.Writer, quick bool) {
 		if cancelled(ctx) {
 			return
 		}
-		cfg := nas.Config{Kernel: k, Iters: 1, Seed: 3, Window: sim.WindowRemote}
-		if quick {
-			cfg.Scale = quickScale(k)
-		}
-		cfg.Mode = nas.Baseline
-		base := nas.Run(sim.MachineBFast().AttachOps(ctx), cfg)
-		cfg.Mode = nas.Clean
-		clean := nas.Run(sim.MachineBFast().AttachOps(ctx), cfg)
+		cfg := nasConfig(k, quick)
+		cfg.Window = sim.WindowRemote
+		base, clean := nasPair(ctx, sim.MachineBFast, cfg, nas.Clean)
 		scenario.Row(w, string(k),
 			fmt.Sprintf("%.1f", float64(base.Elapsed)/1e6),
 			fmt.Sprintf("%.1f", float64(clean.Elapsed)/1e6),
@@ -158,14 +105,7 @@ func runOverhead(ctx context.Context, w io.Writer, quick bool) {
 		return
 	}
 	fmt.Fprintln(w, "-- FT fftz2: manual clean of the hot scratch (the trap) --")
-	ftCfg := nas.Config{Kernel: nas.FT, Iters: 1, Seed: 3}
-	if quick {
-		ftCfg.Scale = quickScale(nas.FT)
-	}
-	ftCfg.Mode = nas.Baseline
-	ftBase := nas.Run(sim.MachineA().AttachOps(ctx), ftCfg)
-	ftCfg.Mode = nas.CleanHot
-	ftHot := nas.Run(sim.MachineA().AttachOps(ctx), ftCfg)
+	ftBase, ftHot := nasPair(ctx, sim.MachineA, nasConfig(nas.FT, quick), nas.CleanHot)
 	scenario.Row(w, "variant", "Mcyc", "slowdown")
 	scenario.Row(w, "baseline", fmt.Sprintf("%.1f", float64(ftBase.Elapsed)/1e6), "1.0x")
 	scenario.Row(w, "clean fftz2", fmt.Sprintf("%.1f", float64(ftHot.Elapsed)/1e6),
@@ -177,14 +117,7 @@ func runOverhead(ctx context.Context, w io.Writer, quick bool) {
 		return
 	}
 	fmt.Fprintln(w, "-- IS rank: manual clean of random small writes (no effect expected) --")
-	isCfg := nas.Config{Kernel: nas.IS, Iters: 1, Seed: 3}
-	if quick {
-		isCfg.Scale = quickScale(nas.IS)
-	}
-	isCfg.Mode = nas.Baseline
-	isBase := nas.Run(sim.MachineA().AttachOps(ctx), isCfg)
-	isCfg.Mode = nas.Clean
-	isClean := nas.Run(sim.MachineA().AttachOps(ctx), isCfg)
+	isBase, isClean := nasPair(ctx, sim.MachineA, nasConfig(nas.IS, quick), nas.Clean)
 	scenario.Row(w, "variant", "Mcyc", "delta")
 	scenario.Row(w, "baseline", fmt.Sprintf("%.1f", float64(isBase.Elapsed)/1e6), "")
 	scenario.Row(w, "clean", fmt.Sprintf("%.1f", float64(isClean.Elapsed)/1e6),

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"prestores/internal/sim"
 )
 
 // Experiment regenerates one table or figure.
@@ -100,8 +102,16 @@ func (ew *errWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// runOn runs one workload call on m, attached to ctx's ops counter,
+// then publishes the ops m retired since its last drain, so a code
+// experiment's Result.SimOps is exact (spec runs flush in the scenario
+// runner).
+func runOn[C, R any](ctx context.Context, m *sim.Machine, run func(*sim.Machine, C) R, cfg C) R {
+	r := run(m.AttachOps(ctx), cfg)
+	m.FlushOps()
+	return r
+}
+
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 func pct(ratio float64) string { return fmt.Sprintf("%+.1f%%", (ratio-1)*100) }
-
-func mops(v float64) string { return fmt.Sprintf("%.2fM/s", v/1e6) }

@@ -7,10 +7,13 @@ package bench_test
 import (
 	"bytes"
 	"context"
+	"io"
+	"sync"
 	"testing"
 
 	"prestores/internal/bench"
 	"prestores/internal/checkpoint"
+	"prestores/internal/sim"
 )
 
 // ckptIDs is a fast cross-section of the checkpoint-eligible
@@ -115,6 +118,48 @@ func TestParallelSimOpsExact(t *testing.T) {
 	for i := range res {
 		if got := res[i].SimOps; got != want[res[i].ID] {
 			t.Errorf("%s: SimOps under Parallel:2 = %d; want %d (solo run)", res[i].ID, got, want[res[i].ID])
+		}
+	}
+}
+
+// TestSimOpsExact checks that Result.SimOps counts every op the run's
+// machines retired, including each run's tail after its last drain: it
+// must equal the sum of the cores' instruction counts over every
+// machine the experiment built.
+func TestSimOpsExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real experiments; skipped with -short")
+	}
+	for _, id := range []string{"ablate-drain", "fig5", "x9"} {
+		e, ok := bench.Lookup(id)
+		if !ok {
+			t.Fatalf("experiment %q not registered", id)
+		}
+		var mu sync.Mutex
+		var machines []*sim.Machine
+		stop := sim.ObserveMachines(func(m *sim.Machine) {
+			mu.Lock()
+			machines = append(machines, m)
+			mu.Unlock()
+		})
+		res, err := bench.Run(context.Background(), io.Discard, []bench.Experiment{e}, bench.RunnerConfig{Parallel: 1, Quick: true})
+		stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Failed() {
+			t.Fatalf("%s failed: %s", id, res[0].Err)
+		}
+		var want uint64
+		mu.Lock()
+		for _, m := range machines {
+			for i := 0; i < m.Cores(); i++ {
+				want += m.Core(i).Instructions()
+			}
+		}
+		mu.Unlock()
+		if got := res[0].SimOps; got != want || want == 0 {
+			t.Errorf("%s: SimOps = %d; want %d, the instructions its %d machines retired", id, got, want, len(machines))
 		}
 	}
 }

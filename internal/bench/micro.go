@@ -12,20 +12,22 @@ import (
 )
 
 func init() {
+	// Code, not a spec: a static table of device parameters; it runs no
+	// workload.
 	register(Experiment{
 		ID:    "table1",
 		Title: "Device internal read/write granularities",
 		Paper: "Table 1: Intel CPU 64B, ThunderX ARM 128B, Optane PMEM 256B, CXL SSD 256-512B",
 		Run:   runTable1,
 	})
+	// Code, not a spec: its slowdown cell is a literal 1.0x on the
+	// baseline row and %.0fx on the clean row.
 	register(Experiment{
 		ID:    "listing3",
 		Title: "Listing 3: cleaning a constantly re-written line",
 		Paper: "Section 5: ~75x slowdown (ratio of memory vs cache write latency)",
 		Run:   runListing3,
 	})
-	// fig3, skipvsclean and fig5 are registered as declarative scenario
-	// specs in spec.go.
 }
 
 func runTable1(ctx context.Context, w io.Writer, _ bool) {
@@ -55,25 +57,16 @@ func runTable1(ctx context.Context, w io.Writer, _ bool) {
 		machines["machine-A"].LineSize(), machines["machine-B"].LineSize())
 }
 
-// fig3Volume is the data written per configuration (footprint rules in
-// DESIGN.md §6: several times the LLC so evictions reach steady state).
-func fig3Volume(quick bool) uint64 {
-	if quick {
-		return 12 * units.MiB
-	}
-	return 48 * units.MiB
-}
-
 func runListing3(ctx context.Context, w io.Writer, quick bool) {
 	iters := 200000
 	if quick {
 		iters = 20000
 	}
-	base := micro.RunListing3(sim.MachineA().AttachOps(ctx), micro.Listing3Config{Iters: iters, Mode: micro.Baseline})
+	base := runOn(ctx, sim.MachineA(), micro.RunListing3, micro.Listing3Config{Iters: iters, Mode: micro.Baseline})
 	if cancelled(ctx) {
 		return
 	}
-	clean := micro.RunListing3(sim.MachineA().AttachOps(ctx), micro.Listing3Config{Iters: iters, Mode: micro.CleanPrestore})
+	clean := runOn(ctx, sim.MachineA(), micro.RunListing3, micro.Listing3Config{Iters: iters, Mode: micro.CleanPrestore})
 	scenario.Row(w, "variant", "cyc/rewrite", "slowdown")
 	scenario.Row(w, "baseline", fmt.Sprintf("%.1f", base.CyclesPerRew), "1.0x")
 	scenario.Row(w, "clean", fmt.Sprintf("%.1f", clean.CyclesPerRew),

@@ -11,8 +11,9 @@ import (
 
 // TestSpecIDsRegistered pins which named experiments are spec-driven.
 func TestSpecIDsRegistered(t *testing.T) {
-	want := []string{"ext-cxlssd", "ext-seqlog", "fig10", "fig11", "fig12", "fig13", "fig14",
-		"fig3", "fig5", "kv-threads", "skipvsclean", "x9"}
+	want := []string{"ablate-dir", "ablate-drain", "ablate-llc", "ablate-pmembuf",
+		"ext-cxlssd", "ext-prefetch", "ext-seqlog", "fig10", "fig11", "fig12", "fig13", "fig14",
+		"fig3", "fig5", "fig7", "fig8", "kv-threads", "skipvsclean", "x9", "ycsb-mixes"}
 	got := SpecIDs()
 	if len(got) != len(want) {
 		t.Fatalf("SpecIDs() = %v, want %v", got, want)
@@ -23,6 +24,23 @@ func TestSpecIDsRegistered(t *testing.T) {
 		}
 		if _, ok := Lookup(want[i]); !ok {
 			t.Errorf("spec %s has no registered experiment", want[i])
+		}
+	}
+}
+
+// TestCodeExperiments pins the experiments that stay hand-written
+// (each says where it registers why a spec cannot express it); every
+// other registered experiment must be spec-driven.
+func TestCodeExperiments(t *testing.T) {
+	code := map[string]bool{"fig9": true, "listing3": true, "overhead": true, "table1": true, "table2": true}
+	for id := range code {
+		if _, ok := Lookup(id); !ok {
+			t.Errorf("code experiment %s is not registered", id)
+		}
+	}
+	for _, e := range All() {
+		if _, isSpec := SpecFor(e.ID); isSpec == code[e.ID] {
+			t.Errorf("experiment %s: spec-driven = %v, want %v", e.ID, isSpec, !code[e.ID])
 		}
 	}
 }

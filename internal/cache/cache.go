@@ -331,15 +331,17 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, ev Eviction, evicted 
 
 // Touch looks up the line containing addr and, if present, performs
 // exactly what Access does on a hit: the hit is counted, recency state
-// is updated, and write marks the line dirty. An absent line is left
-// alone — no fill, no miss counted. It is the fused equivalent of the
+// is updated, and write marks the line dirty. An absent line counts a
+// miss and is otherwise left alone: the caller fills it with Fill,
+// which counts nothing. It is the fused equivalent of the
 // Contains-then-Access sequence the simulator core issues on its load
-// and RFO hit paths, saving the second tag lookup.
+// and RFO paths, saving the second tag lookup.
 func (c *Cache) Touch(addr uint64, write bool) bool {
 	si, tag := c.locate(addr)
 	s := &c.sets[si]
 	i := s.find(tag)
 	if i < 0 {
+		c.stats.Misses++
 		return false
 	}
 	c.tick++

@@ -373,21 +373,48 @@ func TestTouchMatchesContainsPlusAccess(t *testing.T) {
 	if c.Touch(0x1000, false) {
 		t.Fatal("Touch hit on a cold cache")
 	}
-	if c.Stats().Misses != 0 {
-		t.Fatal("Touch miss counted a miss")
+	if c.Stats().Misses != 1 {
+		t.Fatal("Touch miss did not count a miss")
 	}
 	if c.Contains(0x1000) {
 		t.Fatal("Touch miss inserted the line")
 	}
-	c.Access(0x1000, false)
+	c.Fill(0x1000, false) // the core fills a Touch miss without a second count
 	if !c.Touch(0x1000, true) {
 		t.Fatal("Touch missed a present line")
 	}
 	if !c.IsDirty(0x1000) {
 		t.Fatal("Touch(write) did not mark line dirty")
 	}
-	if st := c.Stats(); st.Hits != 1 {
-		t.Fatalf("Hits = %d; want 1 (from Touch)", st.Hits)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("Hits, Misses = %d, %d; want 1, 1 (both from Touch)", st.Hits, st.Misses)
+	}
+}
+
+// TestTouchCountsEveryAccess drives one cache with a hand-built
+// Touch-then-Fill sequence, the way the simulator core probes a level,
+// and checks each access counts exactly one hit or one miss.
+func TestTouchCountsEveryAccess(t *testing.T) {
+	c := smallCache(LRU)
+	stride := uint64(len(c.sets)) * 64 // same set, distinct tags
+	probe := func(addr uint64) {
+		if !c.Touch(addr, false) {
+			c.Fill(addr, false)
+		}
+	}
+	// 5 lines into a 4-way set: 5 cold misses, line 0 evicted.
+	for i := uint64(0); i < 5; i++ {
+		probe(i * stride)
+	}
+	probe(4 * stride) // hit
+	probe(1 * stride) // hit
+	probe(0)          // miss: evicted above
+	probe(0)          // hit
+	if st := c.Stats(); st.Hits != 3 || st.Misses != 6 || st.Fills != 6 {
+		t.Fatalf("Hits, Misses, Fills = %d, %d, %d; want 3, 6, 6", st.Hits, st.Misses, st.Fills)
+	}
+	if got, want := c.Stats().HitRate(), 3.0/9; got != want {
+		t.Fatalf("HitRate = %v, want %v", got, want)
 	}
 }
 

@@ -3,6 +3,8 @@ package scenario
 import (
 	"context"
 	"fmt"
+
+	"prestores/internal/sim"
 )
 
 // CheckSinglePoint reports whether the spec evaluates exactly one grid
@@ -35,11 +37,11 @@ func (s *Spec) EvalPoint(ctx context.Context, quick bool) (Metrics, error) {
 	if !ok {
 		return nil, fmt.Errorf("workload.name: unknown workload %q (one of %v)", s.Workload.Name, WorkloadNames())
 	}
-	m, err := s.buildMachine(s.Machine.Preset)
+	cfg, err := s.machineConfig(s.Machine.Preset, nil)
 	if err != nil {
 		return nil, err
 	}
-	return runOp(ctx, wl, m, s.Policy.Ops[0], s.baseParams(quick), s.forks(ctx, wl))
+	return runOp(ctx, wl, sim.NewMachine(cfg), s.Policy.Ops[0], s.baseParams(quick), s.forks(ctx, wl))
 }
 
 // WithPlan returns a copy of the spec carrying a different pre-store

@@ -1,6 +1,10 @@
 package scenario
 
-import "fmt"
+import (
+	"fmt"
+
+	"prestores/internal/sim"
+)
 
 // WarmKey exposes warmKey to the external warm-key tests.
 var WarmKey = warmKey
@@ -18,10 +22,10 @@ func (s Spec) FirstWarmKey(build string, quick bool) (string, error) {
 		return "", fmt.Errorf("unknown workload %q", s.Workload.Name)
 	}
 	axes := s.axes(quick)
-	preset, _, p := s.point(axes, make([]int, len(axes)), s.baseParams(quick))
-	m, err := s.buildMachine(preset)
+	preset, patches, _, p := s.point(axes, make([]int, len(axes)), s.baseParams(quick))
+	cfg, err := s.machineConfig(preset, patches)
 	if err != nil {
 		return "", err
 	}
-	return warmKey(build, wl, m.ConfigHash(), wl.runParams(p)), nil
+	return warmKey(build, wl, sim.NewMachine(cfg).ConfigHash(), wl.runParams(p)), nil
 }

@@ -48,6 +48,20 @@ var fuzzSeeds = []string{
 	    "windows":[{"name":"dram","base":0,"size":1073741824,"device":{"kind":"dram"}},
 	      {"name":"pmem","base":1073741824,"size":1073741824,"device":{"kind":"pmem","read_lat":300}}]}},
 	  "policy":{"ops":["none"],"columns":[{"title":"c","op":"none","metric":"elapsed"}]}}`,
+	// machine.* axes: a config field, a device parameter, a bad path.
+	`{"version":1,"workload":{"name":"listing1","params":{"elem_size":1024,"volume":1048576}},
+	  "machine":{"preset":"machine-a"},
+	  "policy":{"ops":["none","clean"],"axes":[{"param":"machine.llc.policy","values":["QLRU","LRU"]}],
+	    "columns":[{"title":"llc","axis":"machine.llc.policy","labels":["q","l"]},
+	      {"title":"amp","op":"none","metric":"write_amp","format":"f2"}]}}`,
+	`{"version":1,"workload":{"name":"listing1","params":{"elem_size":1024,"volume":1048576}},
+	  "machine":{"preset":"machine-a","devices":{"pmem":{"read_lat":500}}},
+	  "policy":{"ops":["none"],"axes":[{"param":"machine.devices.pmem.buffer_entries","values":[8,32],"quick":[8]}],
+	    "columns":[{"title":"buf","axis":"machine.devices.pmem.buffer_entries"},
+	      {"title":"cyc","op":"none","metric":"elapsed","format":"m1"}]}}`,
+	`{"version":1,"workload":{"name":"listing3"},"machine":{"preset":"machine-a"},
+	  "policy":{"ops":["none"],"axes":[{"param":"machine.llc.nope","values":[1]}],
+	    "columns":[{"title":"c","op":"none","metric":"elapsed"}]}}`,
 	// ways*line_size wraps to 0: the config check must not divide by it.
 	`{"version":1,"workload":{"name":"listing3"},
 	  "machine":{"config":{"l1":{"size":64,"ways":288230376151711744,"line_size":64},"windows":[]}},

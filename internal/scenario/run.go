@@ -1,9 +1,14 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"prestores/internal/checkpoint"
 	"prestores/internal/memdev"
@@ -73,25 +78,14 @@ func (s *Spec) Exec(ctx context.Context, w io.Writer, quick bool) error {
 
 	warm := s.forks(ctx, wl)
 
-	// Odometer over the axes; the first axis varies slowest.
-	idx := make([]int, len(axes))
-	for {
+	for idx := make([]int, len(axes)); ; {
 		if ctx.Err() != nil {
 			return nil
 		}
 		if err := s.runRow(ctx, w, wl, axes, idx, base, warm); err != nil {
 			return err
 		}
-		// Advance.
-		i := len(axes) - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(axes[i].Values) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
+		if !advance(idx, axes) {
 			break
 		}
 	}
@@ -99,6 +93,18 @@ func (s *Spec) Exec(ctx context.Context, w io.Writer, quick bool) error {
 		fmt.Fprintln(w, line)
 	}
 	return nil
+}
+
+// advance steps idx, an odometer over axes whose first axis varies
+// slowest, and reports whether it has not wrapped to the first point.
+func advance(idx []int, axes []Axis) bool {
+	for i := len(axes) - 1; i >= 0; i-- {
+		if idx[i]++; idx[i] < len(axes[i].Values) {
+			return true
+		}
+		idx[i] = 0
+	}
+	return false
 }
 
 // axes returns the sweep axes with their effective values: in quick
@@ -150,14 +156,14 @@ func (s *Spec) forks(ctx context.Context, wl Workload) bool {
 
 // runRow executes one grid point (all its ops) and renders the row.
 func (s *Spec) runRow(ctx context.Context, w io.Writer, wl Workload, axes []Axis, idx []int, base Params, warm bool) error {
-	preset, ops, params := s.point(axes, idx, base)
+	preset, patches, ops, params := s.point(axes, idx, base)
 	results := make(map[string]Metrics, len(ops))
 	for _, op := range ops {
-		m, err := s.buildMachine(preset)
+		cfg, err := s.machineConfig(preset, patches)
 		if err != nil {
 			return err
 		}
-		metrics, err := runOp(ctx, wl, m, op, params, warm)
+		metrics, err := runOp(ctx, wl, sim.NewMachine(cfg), op, params, warm)
 		if err != nil {
 			return err
 		}
@@ -173,22 +179,27 @@ func (s *Spec) runRow(ctx context.Context, w io.Writer, wl Workload, axes []Axis
 }
 
 // point resolves one grid point: the machine preset it runs on, the
-// ops it runs, and its parameters (the base with the point's axis
-// values applied).
-func (s *Spec) point(axes []Axis, idx []int, base Params) (preset string, ops []string, params Params) {
+// point's machine.* patches, the ops it runs, and its parameters (the
+// base with the point's workload axis values applied).
+func (s *Spec) point(axes []Axis, idx []int, base Params) (preset string, patches map[string]any, ops []string, params Params) {
 	preset, ops, params = s.Machine.Preset, s.Policy.Ops, base.clone()
 	for ai, a := range axes {
 		v := a.Values[idx[ai]]
-		switch a.Param {
-		case "machine":
+		switch {
+		case a.Param == "machine":
 			preset = v.(string)
-		case "op":
+		case a.Param == "op":
 			ops = []string{v.(string)}
+		case isMachinePath(a.Param):
+			if patches == nil {
+				patches = map[string]any{}
+			}
+			patches[a.Param] = v
 		default:
 			params[a.Param] = v
 		}
 	}
-	return preset, ops, params
+	return preset, patches, ops, params
 }
 
 func (s *Spec) renderCell(c Column, axes []Axis, idx []int, ops []string, results map[string]Metrics) string {
@@ -197,7 +208,10 @@ func (s *Spec) renderCell(c Column, axes []Axis, idx []int, ops []string, result
 			if a.Param != c.Axis {
 				continue
 			}
-			if len(a.Labels) > 0 {
+			switch {
+			case len(c.Labels) > 0:
+				return c.Labels[idx[ai]]
+			case len(a.Labels) > 0:
 				return a.Labels[idx[ai]]
 			}
 			return formatCell(c.Format, a.Values[idx[ai]])
@@ -259,6 +273,7 @@ func runOp(ctx context.Context, wl Workload, m *sim.Machine, op string, p Params
 	} else {
 		metrics, err = wl.Run(m, op, p)
 	}
+	m.FlushOps() // the ops retired since the workload's last drain
 	if err != nil {
 		return nil, fmt.Errorf("workload %s, op %s: %w", wl.Name, op, err)
 	}
@@ -352,58 +367,166 @@ func lookupCheckpoint(view *checkpoint.View, key string, m *sim.Machine) (*sim.C
 	return ck, true
 }
 
-// buildMachine constructs a fresh machine for one run: preset or
-// custom config, with device patches applied. Devices are rebuilt each
-// time so runs never share device state.
-func (s *Spec) buildMachine(preset string) (*sim.Machine, error) {
+// machineConfig resolves the machine of one run: the preset or custom
+// config, with the spec's device patches and the row's machine.* axis
+// values applied. A preset run with neither gets the preset as is;
+// every other run goes through patchMachine, which rebuilds each
+// window's device, so runs never share device state.
+func (s *Spec) machineConfig(preset string, row map[string]any) (sim.Config, error) {
 	var cfg sim.Config
-	if preset != "" {
+	switch {
+	case preset != "":
 		c, ok := sim.PresetConfig(preset)
 		if !ok {
-			return nil, fmt.Errorf("machine.preset: unknown preset %q (one of %v)", preset, presetNames())
+			return cfg, fmt.Errorf("machine.preset: unknown preset %q (one of %v)", preset, presetNames())
+		}
+		if len(s.Machine.Devices) == 0 && len(row) == 0 {
+			return c, nil
 		}
 		cfg = c
-	} else if s.Machine.Config != nil {
-		cfg = *s.Machine.Config
-		// The spec's config holds live device instances; clone them so
-		// repeated runs start from pristine device state.
-		windows := make([]sim.WindowSpec, len(cfg.Windows))
-		copy(windows, cfg.Windows)
-		for i, ws := range windows {
-			spec, ok := memdev.Describe(ws.Device)
-			if !ok {
-				return nil, fmt.Errorf("machine.config.windows[%d].device: not a registered device kind", i)
-			}
-			dev, err := spec.Build()
-			if err != nil {
-				return nil, fmt.Errorf("machine.config.windows[%d].device.%v", i, err)
-			}
-			windows[i].Device = dev
-		}
-		cfg.Windows = windows
-	} else {
-		return nil, fmt.Errorf("machine: no machine resolved for this row")
+	case s.Machine.Config != nil:
+		cfg = *s.Machine.Config // holds live device instances
+	default:
+		return cfg, fmt.Errorf("machine: no machine resolved for this row")
 	}
-	for i, ws := range cfg.Windows {
-		patch, ok := s.Machine.Devices[ws.Name]
+	return patchMachine(cfg, s.Machine.Devices, row)
+}
+
+// Machine patch paths. machine.<field> names a field of sim.Config's
+// JSON form (machine.drain, machine.llc.policy); machine.devices.
+// <window>.<parameter> names a memdev.Spec parameter of one window's
+// device (machine.devices.pmem.buffer_entries).
+const (
+	machinePrefix = "machine."
+	devicesPrefix = "machine.devices."
+)
+
+func isMachinePath(param string) bool { return strings.HasPrefix(param, machinePrefix) }
+
+// patchMachine is the one way a spec varies a machine: it returns base
+// with the path → value patches applied over the device map (window →
+// memdev parameters, the spec's machine.devices), every window's device
+// rebuilt from its memdev.Spec so the result shares no device state
+// with base. Config fields are set together on the config's JSON form,
+// which then decodes once like a custom machine.config: unknown fields,
+// mistyped values and invalid configs are errors, and whether a set of
+// patches is valid does not depend on their order. A device parameter
+// goes through memdev.Spec.Apply. Numbers pass through asFloat, so a Go
+// literal in a registered spec and its JSON-decoded twin patch alike.
+// Errors name the patch path.
+func patchMachine(base sim.Config, devices map[string]map[string]any, patches map[string]any) (sim.Config, error) {
+	params := map[string]map[string]any{} // window → device parameters
+	set := func(win, param string, v any) {
+		if f, ok := asFloat(v); ok {
+			v = f
+		}
+		if params[win] == nil {
+			params[win] = map[string]any{}
+		}
+		params[win][param] = v
+	}
+	for win, p := range devices {
+		for k, v := range p {
+			set(win, k, v)
+		}
+	}
+	fields := map[string]any{}
+	for _, path := range sortedKeys(patches) {
+		rest, ok := strings.CutPrefix(path, devicesPrefix)
 		if !ok {
+			fields[path] = patches[path]
 			continue
 		}
+		// Parameter names hold no dot; window names may.
+		dot := strings.LastIndexByte(rest, '.')
+		if dot <= 0 {
+			return base, fmt.Errorf("%s: want %s<window>.<parameter>", path, devicesPrefix)
+		}
+		set(rest[:dot], rest[dot+1:], patches[path])
+	}
+	cfg, err := patchFields(base, fields)
+	if err != nil {
+		return base, err
+	}
+	for _, win := range sortedKeys(params) {
+		if !slices.ContainsFunc(cfg.Windows, func(ws sim.WindowSpec) bool { return ws.Name == win }) {
+			return base, fmt.Errorf("machine.devices.%s: no such window (machine %s has %v)", win, cfg.Name, windowNames(cfg))
+		}
+	}
+	windows := make([]sim.WindowSpec, len(cfg.Windows))
+	for i, ws := range cfg.Windows {
 		spec, ok := memdev.Describe(ws.Device)
 		if !ok {
-			return nil, fmt.Errorf("machine.devices.%s: window device is not patchable", ws.Name)
+			return base, fmt.Errorf("machine.devices.%s: window device is not patchable", ws.Name)
 		}
-		patched, err := spec.Apply(patch)
+		spec, err := spec.Apply(params[ws.Name])
+		if err == nil {
+			ws.Device, err = spec.Build()
+		}
 		if err != nil {
-			return nil, fmt.Errorf("machine.devices.%s.%v", ws.Name, err)
+			return base, fmt.Errorf("machine.devices.%s.%v", ws.Name, err)
 		}
-		dev, err := patched.Build()
-		if err != nil {
-			return nil, fmt.Errorf("machine.devices.%s.%v", ws.Name, err)
-		}
-		cfg.Windows[i].Device = dev
+		windows[i] = ws
 	}
-	return sim.NewMachine(cfg), nil
+	cfg.Windows = windows
+	return cfg, nil
+}
+
+// patchFields sets each field machine.<a>.<b>... of cfg's JSON form to
+// its value and decodes the result once.
+func patchFields(cfg sim.Config, fields map[string]any) (sim.Config, error) {
+	if len(fields) == 0 {
+		return cfg, nil
+	}
+	paths := sortedKeys(fields)
+	data, err := json.Marshal(cfg)
+	if err != nil {
+		return cfg, fmt.Errorf("%s: %v", paths[0], err)
+	}
+	var doc map[string]any
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber() // 64-bit seeds survive the round trip exactly
+	if err := dec.Decode(&doc); err != nil {
+		return cfg, fmt.Errorf("%s: %v", paths[0], err)
+	}
+	for _, path := range paths {
+		keys := strings.Split(strings.TrimPrefix(path, machinePrefix), ".")
+		if keys[0] == "windows" {
+			return cfg, fmt.Errorf("%s: patch a window's device through %s<window>.<parameter>", path, devicesPrefix)
+		}
+		obj := doc
+		for _, k := range keys[:len(keys)-1] {
+			next, ok := obj[k].(map[string]any)
+			if !ok {
+				return cfg, fmt.Errorf("%s: unknown machine field", path)
+			}
+			obj = next
+		}
+		v := fields[path]
+		if f, ok := asFloat(v); ok {
+			v = f
+		}
+		obj[keys[len(keys)-1]] = v
+	}
+	if data, err = json.Marshal(doc); err != nil {
+		return cfg, fmt.Errorf("%s: %v", paths[0], err)
+	}
+	var out sim.Config
+	var te *json.UnmarshalTypeError
+	switch err := json.Unmarshal(data, &out); {
+	case err == nil:
+		return out, nil
+	case errors.As(err, &te):
+		path := machinePrefix + te.Field
+		return cfg, fmt.Errorf("%s: must be of type %s (got %v)", path, te.Type.Kind(), fields[path])
+	case strings.HasPrefix(err.Error(), "json: unknown field"):
+		// The error names only the key; name the patch that set it.
+		key := "." + strings.Trim(strings.TrimPrefix(err.Error(), "json: unknown field "), `"`)
+		i := slices.IndexFunc(paths, func(p string) bool { return strings.HasSuffix(p, key) })
+		return cfg, fmt.Errorf("%s: unknown machine field", paths[max(i, 0)])
+	default:
+		return cfg, fmt.Errorf("%s%v", machinePrefix, err) // a field-path error from sim
+	}
 }
 
 // formatCell renders one value. The formats replicate the hand-written
@@ -418,6 +541,7 @@ func (s *Spec) buildMachine(preset string) (*sim.Machine, error) {
 //	cyc0   %.0f cyc
 //	drop0  -%.0f%% of 100*(1-ratio)
 //	mops   %.2fM/s of v/1e6
+//	m1     %.1f of v/1e6 (millions, e.g. Mcyc)
 func formatCell(format string, v any) string {
 	f, isNum := asFloat(v)
 	switch format {
@@ -444,6 +568,8 @@ func formatCell(format string, v any) string {
 		return fmt.Sprintf("-%.0f%%", 100*(1-f))
 	case "mops":
 		return fmt.Sprintf("%.2fM/s", f/1e6)
+	case "m1":
+		return fmt.Sprintf("%.1f", f/1e6)
 	}
 	return fmt.Sprint(v)
 }

@@ -15,9 +15,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
-	"prestores/internal/memdev"
 	"prestores/internal/sim"
 )
 
@@ -32,7 +33,9 @@ const DefaultMaxPoints = 4096
 // MachineSpec selects the machine: exactly one of a named preset, a
 // full custom sim.Config, or a "machine" sweep axis in the policy.
 // Devices optionally patches per-window device parameters on top of
-// whichever machine each run uses (window name → memdev parameter map).
+// whichever machine each run uses (window name → memdev parameter map);
+// each entry is the patch machine.devices.<window>.<parameter> (see
+// patchMachine).
 type MachineSpec struct {
 	Preset  string                    `json:"preset,omitempty"`
 	Config  *sim.Config               `json:"config,omitempty"`
@@ -46,10 +49,14 @@ type WorkloadSpec struct {
 }
 
 // Axis is one sweep dimension: a workload parameter name, or the
-// special axes "machine" (values are preset names) and "op" (values
-// are pre-store op names; rows then run that single op). The first
-// axis varies slowest. Quick, when set, replaces Values in quick mode.
-// Labels, when set, replace the rendered value in axis columns.
+// special axes "machine" (values are preset names), "op" (values are
+// pre-store op names; rows then run that single op) and machine.<path>
+// (values patch the row's machine: machine.<field> sets a field of
+// sim.Config's JSON form, e.g. machine.llc.policy, and
+// machine.devices.<window>.<parameter> a memdev.Spec parameter of one
+// window's device). The first axis varies slowest. Quick, when set,
+// replaces Values in quick mode. Labels, when set, replace the rendered
+// value in axis columns.
 type Axis struct {
 	Param  string   `json:"param"`
 	Values []any    `json:"values"`
@@ -58,7 +65,8 @@ type Axis struct {
 }
 
 // Column defines one table column.
-//   - Axis != "":  render that axis's value (or label) for the row.
+//   - Axis != "":  render that axis's value for the row: the column's
+//     own Labels entry, else the axis's Labels entry, else the value.
 //   - DenOp != "": ratio of Op's Metric over DenOp's DenMetric
 //     (DenMetric defaults to Metric).
 //   - otherwise:   the value of Metric from Op's run.
@@ -66,13 +74,14 @@ type Axis struct {
 // With an "op" axis, Op and DenOp stay empty and Metric reads the
 // row's single run.
 type Column struct {
-	Title     string `json:"title"`
-	Axis      string `json:"axis,omitempty"`
-	Op        string `json:"op,omitempty"`
-	Metric    string `json:"metric,omitempty"`
-	DenOp     string `json:"den_op,omitempty"`
-	DenMetric string `json:"den_metric,omitempty"`
-	Format    string `json:"format,omitempty"`
+	Title     string   `json:"title"`
+	Axis      string   `json:"axis,omitempty"`
+	Labels    []string `json:"labels,omitempty"` // one per axis value
+	Op        string   `json:"op,omitempty"`
+	Metric    string   `json:"metric,omitempty"`
+	DenOp     string   `json:"den_op,omitempty"`
+	DenMetric string   `json:"den_metric,omitempty"`
+	Format    string   `json:"format,omitempty"`
 }
 
 // PolicySpec is the pre-store policy under test: which ops each row
@@ -176,7 +185,7 @@ func (s Spec) Key() (string, error) {
 }
 
 // formatNames lists the accepted column formats (see formatCell).
-var formatNames = []string{"bytes", "cyc0", "drop0", "f0", "f1", "f2", "mops", "pct", "plain", "x2"}
+var formatNames = []string{"bytes", "cyc0", "drop0", "f0", "f1", "f2", "m1", "mops", "pct", "plain", "x2"}
 
 func knownFormat(f string) bool {
 	for _, n := range formatNames {
@@ -223,13 +232,19 @@ func checkParamValue(path string, def ParamDef, v any) error {
 	return nil
 }
 
-func checkParamMap(prefix string, w Workload, params map[string]any) error {
-	keys := make([]string, 0, len(params))
-	for k := range params {
+// sortedKeys returns m's keys in order, so checks over a map report
+// the same first error every time.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
+	return keys
+}
+
+func checkParamMap(prefix string, w Workload, params map[string]any) error {
+	for _, k := range sortedKeys(params) {
 		def, ok := w.paramDef(k)
 		if !ok {
 			return fmt.Errorf("%s.%s: unknown parameter (workload %s accepts %v)",
@@ -314,11 +329,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("machine.config.%v", err)
 		}
 	}
-	if len(s.Machine.Devices) > 0 {
-		if err := s.validateDevicePatches(); err != nil {
-			return err
-		}
-	}
 
 	// Axes.
 	seenAxes := map[string]bool{}
@@ -332,13 +342,15 @@ func (s *Spec) Validate() error {
 		}
 		seenAxes[a.Param] = true
 		var def ParamDef
-		switch a.Param {
-		case "machine", "op":
+		switch {
+		case a.Param == "machine" || a.Param == "op":
 			def = ParamDef{Name: a.Param, Kind: KindString}
+		case isMachinePath(a.Param):
+			// checkRowMachines patches each value in with its row's others.
 		default:
 			d, ok := w.paramDef(a.Param)
 			if !ok {
-				return fmt.Errorf("%s.param: unknown axis %q (machine, op, or one of workload params %v)",
+				return fmt.Errorf("%s.param: unknown axis %q (machine, op, machine.<field>, or one of workload params %v)",
 					path, a.Param, w.paramNames())
 			}
 			def = d
@@ -356,15 +368,40 @@ func (s *Spec) Validate() error {
 				return err
 			}
 		}
-		if len(a.Labels) > 0 {
-			if len(a.Labels) != len(a.Values) {
-				return fmt.Errorf("%s.labels: got %d labels for %d values", path, len(a.Labels), len(a.Values))
-			}
-			if len(a.Quick) > 0 && len(a.Quick) != len(a.Values) {
-				return fmt.Errorf("%s.labels: labels require quick and values to have equal length (got %d quick, %d values)",
-					path, len(a.Quick), len(a.Values))
+		if err := checkLabels(path+".labels", a.Labels, a); err != nil {
+			return err
+		}
+	}
+
+	// The grid budget, then every machine a row can build.
+	if s.Run.MaxPoints < 0 {
+		return fmt.Errorf("run.max_points: must be non-negative (got %d)", s.Run.MaxPoints)
+	}
+	budget := s.Run.MaxPoints
+	if budget == 0 {
+		budget = DefaultMaxPoints
+	}
+	for _, quick := range []bool{false, true} {
+		points := 1
+		for _, a := range s.axes(quick) {
+			points *= len(a.Values)
+			if points > budget {
+				break
 			}
 		}
+		if !s.hasAxis("op") {
+			points *= len(s.Policy.Ops)
+		}
+		if points > budget {
+			grid := "grid"
+			if quick {
+				grid = "quick grid"
+			}
+			return fmt.Errorf("policy.axes: %s of %d points exceeds the budget of %d (raise run.max_points)", grid, points, budget)
+		}
+	}
+	if err := s.checkRowMachines(); err != nil {
+		return err
 	}
 
 	if err := s.validateWindows(w); err != nil {
@@ -397,12 +434,7 @@ func (s *Spec) Validate() error {
 		if len(w.Sites) == 0 {
 			return fmt.Errorf("policy.table: workload %s declares no pre-store sites", w.Name)
 		}
-		sites := make([]string, 0, len(s.Policy.Table))
-		for site := range s.Policy.Table {
-			sites = append(sites, site)
-		}
-		sort.Strings(sites)
-		for _, site := range sites {
+		for _, site := range sortedKeys(s.Policy.Table) {
 			if !containsStr(w.Sites, site) {
 				return fmt.Errorf("policy.table.%s: unknown site (workload %s has sites %v)", site, w.Name, w.Sites)
 			}
@@ -428,7 +460,14 @@ func (s *Spec) Validate() error {
 			if !seenAxes[c.Axis] {
 				return fmt.Errorf("%s.axis: no axis %q defined", path, c.Axis)
 			}
+			a, _ := s.axisFor(c.Axis)
+			if err := checkLabels(path+".labels", c.Labels, a); err != nil {
+				return err
+			}
 			continue
+		}
+		if len(c.Labels) > 0 {
+			return fmt.Errorf("%s.labels: only an axis column takes labels", path)
 		}
 		if c.Metric == "" {
 			return fmt.Errorf("%s.metric: required (workload %s reports %v)", path, w.Name, w.MetricNames)
@@ -473,35 +512,74 @@ func (s *Spec) Validate() error {
 	}
 
 	// Run controls.
-	if err := checkParamMap("run.quick", w, s.Run.Quick); err != nil {
-		return err
+	return checkParamMap("run.quick", w, s.Run.Quick)
+}
+
+// checkRowMachines resolves the machine of every row a run can take,
+// quick or not, as the run will: a bad machine.devices entry, or
+// machine.* values valid alone but not together, fail before any row
+// runs. Only the machine and machine.* axes vary a row's machine.
+func (s *Spec) checkRowMachines() error {
+	if len(s.Machine.Devices) == 0 && !slices.ContainsFunc(s.Policy.Axes, func(a Axis) bool { return isMachinePath(a.Param) }) {
+		return nil
 	}
-	if s.Run.MaxPoints < 0 {
-		return fmt.Errorf("run.max_points: must be non-negative (got %d)", s.Run.MaxPoints)
-	}
-	budget := s.Run.MaxPoints
-	if budget == 0 {
-		budget = DefaultMaxPoints
-	}
-	points := 1
-	for _, a := range s.Policy.Axes {
-		points *= len(a.Values)
-		if points > budget {
-			break
+	for _, quick := range []bool{false, true} {
+		var axes []Axis
+		var paths []string // where each resolved axis's value list sits
+		for i, a := range s.axes(quick) {
+			if a.Param == "machine" || isMachinePath(a.Param) {
+				list := "values"
+				if quick && len(s.Policy.Axes[i].Quick) > 0 {
+					list = "quick"
+				}
+				axes, paths = append(axes, a), append(paths, fmt.Sprintf("policy.axes[%d].%s", i, list))
+			}
+		}
+		for idx := make([]int, len(axes)); ; {
+			preset, patches, _, _ := s.point(axes, idx, nil)
+			cfg, err := s.machineConfig(preset, patches)
+			if err == nil {
+				err = cfg.Validate()
+			}
+			if err != nil && len(axes) == 0 {
+				return err // a machine.devices entry
+			}
+			if err != nil {
+				at := make([]string, len(axes))
+				for k := range axes {
+					at[k] = fmt.Sprintf("%s[%d]", paths[k], idx[k])
+				}
+				return fmt.Errorf("%s: %v", strings.Join(at, " with "), err)
+			}
+			if !advance(idx, axes) {
+				break
+			}
 		}
 	}
-	if !opAxis {
-		points *= len(s.Policy.Ops)
+	return nil
+}
+
+// checkLabels checks a label list for axis a: one label per value, and
+// (since quick mode indexes the same list) as many quick values as
+// values.
+func checkLabels(path string, labels []string, a Axis) error {
+	if len(labels) == 0 {
+		return nil
 	}
-	if points > budget {
-		return fmt.Errorf("policy.axes: grid of %d points exceeds the budget of %d (raise run.max_points)", points, budget)
+	if len(labels) != len(a.Values) {
+		return fmt.Errorf("%s: got %d labels for %d values", path, len(labels), len(a.Values))
+	}
+	if len(a.Quick) > 0 && len(a.Quick) != len(a.Values) {
+		return fmt.Errorf("%s: labels require quick and values to have equal length (got %d quick, %d values)",
+			path, len(a.Quick), len(a.Values))
 	}
 	return nil
 }
 
 func (s *Spec) checkAxisValue(path, param string, def ParamDef, v any, w Workload) error {
-	switch param {
-	case "machine":
+	switch {
+	case isMachinePath(param): // checked by checkRowMachines
+	case param == "machine":
 		name, ok := v.(string)
 		if !ok {
 			return fmt.Errorf("%s: must be a preset name string (got %v)", path, v)
@@ -509,7 +587,7 @@ func (s *Spec) checkAxisValue(path, param string, def ParamDef, v any, w Workloa
 		if _, ok := sim.PresetConfig(name); !ok {
 			return fmt.Errorf("%s: unknown preset %q (one of %v)", path, name, presetNames())
 		}
-	case "op":
+	case param == "op":
 		op, ok := v.(string)
 		if !ok {
 			return fmt.Errorf("%s: must be an op name string (got %v)", path, v)
@@ -552,38 +630,6 @@ func windowNames(cfg sim.Config) []string {
 		names[i] = ws.Name
 	}
 	return names
-}
-
-// validateDevicePatches checks machine.devices against the windows of
-// the machine(s) the spec can resolve.
-func (s *Spec) validateDevicePatches() error {
-	names := make([]string, 0, len(s.Machine.Devices))
-	for n := range s.Machine.Devices {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	bases := s.machineConfigs()
-	for _, win := range names {
-		for _, base := range bases {
-			found := false
-			for _, ws := range base.Windows {
-				if ws.Name == win {
-					found = true
-					spec, ok := memdev.Describe(ws.Device)
-					if !ok {
-						return fmt.Errorf("machine.devices.%s: window device is not patchable", win)
-					}
-					if _, err := spec.Apply(s.Machine.Devices[win]); err != nil {
-						return fmt.Errorf("machine.devices.%s.%v", win, err)
-					}
-				}
-			}
-			if !found {
-				return fmt.Errorf("machine.devices.%s: no such window (machine %s has %v)", win, base.Name, windowNames(base))
-			}
-		}
-	}
-	return nil
 }
 
 // validateWindows checks every window a run can place data in —

@@ -104,6 +104,67 @@ func TestValidateErrorFieldPaths(t *testing.T) {
 			s.Policy.Axes = append(s.Policy.Axes,
 				scenario.Axis{Param: "iters", Values: []any{1, 2}, Labels: []string{"one"}})
 		}, "policy.axes[0].labels: got 1 labels for 2 values"},
+		{"unknown machine field", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "machine.warp", Values: []any{1}})
+		}, "policy.axes[0].values[0]: machine.warp: unknown machine field"},
+		{"unknown nested machine field", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "machine.llc.nope", Values: []any{"LRU"}})
+		}, "policy.axes[0].values[0]: machine.llc.nope: unknown machine field"},
+		{"machine path through a scalar", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "machine.drain.mode", Values: []any{"lazy"}})
+		}, "policy.axes[0].values[0]: machine.drain.mode: unknown machine field"},
+		{"mistyped machine field", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "machine.prefetch_depth", Values: []any{2, "two"}})
+		}, "policy.axes[0].values[1]: machine.prefetch_depth: must be of type int (got two)"},
+		{"machine field value invalid", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "machine.prefetch_depth", Values: []any{-1}})
+		}, "policy.axes[0].values[0]: machine.prefetch_depth: must be non-negative (got -1)"},
+		{"machine value yields an invalid config", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "machine.llc.ways", Values: []any{16}, Quick: []any{3}})
+		}, "policy.axes[0].quick[0]: machine.llc.size: must be a multiple of ways*line_size (got 4194304 with 3 ways of 64 B lines)"},
+		{"machine values invalid only together", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes,
+				scenario.Axis{Param: "machine.llc.size", Values: []any{4194304, 2048}},
+				scenario.Axis{Param: "machine.llc.ways", Values: []any{16, 64}})
+		}, "policy.axes[0].values[1] with policy.axes[1].values[1]: machine.llc.size: must be a multiple of ways*line_size (got 2048 with 64 ways of 64 B lines)"},
+		{"quick machine values invalid only together", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes,
+				scenario.Axis{Param: "machine.llc.size", Values: []any{4194304}, Quick: []any{2048}},
+				scenario.Axis{Param: "machine.llc.ways", Values: []any{16}, Quick: []any{64}})
+		}, "policy.axes[0].quick[0] with policy.axes[1].quick[0]: machine.llc.size: must be a multiple of ways*line_size (got 2048 with 64 ways of 64 B lines)"},
+		{"unknown llc policy", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "machine.llc.policy", Values: []any{"LRU", "MRU"}})
+		}, `policy.axes[0].values[1]: machine.llc.policy: unknown replacement policy "MRU"`},
+		{"unknown drain mode", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "machine.drain", Values: []any{"sideways"}})
+		}, `policy.axes[0].values[0]: machine.drain: unknown drain mode "sideways"`},
+		{"window patched as a field", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "machine.windows", Values: []any{1}})
+		}, "policy.axes[0].values[0]: machine.windows: patch a window's device through machine.devices.<window>.<parameter>"},
+		{"device path without a parameter", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "machine.devices.pmem", Values: []any{1}})
+		}, "policy.axes[0].values[0]: machine.devices.pmem: want machine.devices.<window>.<parameter>"},
+		{"device axis on a missing window", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "machine.devices.fpga.read_lat", Values: []any{100}})
+		}, "policy.axes[0].values[0]: machine.devices.fpga: no such window (machine machine-A (x86 + Optane PMEM) has [dram pmem])"},
+		{"device axis on a window one axis machine lacks", func(s *scenario.Spec) {
+			s.Machine.Preset = ""
+			s.Policy.Axes = append(s.Policy.Axes,
+				scenario.Axis{Param: "machine", Values: []any{"machine-a", "machine-c"}},
+				scenario.Axis{Param: "machine.devices.pmem.buffer_entries", Values: []any{8}})
+		}, "policy.axes[0].values[1] with policy.axes[1].values[0]: machine.devices.pmem: no such window (machine machine-C"},
+		{"unknown device axis parameter", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "machine.devices.pmem.warp", Values: []any{1}})
+		}, "policy.axes[0].values[0]: machine.devices.pmem.warp: unknown device parameter"},
+		{"mistyped device axis value", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "machine.devices.pmem.buffer_entries", Values: []any{"many"}})
+		}, "policy.axes[0].values[0]: machine.devices.pmem.buffer_entries: must be a number"},
+		{"column labels off an axis", func(s *scenario.Spec) { s.Policy.Columns[0].Labels = []string{"x"} },
+			"policy.columns[0].labels: only an axis column takes labels"},
+		{"column label mismatch", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "iters", Values: []any{1, 2}})
+			s.Policy.Columns = append(s.Policy.Columns, scenario.Column{Title: "n", Axis: "iters", Labels: []string{"one"}})
+		}, "policy.columns[3].labels: got 1 labels for 2 values"},
 		{"empty telemetry", func(s *scenario.Spec) { s.Telemetry = &scenario.TelemetrySpec{} },
 			"telemetry: at least one of timeline or line_report must be true"},
 		{"negative telemetry ring", func(s *scenario.Spec) {
@@ -134,6 +195,10 @@ func TestValidateErrorFieldPaths(t *testing.T) {
 			s.Run.MaxPoints = 3
 			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "iters", Values: []any{1, 2}})
 		}, "policy.axes: grid of 4 points exceeds the budget of 3"},
+		{"quick grid too big", func(s *scenario.Spec) {
+			s.Run.MaxPoints = 3
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "iters", Values: []any{1}, Quick: []any{1, 2}})
+		}, "policy.axes: quick grid of 4 points exceeds the budget of 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,6 +239,27 @@ func TestExecRendersTable(t *testing.T) {
 	}
 	if lines[2] != "(footer)" {
 		t.Errorf("footer = %q", lines[2])
+	}
+}
+
+// TestMachineAxesPatchTogether runs two machine.* axes whose values are
+// each invalid on machine A's 4 MiB 16-way LLC (48 or 5461⅓ sets) and
+// valid together (64 sets of 12 ways): a row's patches apply at once.
+func TestMachineAxesPatchTogether(t *testing.T) {
+	s := smallSpec()
+	s.Policy.Axes = []scenario.Axis{
+		{Param: "machine.llc.size", Values: []any{49152}},
+		{Param: "machine.llc.ways", Values: []any{12}},
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := s.Exec(context.Background(), &out, true); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(out.String(), "\n"); lines != 3 { // header + one row + footer
+		t.Fatalf("got %d lines, want 3:\n%s", lines, out.String())
 	}
 }
 

@@ -71,6 +71,9 @@ func TestWarmPrefixKeyInvariants(t *testing.T) {
 	}
 
 	same := map[string]func(*scenario.Spec){
+		"machine axis at the preset's own value": func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "machine.llc.policy", Values: []any{"QLRU"}})
+		},
 		"axis order swapped": func(s *scenario.Spec) {
 			s.Policy.Axes[0], s.Policy.Axes[1] = s.Policy.Axes[1], s.Policy.Axes[0]
 		},
@@ -164,6 +167,14 @@ func TestWarmPrefixKeyInvariants(t *testing.T) {
 		},
 		"workload changed": func(s *scenario.Spec) {
 			s.Workload.Name = "listing3"
+		},
+		// A machine.* axis patches the machine, and the patched config
+		// hashes apart: warm states never cross a patch.
+		"machine field axis": func(s *scenario.Spec) {
+			s.Policy.Axes = append([]scenario.Axis{{Param: "machine.llc.policy", Values: []any{"LRU"}}}, s.Policy.Axes...)
+		},
+		"device parameter axis": func(s *scenario.Spec) {
+			s.Policy.Axes = append([]scenario.Axis{{Param: "machine.devices.pmem.buffer_entries", Values: []any{8}}}, s.Policy.Axes...)
 		},
 	}
 	for name, mutate := range diff {

@@ -232,8 +232,9 @@ func TestRegistryListsAllBuildingBlocks(t *testing.T) {
 	if len(reg.Formats) == 0 {
 		t.Error("no column formats listed")
 	}
-	wantSpecs := []string{"ext-cxlssd", "ext-seqlog", "fig10", "fig11", "fig12", "fig13", "fig14",
-		"fig3", "fig5", "kv-threads", "skipvsclean", "x9"}
+	wantSpecs := []string{"ablate-dir", "ablate-drain", "ablate-llc", "ablate-pmembuf",
+		"ext-cxlssd", "ext-prefetch", "ext-seqlog", "fig10", "fig11", "fig12", "fig13", "fig14",
+		"fig3", "fig5", "fig7", "fig8", "kv-threads", "skipvsclean", "x9", "ycsb-mixes"}
 	if len(reg.Specs) != len(wantSpecs) {
 		t.Fatalf("spec experiments = %v, want %v", reg.Specs, wantSpecs)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -121,10 +122,13 @@ func (c Config) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a Config, building each window's device from
-// its memdev.Spec. Errors name the offending field path.
+// its memdev.Spec. Unknown fields are errors. Errors name the
+// offending field path.
 func (c *Config) UnmarshalJSON(data []byte) error {
 	var j configJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&j); err != nil {
 		return err
 	}
 	out := Config{
@@ -193,6 +197,10 @@ func validateCacheConfig(level string, c cache.Config) error {
 	if c.Size%line != 0 || (c.Size/line)%uint64(c.Ways) != 0 {
 		return fmt.Errorf("%s.size: must be a multiple of ways*line_size (got %d with %d ways of %d B lines)",
 			level, c.Size, c.Ways, line)
+	}
+	if sets := c.Size / line / uint64(c.Ways); !units.IsPow2(sets) {
+		return fmt.Errorf("%s.size: must give a power-of-two set count (got %d sets from %d B with %d ways of %d B lines)",
+			level, sets, c.Size, c.Ways, line)
 	}
 	if c.RandomMix < 0 || c.RandomMix > 1 {
 		return fmt.Errorf("%s.random_mix: must be in [0,1] (got %g)", level, c.RandomMix)

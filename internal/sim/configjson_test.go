@@ -72,6 +72,9 @@ func TestConfigValidateFieldPaths(t *testing.T) {
 		{func(c *Config) { c.L1.Ways = -1 }, "l1.ways: must be positive when size is set (got -1)"},
 		{func(c *Config) { c.LLC.Size = 100 },
 			"llc.size: must be a multiple of ways*line_size (got 100 with 16 ways of 64 B lines)"},
+		// cache.New panics on a set count that is not a power of two.
+		{func(c *Config) { c.LLC.Size = 3072 },
+			"llc.size: must give a power-of-two set count (got 3 sets from 3072 B with 16 ways of 64 B lines)"},
 		{func(c *Config) { c.MLP = -2 }, "mlp: must be non-negative (got -2)"},
 	}
 	for _, tc := range cases {

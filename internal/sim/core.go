@@ -190,6 +190,10 @@ func (c *Core) Stats() CoreStats { return c.stats }
 // L1 returns the core's private L1 (tests and stats).
 func (c *Core) L1() *cache.Cache { return c.l1 }
 
+// L2 returns the core's private L2, nil on a machine without one
+// (tests and stats).
+func (c *Core) L2() *cache.Cache { return c.l2 }
+
 // Machine returns the owning machine.
 func (c *Core) Machine() *Machine { return c.m }
 

@@ -231,13 +231,15 @@ func (m *Machine) Drain() {
 	for _, c := range m.cores {
 		c.now = now
 	}
-	m.flushOps()
+	m.FlushOps()
 }
 
-// flushOps publishes the cores' retired-op counts into the process-wide
-// throughput counter. Called at natural synchronization points so the
-// per-op path stays atomic-free.
-func (m *Machine) flushOps() {
+// FlushOps publishes the cores' retired-op counts into the process-wide
+// throughput counter and the attached ops counter, sending only what
+// earlier flushes have not. Drain and ResetStats call it; a run that
+// ends without either calls it once after its workload returns, so the
+// per-op path stays atomic-free and the counts stay exact.
+func (m *Machine) FlushOps() {
 	var total uint64
 	for _, c := range m.cores {
 		total += c.instr
@@ -303,7 +305,7 @@ func (m *Machine) ResetStats() {
 	for _, w := range m.cfg.Windows {
 		w.Device.ResetStats()
 	}
-	m.flushOps()
+	m.FlushOps()
 }
 
 // MaxCycles returns the highest core clock — the elapsed simulated time

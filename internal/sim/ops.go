@@ -11,9 +11,10 @@ import (
 // flushes only from the machines explicitly attached to it, so
 // per-experiment throughput numbers stay exact under any parallelism.
 //
-// Machines flush in bulk at Drain/ResetStats, so the per-op simulator
-// path never touches the counter; the atomic only makes the final read
-// race-free against a machine flushing on another goroutine.
+// Machines flush in bulk at Drain/ResetStats and once after each run
+// (FlushOps), so the per-op simulator path never touches the counter;
+// the atomic only makes the final read race-free against a machine
+// flushing on another goroutine.
 type OpsCounter struct {
 	n atomic.Uint64
 }

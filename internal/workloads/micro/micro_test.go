@@ -3,6 +3,7 @@ package micro
 import (
 	"testing"
 
+	"prestores/internal/cache"
 	"prestores/internal/sim"
 	"prestores/internal/units"
 )
@@ -112,5 +113,24 @@ func TestListing1SequentialStillAmplifies(t *testing.T) {
 	clean := RunListing1(sim.MachineA(), cfg)
 	if clean.WriteAmp > 1.05 {
 		t.Fatalf("sequential clean amp %.2f", clean.WriteAmp)
+	}
+}
+
+// TestListing1CountsMisses runs Listing 1 over a footprint larger than
+// the LLC: the L1 and the LLC count the misses their probes take, so
+// neither reports a perfect hit rate. Listing 1's stores prove a line
+// absent from both private levels without probing the L2, so the L2
+// sees no access at all.
+func TestListing1CountsMisses(t *testing.T) {
+	m := sim.MachineA()
+	RunListing1(m, l1cfg(Baseline, 1))
+	c := m.Core(0)
+	for _, lv := range []*cache.Cache{c.L1(), m.LLC()} {
+		if st := lv.Stats(); st.Misses == 0 || st.HitRate() >= 1 {
+			t.Errorf("%s: hits %d, misses %d: want misses and a hit rate below 1", lv.Config().Name, st.Hits, st.Misses)
+		}
+	}
+	if st := c.L2().Stats(); st.Hits+st.Misses != 0 {
+		t.Errorf("%s: hits %d, misses %d: want no accesses", c.L2().Config().Name, st.Hits, st.Misses)
 	}
 }
